@@ -4,7 +4,8 @@ the Gorenstein criterion, and the facet structure of the diagonal initial
 complex, each backed by an independent brute-force cross-check.
 """
 
-from .errors import BudgetExceededError, SizeGuardError
+from .errors import (BudgetExceededError, CheckFailed, SizeGuardError,
+                     check_sizes)
 from .generators import (FAMILY_KEYS, Minor, decompose_into_minors,
                          family_sizes, generator_families, minor_basis,
                          minor_dependency_witness, minors_H, minors_V,
@@ -28,10 +29,9 @@ from .poset import (Poset, descent_count, is_linear_extension, make_pmnr,
 from .ring import Binomial, Variable, parse_binomial
 from .simplicial import (Facet, Vertex, check_shelling_order,
                          complex_h_vector, extend_to_facet,
-                         facet_from_vertices, facet_to_word, facets,
-                         initial_generators, is_face,
-                         maximal_faces_bruteforce, parse_vertices,
-                         vertex_for_variable, word_to_facet)
+                         facet_from_vertices, facets, initial_generators,
+                         is_face, maximal_faces_bruteforce, parse_vertices,
+                         vertex_for_variable)
 from .sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
                       is_sorted, phi, phi_monomial, sort_pair)
 

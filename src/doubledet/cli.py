@@ -1,10 +1,10 @@
 """Command-line front end.
 
-One subcommand per computation plus `verify`, a cross-checking harness
-that re-derives every closed formula from its enumeration oracle.  Output
-is text by default; --format json/csv produce machine-readable versions
-with stable key order.  Exit status: 0 success, 1 failed verification,
-2 invalid input or exhausted budget.
+One subcommand per computation plus `verify`, which runs the cross-checking
+harness of `doubledet.verify`.  Each subcommand hands its result to
+`_emit`, the only code that writes a result to stdout: text by default,
+or --format json/csv with stable key order.  Exit status: 0 success,
+1 failed verification, 2 invalid input or exhausted budget.
 """
 
 from __future__ import annotations
@@ -13,24 +13,10 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import generators, grid, groebner, invariants, poset, simplicial
-from .errors import BudgetExceededError, SizeGuardError
-from .multiset import DEFAULT_BUDGET, multinomial
-
-
-def _add_sizes(sub):
-    sub.add_argument("m", type=int)
-    sub.add_argument("n", type=int)
-    sub.add_argument("r", type=int)
-
-
-def _add_common(sub):
-    sub.add_argument("-f", "--format", choices=("text", "json", "csv"),
-                     default="text")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="max number of words/extensions/S-pairs to visit")
+from . import generators, invariants, poset, simplicial, verify
+from .errors import BudgetExceededError, SizeGuardError, check_sizes
+from .multiset import DEFAULT_BUDGET
 
 
 def build_parser():
@@ -40,241 +26,94 @@ def build_parser():
                     "ideal of r concatenated generic m x n matrices.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("invariants", help="closed-form invariant report")
-    _add_sizes(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
+    def sub(name, func, help, sizes=True):
+        p = subs.add_parser(name, help=help)
+        for size in ("m", "n", "r") if sizes else ():
+            p.add_argument(size, type=int)
+        p.add_argument("-f", "--format", choices=("text", "json", "csv"),
+                       default="text")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="max number of words/extensions/S-pairs to visit")
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("generators", help="minimal generators and minors")
-    _add_sizes(p)
-    _add_common(p)
+    sub("invariants", cmd_invariants, "closed-form invariant report")
+    p = sub("generators", cmd_generators, "minimal generators and minors")
     p.add_argument("--show", choices=("families", "minors",
                                       "sorting-relations", "witness"),
                    default="families")
-    p.set_defaults(func=cmd_generators)
-
-    p = subs.add_parser("hilbert", help="Hilbert function values")
-    _add_sizes(p)
-    _add_common(p)
+    p = sub("hilbert", cmd_hilbert, "Hilbert function values")
     p.add_argument("--max-degree", type=int, default=8)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = subs.add_parser("hpoly", help="h-polynomial")
+    p = sub("hpoly", cmd_hpoly, "h-polynomial", sizes=False)
     p.add_argument("sizes", type=int, nargs="*", metavar="m n r")
-    _add_common(p)
     p.add_argument("--method", choices=("series", "words", "extensions",
                                         "all"), default="series")
     p.add_argument("--poset-file", metavar="FILE",
                    help="descent polynomial over the linear extensions of "
                         "the poset in FILE instead of the three-chain poset")
-    p.set_defaults(func=cmd_hpoly)
-
-    p = subs.add_parser("facets", help="facet catalog of the initial complex")
-    _add_sizes(p)
-    _add_common(p)
+    p = sub("facets", cmd_facets, "facet catalog of the initial complex")
     p.add_argument("--style", choices=("words", "paths"), default="words",
                    help="text layout (ignored for json/csv)")
-    p.set_defaults(func=cmd_facets)
-
-    p = subs.add_parser("word2facet", help="decode a facet word")
-    _add_sizes(p)
+    p = sub("word2facet", cmd_word2facet, "decode a facet word")
     p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(func=cmd_word2facet)
-
-    p = subs.add_parser("facet2word", help="encode a facet vertex set")
-    _add_sizes(p)
-    _add_common(p)
+    p = sub("facet2word", cmd_facet2word, "encode a facet vertex set")
     p.add_argument("--vertices", required=True,
                    help="vertex list like '(4,5),(3,5),(3,7)'")
-    p.set_defaults(func=cmd_facet2word)
-
-    p = subs.add_parser("extend", help="extend a face to a facet")
-    _add_sizes(p)
-    _add_common(p)
+    p = sub("extend", cmd_extend, "extend a face to a facet")
     p.add_argument("--vertices", required=True,
                    help="face vertex list; may be empty: ''")
-    p.set_defaults(func=cmd_extend)
-
-    p = subs.add_parser("verify", help="run the cross-verification harness")
-    _add_sizes(p)
-    _add_common(p)
-    p.add_argument("--level", choices=("formulas", "complex", "groebner"),
-                   default="groebner",
+    p = sub("verify", cmd_verify, "run the cross-verification harness")
+    p.add_argument("--level", choices=verify.LEVELS, default="groebner",
                    help="formulas < complex < groebner (cumulative)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
-def _check_sizes(args):
-    if args.m < 1 or args.n < 1 or args.r < 1:
-        raise ValueError("sizes m, n, r must be positive")
-    if args.budget is not None and args.budget <= 0:
-        raise ValueError("budget must be positive")
-    return args.m, args.n, args.r
+def _emit(args, payload, header, rows, lines):
+    """Write one result to stdout in the format that ``args`` selects.
 
-
-def _print_csv(header, rows):
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+    ``payload`` returns the JSON value, ``rows`` the CSV rows under
+    ``header`` and ``lines`` the text lines; only the selected one is
+    called, so no other format's output is ever built.
+    """
+    if args.format == "json":
+        _dump_json(payload())
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows())
+    else:
+        for line in lines():
+            print(line)
 
 
 def _dump_json(obj):
     print(json.dumps(obj, separators=(",", ":")))
 
 
-# ----------------------------------------------------------------------
-# subcommands
-
-def cmd_invariants(args):
-    m, n, r = _check_sizes(args)
-    report = invariants.compute_invariants(m, n, r)
-    data = report.to_dict()
-    if args.format == "json":
-        _dump_json(data)
-    elif args.format == "csv":
-        _print_csv(data.keys(),
-                   [[*list(data.values())[:-1],
-                     " ".join(map(str, data["h_polynomial"]))]])
-    else:
-        for key, value in data.items():
-            if key == "h_polynomial":
-                value = str(report.h_polynomial)
-            elif isinstance(value, bool):
-                value = str(value).lower()
-            print(f"{key:13}= {value}")
-    return 0
+def _join(values):
+    return " ".join(map(str, values))
 
 
-def cmd_generators(args):
-    m, n, r = _check_sizes(args)
-    if args.show == "families":
-        fams = generators.generator_families(m, n, r)
-        if args.format == "json":
-            payload = {key: [str(b) for b in val] for key, val in fams.items()}
-            payload["total"] = sum(len(v) for v in fams.values())
-            _dump_json(payload)
-        elif args.format == "csv":
-            rows = [(key, i, str(b))
-                    for key, val in fams.items() for i, b in enumerate(val)]
-            _print_csv(("family", "index", "binomial"), rows)
-        else:
-            for key, val in fams.items():
-                print(f"{key} ({len(val)}):")
-                for b in val:
-                    print(f"  {b}")
-            print(f"total: {sum(len(v) for v in fams.values())}")
-    elif args.show == "minors":
-        minors = generators.minors_H(m, n, r) + generators.minors_V(m, n, r)
-        if args.format == "json":
-            _dump_json([{"source": mi.source, "rows": list(mi.rows),
-                         "cols": list(mi.cols), "binomial": str(mi.binomial)}
-                        for mi in minors])
-        elif args.format == "csv":
-            _print_csv(("source", "rows", "cols", "binomial"),
-                       [(mi.source, f"{mi.rows[0]} {mi.rows[1]}",
-                         f"{mi.cols[0]} {mi.cols[1]}", str(mi.binomial))
-                        for mi in minors])
-        else:
-            for mi in minors:
-                print(mi)
-    elif args.show == "sorting-relations":
-        rels = generators.sorting_relations(m, n, r)
-        if args.format == "json":
-            _dump_json([str(b) for b in rels])
-        elif args.format == "csv":
-            _print_csv(("index", "binomial"),
-                       list(enumerate(str(b) for b in rels)))
-        else:
-            for b in rels:
-                print(b)
-    else:  # witness
-        witness = generators.minor_dependency_witness(m, n, r)
-        if args.format == "json":
-            if witness is None:
-                _dump_json({"exists": False})
-            else:
-                _dump_json({"exists": True,
-                            "terms": [{"sign": s, "source": mi.source,
-                                       "rows": list(mi.rows),
-                                       "cols": list(mi.cols),
-                                       "binomial": str(mi.binomial)}
-                                      for s, mi in witness]})
-        elif args.format == "csv":
-            rows = [] if witness is None else [
-                (s, mi.source, f"{mi.rows[0]} {mi.rows[1]}",
-                 f"{mi.cols[0]} {mi.cols[1]}", str(mi.binomial))
-                for s, mi in witness]
-            _print_csv(("sign", "source", "rows", "cols", "binomial"), rows)
-        elif witness is None:
-            print("none")
-        else:
-            terms = " ".join(f"{'+' if s > 0 else '-'} ({mi})"
-                             for s, mi in witness)
-            print(f"0 = {terms}")
-    return 0
+def _vertex_list(vertices):
+    return _join(sorted(vertices))
 
 
-def cmd_hilbert(args):
-    m, n, r = _check_sizes(args)
-    if args.max_degree < 0:
-        raise ValueError("max degree must be nonnegative")
-    values = [invariants.hilbert_function(m, n, r, d)
-              for d in range(args.max_degree + 1)]
-    if args.format == "json":
-        _dump_json({"values": values})
-    elif args.format == "csv":
-        _print_csv(("d", "value"), list(enumerate(values)))
-    else:
-        for d, v in enumerate(values):
-            print(f"{d:3} {v}")
-    return 0
+def _minor_json(minor):
+    return {"source": minor.source, "rows": list(minor.rows),
+            "cols": list(minor.cols), "binomial": str(minor.binomial)}
 
 
-def cmd_hpoly(args):
-    if args.poset_file:
-        if args.sizes:
-            raise ValueError("give either sizes m n r or --poset-file")
-        with open(args.poset_file, encoding="utf-8") as handle:
-            p = poset.poset_from_text(handle.read())
-        h = invariants.poset_descent_polynomial(p, budget=args.budget)
-        return _emit_hpoly(args, h)
-    if len(args.sizes) != 3:
-        raise ValueError("expected three sizes: m n r")
-    m, n, r = args.sizes
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("sizes m, n, r must be positive")
-    methods = {
-        "series": lambda: invariants.h_poly_via_series(m, n, r),
-        "words": lambda: invariants.h_poly_via_words(m, n, r,
-                                                     budget=args.budget),
-        "extensions": lambda: invariants.h_poly_via_linear_extensions(
-            m, n, r, budget=args.budget),
-    }
-    if args.method != "all":
-        return _emit_hpoly(args, methods[args.method]())
-    results = {name: fn() for name, fn in methods.items()}
-    first = results["series"]
-    if any(h != first for h in results.values()):
-        for name, h in results.items():
-            print(f"{name}: {h}", file=sys.stderr)
-        print("error: h-polynomial methods disagree", file=sys.stderr)
-        return 1
-    return _emit_hpoly(args, first, agreement=True)
+def _minor_row(minor):
+    return (minor.source, _join(minor.rows), _join(minor.cols),
+            str(minor.binomial))
 
 
-def _emit_hpoly(args, h, agreement=None):
-    if args.format == "json":
-        payload = {"h_polynomial": list(h.coeffs)}
-        if agreement is not None:
-            payload["agreement"] = agreement
-        _dump_json(payload)
-    elif args.format == "csv":
-        _print_csv(("degree", "coefficient"), list(enumerate(h.coeffs)))
-    else:
-        print(h)
-    return 0
+FACET_HEADER = ("index", "word", "g", "h", "vertices")
+
+
+def _facet_row(index, facet):
+    return (index, facet.word, _join(facet.g), _join(facet.h),
+            _vertex_list(facet.vertices))
 
 
 def _facet_json(facet):
@@ -289,368 +128,192 @@ def _facet_paths_text(facet):
         for path in facet.paths)
 
 
-def cmd_facets(args):
-    m, n, r = _check_sizes(args)
-    catalog = list(simplicial.facets(m, n, r, budget=args.budget))
-    if args.format == "json":
-        _dump_json([_facet_json(f) for f in catalog])
-    elif args.format == "csv":
-        _print_csv(("index", "word", "g", "h", "vertices"),
-                   [(i, f.word, " ".join(map(str, f.g)),
-                     " ".join(map(str, f.h)),
-                     " ".join(str(v) for v in sorted(f.vertices)))
-                    for i, f in enumerate(catalog, start=1)])
-    elif args.style == "paths":
-        for f in catalog:
-            print(f"{f.word}: {_facet_paths_text(f)}")
+# ----------------------------------------------------------------------
+# subcommands
+
+def cmd_invariants(args):
+    report = invariants.compute_invariants(args.m, args.n, args.r)
+    data = report.to_dict()
+
+    def text():
+        for key, value in data.items():
+            if key == "h_polynomial":
+                value = str(report.h_polynomial)
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            yield f"{key:13}= {value}"
+
+    _emit(args, lambda: data, data.keys(),
+          lambda: [[*list(data.values())[:-1], _join(data["h_polynomial"])]],
+          text)
+    return 0
+
+
+def cmd_generators(args):
+    m, n, r = args.m, args.n, args.r
+    if args.show == "families":
+        fams = generators.generator_families(m, n, r)
+        total = sum(len(v) for v in fams.values())
+
+        def text():
+            for key, val in fams.items():
+                yield f"{key} ({len(val)}):"
+                yield from (f"  {b}" for b in val)
+            yield f"total: {total}"
+
+        _emit(args, lambda: {**{key: [str(b) for b in val]
+                                for key, val in fams.items()},
+                             "total": total},
+              ("family", "index", "binomial"),
+              lambda: ((key, i, str(b)) for key, val in fams.items()
+                       for i, b in enumerate(val)),
+              text)
+    elif args.show == "minors":
+        minors = generators.minors_H(m, n, r) + generators.minors_V(m, n, r)
+        _emit(args, lambda: [_minor_json(mi) for mi in minors],
+              ("source", "rows", "cols", "binomial"),
+              lambda: map(_minor_row, minors), lambda: map(str, minors))
+    elif args.show == "sorting-relations":
+        rels = generators.sorting_relations(m, n, r)
+        _emit(args, lambda: [str(b) for b in rels], ("index", "binomial"),
+              lambda: enumerate(map(str, rels)), lambda: map(str, rels))
+    else:  # witness
+        witness = generators.minor_dependency_witness(m, n, r)
+        _emit(args,
+              lambda: {"exists": False} if witness is None else {
+                  "exists": True,
+                  "terms": [{"sign": s, **_minor_json(mi)}
+                            for s, mi in witness]},
+              ("sign", "source", "rows", "cols", "binomial"),
+              lambda: ((s, *_minor_row(mi)) for s, mi in witness or ()),
+              lambda: ["none" if witness is None else "0 = " + " ".join(
+                  f"{'+' if s > 0 else '-'} ({mi})" for s, mi in witness)])
+    return 0
+
+
+def cmd_hilbert(args):
+    if args.max_degree < 0:
+        raise ValueError("max degree must be nonnegative")
+    values = [invariants.hilbert_function(args.m, args.n, args.r, d)
+              for d in range(args.max_degree + 1)]
+    _emit(args, lambda: {"values": values}, ("d", "value"),
+          lambda: enumerate(values),
+          lambda: (f"{d:3} {v}" for d, v in enumerate(values)))
+    return 0
+
+
+def cmd_hpoly(args):
+    agreement = {}
+    if args.poset_file:
+        if args.sizes:
+            raise ValueError("give either sizes m n r or --poset-file")
+        with open(args.poset_file, encoding="utf-8") as handle:
+            p = poset.poset_from_text(handle.read())
+        h = invariants.poset_descent_polynomial(p, budget=args.budget)
     else:
-        for f in catalog:
-            print(f.word)
+        if len(args.sizes) != 3:
+            raise ValueError("expected three sizes: m n r")
+        m, n, r = args.sizes
+        check_sizes(m, n, r)
+        methods = {
+            "series": lambda: invariants.h_poly_via_series(m, n, r),
+            "words": lambda: invariants.h_poly_via_words(
+                m, n, r, budget=args.budget),
+            "extensions": lambda: invariants.h_poly_via_linear_extensions(
+                m, n, r, budget=args.budget),
+        }
+        if args.method != "all":
+            h = methods[args.method]()
+        else:
+            results = {name: fn() for name, fn in methods.items()}
+            h = results["series"]
+            if any(other != h for other in results.values()):
+                for name, other in results.items():
+                    print(f"{name}: {other}", file=sys.stderr)
+                print("error: h-polynomial methods disagree", file=sys.stderr)
+                return 1
+            agreement = {"agreement": True}
+    _emit(args, lambda: {"h_polynomial": list(h.coeffs), **agreement},
+          ("degree", "coefficient"), lambda: enumerate(h.coeffs),
+          lambda: [h])
+    return 0
+
+
+def cmd_facets(args):
+    catalog = list(simplicial.facets(args.m, args.n, args.r,
+                                     budget=args.budget))
+    _emit(args, lambda: [_facet_json(f) for f in catalog], FACET_HEADER,
+          lambda: (_facet_row(i, f) for i, f in enumerate(catalog, start=1)),
+          lambda: ((f"{f.word}: {_facet_paths_text(f)}" for f in catalog)
+                   if args.style == "paths" else (f.word for f in catalog)))
     return 0
 
 
 def cmd_word2facet(args):
-    m, n, r = _check_sizes(args)
-    facet = simplicial.word_to_facet(args.word, m, n, r)
-    if args.format == "json":
-        _dump_json(_facet_json(facet))
-    elif args.format == "csv":
-        _print_csv(("index", "word", "g", "h", "vertices"),
-                   [(1, facet.word, " ".join(map(str, facet.g)),
-                     " ".join(map(str, facet.h)),
-                     " ".join(str(v) for v in sorted(facet.vertices)))])
-    else:
-        print(f"word: {facet.word}")
-        print(f"g: {' '.join(map(str, facet.g))}")
-        print(f"h: {' '.join(map(str, facet.h))}")
-        print(f"paths: {_facet_paths_text(facet)}")
-        print("vertices: "
-              + " ".join(str(v) for v in sorted(facet.vertices)))
+    facet = simplicial.Facet(args.m, args.n, args.r, args.word)
+    _emit(args, lambda: _facet_json(facet), FACET_HEADER,
+          lambda: [_facet_row(1, facet)],
+          lambda: [f"word: {facet.word}", f"g: {_join(facet.g)}",
+                   f"h: {_join(facet.h)}",
+                   f"paths: {_facet_paths_text(facet)}",
+                   f"vertices: {_vertex_list(facet.vertices)}"])
     return 0
 
 
 def cmd_facet2word(args):
-    m, n, r = _check_sizes(args)
     verts = simplicial.parse_vertices(args.vertices)
-    facet = simplicial.facet_from_vertices(verts, m, n, r)
-    if args.format == "json":
-        _dump_json({"word": facet.word})
-    elif args.format == "csv":
-        _print_csv(("word",), [(facet.word,)])
-    else:
-        print(facet.word)
+    facet = simplicial.facet_from_vertices(verts, args.m, args.n, args.r)
+    _emit(args, lambda: {"word": facet.word}, ("word",),
+          lambda: [(facet.word,)], lambda: [facet.word])
     return 0
 
 
 def cmd_extend(args):
-    m, n, r = _check_sizes(args)
     verts = (simplicial.parse_vertices(args.vertices)
              if args.vertices.strip() else [])
-    facet = simplicial.extend_to_facet(verts, m, n, r)
+    facet = simplicial.extend_to_facet(verts, args.m, args.n, args.r)
     added = sorted(facet.vertices - set(verts))
-    if args.format == "json":
-        payload = _facet_json(facet)
-        payload["added"] = [list(v) for v in added]
-        _dump_json(payload)
-    elif args.format == "csv":
-        _print_csv(("word", "vertices", "added"),
-                   [(facet.word,
-                     " ".join(str(v) for v in sorted(facet.vertices)),
-                     " ".join(str(v) for v in added))])
-    else:
-        print(f"word: {facet.word}")
-        print("vertices: "
-              + " ".join(str(v) for v in sorted(facet.vertices)))
-        print("added: " + " ".join(str(v) for v in added))
+    _emit(args,
+          lambda: {**_facet_json(facet), "added": [list(v) for v in added]},
+          ("word", "vertices", "added"),
+          lambda: [(facet.word, _vertex_list(facet.vertices),
+                    _vertex_list(added))],
+          lambda: [f"word: {facet.word}",
+                   f"vertices: {_vertex_list(facet.vertices)}",
+                   f"added: {_vertex_list(added)}"])
     return 0
 
 
-# ----------------------------------------------------------------------
-# the verify harness
-
-def _verify_checks(m, n, r, level, budget):
-    """Build the ordered list of (name, thunk) checks for one size.
-
-    Each thunk returns a detail string; it raises AssertionError (with a
-    detail message) to signal failure and SizeGuardError to signal that the
-    instance is too large for that oracle (reported as a skip).
-    """
-    tiers = {"formulas": 0, "complex": 1, "groebner": 2}
-    want = tiers[level]
-    report = invariants.compute_invariants(m, n, r)
-    checks = []
-
-    def add(name, fn, tier=0):
-        if tier <= want:
-            checks.append((name, fn))
-
-    def ideal_count():
-        if m * n * r > 10_000:
-            raise SizeGuardError("too many ideals")
-        count = len(poset.make_pmnr(m, n, r).order_ideals())
-        assert count == m * n * r, f"{count} != {m * n * r}"
-        return f"{count} ideals"
-
-    add("ideal-count", ideal_count)
-
-    def lattice_iso():
-        assert grid.lattice_isomorphic_to_ideals(m, n, r), "map not an isomorphism"
-        return "ideal lattice is the grid"
-
-    add("lattice-isomorphism", lattice_iso)
-
-    def comparable_pairs():
-        if m * n * r > 500:
-            raise SizeGuardError("too many grid points")
-        points = grid.grid_points(m, n, r)
-        brute = sum(1 for a in range(len(points))
-                    for b in range(a, len(points))
-                    if grid.comparable(points[a], points[b]))
-        closed = grid.count_comparable_pairs(m, n, r)
-        assert brute == closed, f"{brute} != {closed}"
-        return f"{closed} comparable pairs"
-
-    add("comparable-pairs", comparable_pairs)
-
-    def generator_count():
-        sizes = generators.family_sizes(m, n, r)
-        mu = invariants.minimal_generator_count(m, n, r)
-        assert sum(sizes.values()) == mu, f"{sizes} vs mu={mu}"
-        assert grid.count_incomparable_pairs(m, n, r) == mu
-        return f"mu = {mu}"
-
-    add("generator-count", generator_count)
-
-    def families_match():
-        fams = generators.generator_families(m, n, r)
-        sizes = generators.family_sizes(m, n, r)
-        for key, val in fams.items():
-            assert len(val) == sizes[key], f"{key}: {len(val)} != {sizes[key]}"
-        union = set().union(*fams.values())
-        rels = set(generators.sorting_relations(m, n, r))
-        assert union == rels, "families differ from sorting relations"
-        return f"{len(rels)} relations in 4 families"
-
-    add("families-vs-sorting-relations", families_match)
-
-    def kernel_membership():
-        from .sorting import in_kernel
-        fams = generators.generator_families(m, n, r)
-        for val in fams.values():
-            assert all(in_kernel(b, m, n, r) for b in val)
-        minors = generators.minor_basis(m, n, r)
-        assert all(in_kernel(mi.binomial, m, n, r) for mi in minors)
-        return f"{len(minors)} minors and all generators in the kernel"
-
-    add("kernel-membership", kernel_membership)
-
-    def decompositions():
-        fams = generators.generator_families(m, n, r)
-        total = 0
-        for val in fams.values():
-            for b in val:
-                generators.decompose_into_minors(b, m, n, r)
-                total += 1
-        return f"{total} generators decomposed into minors"
-
-    add("minor-decomposition", decompositions)
-
-    def extensions_count():
-        mult = invariants.multiplicity(m, n, r)
-        if mult > budget:
-            raise SizeGuardError("extension count exceeds budget")
-        count = sum(1 for _ in poset.make_pmnr(m, n, r).linear_extensions())
-        assert count == mult, f"{count} != {mult}"
-        return f"{count} linear extensions = multiplicity"
-
-    add("multiplicity-extensions", extensions_count)
-
-    def poset_stats():
-        p = poset.make_pmnr(m, n, r)
-        expected_rank = -1 if p.n == 0 else max(m, n, r) - 2
-        assert p.rank() == expected_rank
-        assert p.width() == sum(1 for s in (m, n, r) if s > 1)
-        assert p.is_pure() == report.gorenstein
-        return (f"rank {p.rank()}, width {p.width()}, "
-                f"pure={str(p.is_pure()).lower()}")
-
-    add("poset-stats", poset_stats)
-
-    def hilbert_oracle():
-        p = poset.make_pmnr(m, n, r)
-        for d in range(4):
-            closed = invariants.hilbert_function(m, n, r, d)
-            oracle = invariants.order_preserving_map_count(p, d)
-            assert closed == oracle, f"d={d}: {closed} != {oracle}"
-        return "order-preserving map counts match (d <= 3)"
-
-    add("hilbert-oracle", hilbert_oracle)
-
-    def hpoly_agreement():
-        words = invariants.h_poly_via_words(m, n, r, budget=budget)
-        exts = invariants.h_poly_via_linear_extensions(m, n, r, budget=budget)
-        series = invariants.h_poly_via_series(m, n, r)
-        assert words == exts == series, f"{words} / {exts} / {series}"
-        assert words.degree == report.regularity
-        assert words(1) == report.multiplicity
-        assert words.is_palindromic() == report.gorenstein
-        return f"h = {words}"
-
-    add("h-poly-agreement", hpoly_agreement)
-
-    def macmahon():
-        assert invariants.macmahon_check((m - 1, n - 1, r - 1),
-                                         report.regularity + 2, budget=budget)
-        return "descent count matches binomial series"
-
-    add("macmahon", macmahon)
-
-    def symmetry():
-        assert invariants.check_symmetry(m, n, r, budget=budget)
-        return "invariants symmetric in (m, n, r)"
-
-    add("symmetry", symmetry)
-
-    # --- complex tier ---------------------------------------------------
-
-    def facet_catalog():
-        if multinomial((m - 1, n - 1, r - 1)) > budget:
-            raise SizeGuardError("facet count exceeds budget")
-        count = 0
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            assert len(facet.vertices) == m + n + r - 2
-            count += 1
-        assert count == report.multiplicity, f"{count} facets"
-        return f"{count} facets, all of size {m + n + r - 2}"
-
-    add("facet-count-purity", facet_catalog, tier=1)
-
-    def facets_vs_bruteforce():
-        brute = simplicial.maximal_faces_bruteforce(m, n, r)
-        param = {f.vertices for f in simplicial.facets(m, n, r, budget=budget)}
-        assert brute == param, "facet sets differ"
-        return f"{len(brute)} facets agree with maximal independent sets"
-
-    add("facets-vs-bruteforce", facets_vs_bruteforce, tier=1)
-
-    def codec_roundtrip():
-        if multinomial((m - 1, n - 1, r - 1)) > budget:
-            raise SizeGuardError("facet count exceeds budget")
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            back = simplicial.facet_from_vertices(facet.vertices, m, n, r)
-            assert back == facet, f"roundtrip failed for {facet.word}"
-        return "word -> vertices -> word is the identity"
-
-    add("word-codec-roundtrip", codec_roundtrip, tier=1)
-
-    def extend_fixes():
-        if multinomial((m - 1, n - 1, r - 1)) > budget:
-            raise SizeGuardError("facet count exceeds budget")
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            assert simplicial.extend_to_facet(facet.vertices, m, n, r) == facet
-        return "extension procedure fixes every facet"
-
-    add("extend-fixes-facets", extend_fixes, tier=1)
-
-    def edge_count():
-        edges = simplicial.initial_generators(m, n, r)
-        closed = simplicial.initial_generator_count(m, n, r)
-        mu = invariants.minimal_generator_count(m, n, r)
-        assert len(edges) == closed == mu, f"{len(edges)}, {closed}, {mu}"
-        return f"{mu} quadratic monomial generators"
-
-    add("initial-generator-count", edge_count, tier=1)
-
-    def h_vector():
-        hv = simplicial.complex_h_vector(m, n, r)
-        hw = invariants.h_poly_via_words(m, n, r, budget=budget)
-        assert hv == hw, f"{hv} != {hw}"
-        return f"complex h-vector = {hv}"
-
-    add("complex-h-vector", h_vector, tier=1)
-
-    def shelling_evidence():
-        if multinomial((m - 1, n - 1, r - 1)) > min(budget, 2000):
-            raise SizeGuardError("facet count too large for shelling scan")
-        ordering = list(simplicial.facets(m, n, r, budget=budget))
-        verdict = simplicial.check_shelling_order(ordering)
-        # open question: recorded, never asserted
-        return f"info: lexicographic order is a shelling: {verdict}"
-
-    add("shelling-evidence", shelling_evidence, tier=1)
-
-    # --- groebner tier --------------------------------------------------
-
-    def groebner_certificate():
-        minors = [mi.binomial for mi in generators.minor_basis(m, n, r)]
-        assert groebner.verify_groebner(minors, m, n, r, budget=budget)
-        return f"{len(minors)} minors form a Groebner basis"
-
-    add("groebner-basis", groebner_certificate, tier=2)
-
-    def initial_ideal_match():
-        minors = [mi.binomial for mi in generators.minor_basis(m, n, r)]
-        lts = groebner.initial_ideal_minimal_generators(minors)
-        as_pairs = {frozenset(simplicial.vertex_for_variable(v, n)
-                              for v in mono) for mono in lts}
-        assert as_pairs == set(simplicial.initial_generators(m, n, r))
-        return f"{len(lts)} leading terms match the conflict pairs"
-
-    add("initial-ideal-match", initial_ideal_match, tier=2)
-
-    def relations_reduce():
-        minors = [groebner.SparsePoly.from_binomial(mi.binomial)
-                  for mi in generators.minor_basis(m, n, r)]
-        for rel in generators.sorting_relations(m, n, r):
-            rem = groebner.reduce(groebner.SparsePoly.from_binomial(rel),
-                                  minors)
-            assert not rem, f"{rel} does not reduce to zero"
-        return "all sorting relations reduce to zero"
-
-    add("relations-reduce-to-zero", relations_reduce, tier=2)
-
-    return checks
-
-
 def cmd_verify(args):
-    m, n, r = _check_sizes(args)
-    checks = _verify_checks(m, n, r, args.level, args.budget)
+    m, n, r = args.m, args.n, args.r
+    outcomes = verify.run_checks(
+        verify.build_checks(m, n, r, args.level, args.budget))
+    failed = [o.name for o in outcomes if o.status == "FAIL"]
+    skipped = sum(1 for o in outcomes if o.status == "skip")
 
-    def run(item):
-        name, fn = item
-        try:
-            return name, "ok", fn()
-        except SizeGuardError as exc:
-            return name, "skip", str(exc)
-        except AssertionError as exc:
-            return name, "FAIL", str(exc) or "assertion failed"
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(run, checks))
-    failed = [name for name, status, _ in results if status == "FAIL"]
-    if args.format == "json":
-        _dump_json({"checks": [{"name": name, "status": status,
-                                "detail": detail}
-                               for name, status, detail in results],
-                    "passed": not failed})
-    elif args.format == "csv":
-        _print_csv(("name", "status", "detail"), results)
-    else:
-        for name, status, detail in results:
-            print(f"{status:4} {name}" + (f" ({detail})" if detail else ""))
-        skipped = sum(1 for _, status, _ in results if status == "skip")
+    def text():
+        for name, status, detail in outcomes:
+            yield f"{status:4} {name}" + (f" ({detail})" if detail else "")
         if failed:
-            print(f"{len(failed)} check(s) failed: {', '.join(failed)}")
+            yield f"{len(failed)} check(s) failed: {', '.join(failed)}"
         else:
             note = f" ({skipped} skipped)" if skipped else ""
-            print(f"all {len(results) - skipped} checks passed{note} "
-                  f"for ({m}, {n}, {r}) at level {args.level}")
+            yield (f"all {len(outcomes) - skipped} checks passed{note} "
+                   f"for ({m}, {n}, {r}) at level {args.level}")
+
+    _emit(args, lambda: {"checks": [o._asdict() for o in outcomes],
+                         "passed": not failed},
+          ("name", "status", "detail"), lambda: outcomes, text)
     return 1 if failed else 0
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "m"):
+            check_sizes(args.m, args.n, args.r)
+        if args.budget <= 0:
+            raise ValueError("budget must be positive")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import sorting
+from .errors import check_sizes
 from .ring import Binomial, Variable, monomial
 
 FAMILY_KEYS = ("same_row", "same_column", "same_block", "mixed")
@@ -71,14 +72,9 @@ def _v_minor(m, r1, r2, j1, j2):
                   _v_entry(m, r2, j1), _v_entry(m, r2, j2)))
 
 
-def _validate_sizes(m, n, r):
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("matrix sizes must be positive")
-
-
 def minors_H(m, n, r):
     """All 2x2 minors of H, row pairs outer, column pairs inner."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return [_h_minor(n, i1, i2, c1, c2)
             for i1, i2 in combinations(range(1, m + 1), 2)
             for c1, c2 in combinations(range(1, n * r + 1), 2)]
@@ -86,7 +82,7 @@ def minors_H(m, n, r):
 
 def minors_V(m, n, r):
     """All 2x2 minors of V, row pairs outer, column pairs inner."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return [_v_minor(m, r1, r2, j1, j2)
             for r1, r2 in combinations(range(1, m * r + 1), 2)
             for j1, j2 in combinations(range(1, n + 1), 2)]
@@ -114,7 +110,7 @@ def generator_families(m, n, r):
     - "same_block":  matrix k fixed, rows i1 < i2, columns j1 < j2
     - "mixed":       all three index pairs distinct (three shapes each)
     """
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     same_row = [
         Binomial.make((Variable(i, j2, k1), Variable(i, j1, k2)),
                       (Variable(i, j1, k1), Variable(i, j2, k2)))
@@ -149,7 +145,7 @@ def generator_families(m, n, r):
 
 def family_sizes(m, n, r):
     """Closed-form family cardinalities."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return {
         "same_row": m * comb(r, 2) * comb(n, 2),
         "same_column": n * comb(r, 2) * comb(m, 2),
@@ -161,7 +157,7 @@ def family_sizes(m, n, r):
 def sorting_relations(m, n, r):
     """One relation per unsorted pair: the product of two incomparable grid
     variables minus the product over their meet and join."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     triples = [(i, j, k)
                for i in range(1, m + 1)
                for j in range(1, n + 1)
@@ -196,7 +192,7 @@ def decompose_into_minors(g: Binomial, m, n, r):
     minors; the third mixed shape is the sum of a V-minor and an H-minor.
     Binomials outside the four families are rejected.
     """
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     for v in g.variables():
         if v.i > m or v.j > n or v.k > r:
             raise ValueError(f"variable {v} outside a {m}x{n} x{r} arrangement")
@@ -230,7 +226,8 @@ def decompose_into_minors(g: Binomial, m, n, r):
             # antidiagonal swap: V-minor plus the H-minor on crossed columns
             parts = [(1, v_min),
                      (1, _h_minor(n, i1, i2, (k1 - 1) * n + j2, (k2 - 1) * n + j1))]
-    assert _expansion(parts) == {monomial(g.plus): 1, monomial(g.minus): -1}
+    if _expansion(parts) != {monomial(g.plus): 1, monomial(g.minus): -1}:
+        raise ArithmeticError(f"the minors of {g} do not expand back to it")
     return tuple(parts)
 
 
@@ -240,7 +237,7 @@ def minor_dependency_witness(m, n, r):
     Integer dependencies can only relate minors whose terms share a common
     image under the monomial map, so the search runs fiber by fiber.
     """
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     fibers = {}
     for minor in minor_basis(m, n, r):
         key = sorting.phi_monomial(minor.binomial.plus, m, n, r).ids

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import poset as poset_mod
-from .errors import SizeGuardError
+from .errors import SizeGuardError, check_sizes
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,11 @@ class GridPoint:
 
 def grid_points(m, n, r):
     """All grid points in lexicographic (i, j, k) order."""
-    _validate_bounds(m, n, r)
+    check_sizes(m, n, r)
     return [GridPoint(i, j, k, (m, n, r))
             for i in range(1, m + 1)
             for j in range(1, n + 1)
             for k in range(1, r + 1)]
-
-
-def _validate_bounds(m, n, r):
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("grid bounds must be positive")
 
 
 def _check_same_bounds(p, q):
@@ -82,13 +77,13 @@ def count_comparable_pairs(m, n, r):
     Summing the order-ideal sizes i*j*k over the grid factors into a
     product of three triangular numbers.
     """
-    _validate_bounds(m, n, r)
+    check_sizes(m, n, r)
     return comb(m + 1, 2) * comb(n + 1, 2) * comb(r + 1, 2)
 
 
 def count_incomparable_pairs(m, n, r):
     """Unordered pairs of distinct incomparable grid points."""
-    _validate_bounds(m, n, r)
+    check_sizes(m, n, r)
     total = m * n * r
     return comb(total + 1, 2) - count_comparable_pairs(m, n, r)
 
@@ -97,7 +92,7 @@ def lattice_isomorphic_to_ideals(m, n, r, max_ideals=10_000):
     """Verify explicitly that I -> (|I ∩ chain_t| + 1)_t is an order
     isomorphism from the ideal lattice of the three-chain poset onto the
     grid: a bijection preserving order in both directions."""
-    _validate_bounds(m, n, r)
+    check_sizes(m, n, r)
     if m * n * r > max_ideals:
         raise SizeGuardError(f"{m * n * r} ideals exceed guard {max_ideals}")
     p = poset_mod.make_pmnr(m, n, r)

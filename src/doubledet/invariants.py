@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 from . import poset as poset_mod
-from .errors import BudgetExceededError, SizeGuardError
+from .errors import BudgetExceededError, SizeGuardError, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
 from .multiset import DEFAULT_BUDGET, descent_polynomial, multinomial
 
@@ -25,17 +25,12 @@ from .multiset import DEFAULT_BUDGET, descent_polynomial, multinomial
 # and symmetry in (m, n, r) forces the same form in each factor
 
 
-def _validate_sizes(m, n, r):
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("sizes must be positive")
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Invariants of the quotient ring for one (m, n, r).
 
     Always satisfies regularity = dim + a_invariant, multiplicity = h(1)
-    and regularity = deg h; construction asserts all three.
+    and regularity = deg h; construction raises ArithmeticError otherwise.
     """
 
     mu: int
@@ -47,9 +42,16 @@ class InvariantReport:
     h_polynomial: IntPolynomial
 
     def __post_init__(self):
-        assert self.regularity == self.dim + self.a_invariant
-        assert self.multiplicity == self.h_polynomial(1)
-        assert self.regularity == self.h_polynomial.degree
+        h = self.h_polynomial
+        if self.regularity != self.dim + self.a_invariant:
+            raise ArithmeticError(f"regularity {self.regularity} != dim + a "
+                                  f"= {self.dim + self.a_invariant}")
+        if self.multiplicity != h(1):
+            raise ArithmeticError(
+                f"multiplicity {self.multiplicity} != h(1) = {h(1)}")
+        if self.regularity != h.degree:
+            raise ArithmeticError(
+                f"regularity {self.regularity} != deg h = {h.degree}")
 
     def to_dict(self):
         """Stable key order for JSON output."""
@@ -66,25 +68,25 @@ class InvariantReport:
 
 def minimal_generator_count(m, n, r):
     """All grid pairs minus the comparable ones."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return (comb(m * n * r + 1, 2)
             - comb(m + 1, 2) * comb(n + 1, 2) * comb(r + 1, 2))
 
 
 def multiplicity(m, n, r):
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return (factorial(m + n + r - 3)
             // (factorial(m - 1) * factorial(n - 1) * factorial(r - 1)))
 
 
 def is_gorenstein(m, n, r):
     """Every chain is either empty or of maximal length."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return {m, n, r} <= {1, max(m, n, r)}
 
 
 def compute_invariants(m, n, r):
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     dim = m + n + r - 2
     reg = dim - max(m, n, r)
     return InvariantReport(
@@ -99,7 +101,7 @@ def compute_invariants(m, n, r):
 
 
 def hilbert_function(m, n, r, d):
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     if d < 0:
         raise ValueError("degree must be nonnegative")
     return comb(m - 1 + d, d) * comb(n - 1 + d, d) * comb(r - 1 + d, d)
@@ -130,7 +132,7 @@ def order_preserving_map_count(p, d, max_elements=12):
 def h_poly_via_words(m, n, r, budget=DEFAULT_BUDGET):
     """Descent generating polynomial over words with m-1 ones, n-1 twos
     and r-1 threes."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return descent_polynomial(
         [1] * (m - 1) + [2] * (n - 1) + [3] * (r - 1), budget=budget)
 
@@ -139,7 +141,7 @@ def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
     """Descent generating polynomial over linear extensions of the
     three-chain poset; agrees with the word count via the label-to-letter
     bijection."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     if budget is not None and multiplicity(m, n, r) > budget:
         raise BudgetExceededError(
             f"{multiplicity(m, n, r)} extensions exceed budget {budget}")
@@ -168,7 +170,7 @@ def h_poly_via_series(m, n, r):
     regularity, by (1-t)^dim; the coefficient beyond the regularity must
     vanish and the survivors must be nonnegative.
     """
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     dim = m + n + r - 2
     reg = dim - max(m, n, r)
     cutoff = reg + 1
@@ -212,7 +214,7 @@ def _product(values):
 def check_symmetry(m, n, r, budget=DEFAULT_BUDGET):
     """All invariants and both descent polynomials must be unchanged under
     every permutation of (m, n, r)."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     base_report = compute_invariants(m, n, r)
     base_words = h_poly_via_words(m, n, r, budget=budget)
     for pm, pn, pr in set(permutations((m, n, r))):
@@ -227,7 +229,7 @@ def hilbert_function_bruteforce(m, n, r, d, max_count=10 ** 6):
     """Oracle for small inputs: count degree-d monomials in the subring
     generated by the x_i y_j z_k, i.e. triples of degree-d monomials in
     m, n and r variables respectively."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     total = hilbert_function(m, n, r, d)
     if total > max_count:
         raise SizeGuardError(f"{total} monomials exceed guard {max_count}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .errors import check_sizes
+
 
 class Poset:
     """Immutable finite poset on 0..n-1 with the identity natural labeling.
@@ -213,8 +215,7 @@ def make_pmnr(m, n, r):
     Labels run along the first chain, then the second, then the third,
     increasing upward inside each chain.
     """
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("chain parameters must be positive")
+    check_sizes(m, n, r)
     sizes = (m - 1, n - 1, r - 1)
     relations = []
     start = 0

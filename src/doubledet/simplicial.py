@@ -18,7 +18,7 @@ import re
 from math import comb
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, SizeGuardError
+from .errors import BudgetExceededError, SizeGuardError, check_sizes
 from .intpoly import IntPolynomial
 from .multiset import DEFAULT_BUDGET, multinomial, multiset_permutations
 from .ring import Variable
@@ -42,11 +42,6 @@ class Vertex(NamedTuple):
 
 def vertex_for_variable(v: Variable, n):
     return Vertex(v.i, (v.k - 1) * n + v.j)
-
-
-def _validate_sizes(m, n, r):
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("sizes must be positive")
 
 
 def _check_vertex(v, m, n, r):
@@ -73,7 +68,7 @@ def conflicts(v1, v2, m, n, r):
 def initial_generators(m, n, r):
     """All conflicting vertex pairs: the degree-2 squarefree generators of
     the initial ideal, as a set of 2-element frozensets."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = board(m, n, r)
     return frozenset(
         frozenset((verts[a], verts[b]))
@@ -85,7 +80,7 @@ def initial_generators(m, n, r):
 def initial_generator_count(m, n, r):
     """Closed form for len(initial_generators): inclusion-exclusion over
     the three conflict conditions."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return (r * comb(m, 2) * comb(n, 2)
             + comb(r, 2) * comb(m, 2) * n * n
             + comb(r, 2) * comb(n, 2) * m * m
@@ -94,14 +89,14 @@ def initial_generator_count(m, n, r):
 
 def board(m, n, r):
     """All board positions, row-major."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     return [Vertex(i, c)
             for i in range(1, m + 1) for c in range(1, n * r + 1)]
 
 
 def is_face(vertices, m, n, r):
     """True iff no pair of the given vertices conflicts."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = [Vertex(*v) for v in vertices]
     for v in verts:
         _check_vertex(v, m, n, r)
@@ -121,7 +116,7 @@ class Facet:
     __slots__ = ("m", "n", "r", "word", "g", "h", "paths", "vertices")
 
     def __init__(self, m, n, r, word):
-        _validate_sizes(m, n, r)
+        check_sizes(m, n, r)
         if set(word) - set("MNR"):
             raise ValueError(f"word {word!r} uses letters outside M, N, R")
         if (word.count("M"), word.count("N"), word.count("R")) != (
@@ -170,17 +165,9 @@ class Facet:
         return tuple((p[0], p[-1]) for p in self.paths)
 
 
-def word_to_facet(word, m, n, r):
-    return Facet(m, n, r, word)
-
-
-def facet_to_word(facet):
-    return facet.word
-
-
 def facets(m, n, r, budget=DEFAULT_BUDGET):
     """Yield every facet once, in lexicographic word order (M < N < R)."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     if budget is not None and multinomial((m - 1, n - 1, r - 1)) > budget:
         raise BudgetExceededError(
             f"{multinomial((m - 1, n - 1, r - 1))} facets exceed budget {budget}")
@@ -192,7 +179,7 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
 def facet_from_vertices(vertices, m, n, r):
     """Reconstruct a facet from its vertex set; rejects sets that are not
     facets (wrong block structure, broken paths, stray vertices)."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = {Vertex(*v) for v in vertices}
     for v in verts:
         _check_vertex(v, m, n, r)
@@ -232,7 +219,7 @@ def extend_to_facet(face_vertices, m, n, r):
     Inside each matrix, consecutive anchor points are then bridged moving
     up first, then right.  Applied to a facet this reproduces it.
     """
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = {Vertex(*v) for v in face_vertices}
     for v in verts:
         _check_vertex(v, m, n, r)
@@ -281,7 +268,7 @@ def extend_to_facet(face_vertices, m, n, r):
 def maximal_faces_bruteforce(m, n, r, max_vertices=27):
     """Oracle: facets as maximal independent sets of the conflict graph,
     enumerated Bron-Kerbosch style with pivoting on bitmasks."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = board(m, n, r)
     count = len(verts)
     if count > max_vertices:
@@ -317,7 +304,7 @@ def maximal_faces_bruteforce(m, n, r, max_vertices=27):
 
 def all_faces(m, n, r, max_vertices=12):
     """Every face of the complex (independent sets, not only maximal)."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     verts = board(m, n, r)
     count = len(verts)
     if count > max_vertices:
@@ -341,7 +328,7 @@ def complex_h_vector(m, n, r, max_vertices=12):
     """h-vector of the complex from its face counts; must coincide with
     the ring's h-polynomial because passing to the initial ideal preserves
     the Hilbert series."""
-    _validate_sizes(m, n, r)
+    check_sizes(m, n, r)
     top = m + n + r - 2
     f = [0] * (top + 1)  # f[s] = number of faces with s vertices
     for face in all_faces(m, n, r, max_vertices=max_vertices):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import check_sizes
 from .ring import Binomial, Variable
 
 
@@ -25,8 +26,7 @@ class BlockAlphabet:
 
     @classmethod
     def xyz(cls, m, n, r):
-        if m < 1 or n < 1 or r < 1:
-            raise ValueError("block sizes must be positive")
+        check_sizes(m, n, r)
         return cls(("x", "y", "z"), (m, n, r))
 
     @property

@@ -169,7 +169,7 @@ def test_criterion_05_facet_catalog():
 
 def test_criterion_06_word_codec():
     def body():
-        facet = simplicial.word_to_facet(PAPER_WORD, 4, 5, 3)
+        facet = simplicial.Facet(4, 5, 3, PAPER_WORD)
         assert facet.vertices == {simplicial.Vertex(*v) for v in PAPER_FACET}
         assert simplicial.facet_from_vertices(PAPER_FACET, 4, 5, 3) == facet
         for sizes in SIZES3 + [(2, 2, 4), (4, 5, 3)]:
@@ -222,7 +222,7 @@ def test_criterion_09_gorenstein_three_ways():
 
 def test_criterion_10_shelling_evidence():
     def body():
-        ordering = [simplicial.word_to_facet(w, 2, 2, 3)
+        ordering = [simplicial.Facet(2, 2, 3, w)
                     for w in PAPER_223_ORDER]
         assert simplicial.check_shelling_order(ordering)
         # exploratory only: other adjacent-transposition orders are logged

@@ -191,9 +191,11 @@ def test_generators_minors_csv(capsys):
 
 
 def test_bad_sizes_exit_2(capsys):
-    code, _, err = run(capsys, "invariants", "0", "2", "2")
-    assert code == 2
-    assert "positive" in err
+    for argv in (("invariants", "0", "2", "2"),
+                 ("hpoly", "2", "2", "2", "--budget", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "positive" in err, argv
 
 
 def test_verify_formulas_level(capsys):

@@ -9,10 +9,9 @@ from doubledet.invariants import (h_poly_via_words, minimal_generator_count,
 from doubledet.simplicial import (Facet, Vertex, all_faces,
                                   check_shelling_order, complex_h_vector,
                                   extend_to_facet, facet_from_vertices,
-                                  facet_to_word, facets, initial_generator_count,
+                                  facets, initial_generator_count,
                                   initial_generators, is_face,
-                                  maximal_faces_bruteforce, parse_vertices,
-                                  word_to_facet)
+                                  maximal_faces_bruteforce, parse_vertices)
 
 SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
          for r in range(1, 4)]
@@ -131,7 +130,7 @@ def test_facets_are_faces():
 # the word codec
 
 def test_paper_word_decodes_to_paper_facet():
-    facet = word_to_facet(PAPER_WORD, 4, 5, 3)
+    facet = Facet(4, 5, 3, PAPER_WORD)
     assert facet.vertices == vset(PAPER_FACET)
     assert facet.g == (4, 3, 2, 1)
     assert facet.h == (5, 5, 2, 1)
@@ -143,22 +142,22 @@ def test_paper_word_decodes_to_paper_facet():
 
 def test_paper_facet_encodes_to_paper_word():
     facet = facet_from_vertices(PAPER_FACET, 4, 5, 3)
-    assert facet_to_word(facet) == PAPER_WORD
+    assert facet.word == PAPER_WORD
 
 
 def test_word_validation():
     with pytest.raises(ValueError):
-        word_to_facet("MNRX", 2, 2, 3)
+        Facet(2, 2, 3, "MNRX")
     with pytest.raises(ValueError):
-        word_to_facet("MMRR", 2, 2, 3)
+        Facet(2, 2, 3, "MMRR")
     with pytest.raises(ValueError):
-        word_to_facet("", 2, 2, 3)
+        Facet(2, 2, 3, "")
 
 
 def test_single_path_staircase():
-    facet = word_to_facet("MMNN", 3, 3, 1)
+    facet = Facet(3, 3, 1, "MMNN")
     assert facet.vertices == vset([(3, 1), (2, 1), (1, 1), (1, 2), (1, 3)])
-    facet = word_to_facet("NNMM", 3, 3, 1)
+    facet = Facet(3, 3, 1, "NNMM")
     assert facet.vertices == vset([(3, 1), (3, 2), (3, 3), (2, 3), (1, 3)])
 
 
@@ -166,7 +165,7 @@ def test_roundtrip_everywhere():
     for m, n, r in SMALL + [(2, 2, 4), (4, 5, 3)]:
         for facet in facets(m, n, r):
             assert facet_from_vertices(facet.vertices, m, n, r) == facet
-            assert word_to_facet(facet.word, m, n, r) == facet
+            assert Facet(m, n, r, facet.word) == facet
 
 
 def test_facet_from_vertices_rejects_non_facets():
@@ -264,7 +263,7 @@ def test_complex_h_vector():
 # shelling evidence (open question: evaluated, never asserted as theory)
 
 def test_paper_order_is_a_shelling():
-    ordering = [word_to_facet(w, 2, 2, 3) for w, _ in PAPER_223_ORDER]
+    ordering = [Facet(2, 2, 3, w) for w, _ in PAPER_223_ORDER]
     assert check_shelling_order(ordering)
 
 
@@ -286,7 +285,7 @@ def test_shelling_rejects_incomplete_or_mixed():
 def test_scrambled_order_result_is_recorded():
     # exploratory: move a far facet to the second slot; we record the
     # verdict without claiming a value for it
-    catalog = [word_to_facet(w, 2, 2, 3) for w, _ in PAPER_223_ORDER]
+    catalog = [Facet(2, 2, 3, w) for w, _ in PAPER_223_ORDER]
     scrambled = [catalog[0], catalog[11], *catalog[1:11]]
     verdict = check_shelling_order(scrambled)
     assert isinstance(verdict, bool)

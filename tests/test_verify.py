@@ -1,0 +1,91 @@
+"""The verify harness fails closed: same verdicts with and without -O."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import doubledet
+from doubledet import verify
+from doubledet.errors import BudgetExceededError, CheckFailed, SizeGuardError
+
+SRC = pathlib.Path(doubledet.__file__).parent
+
+#: a broken closed form, and the check that must report it
+SABOTAGE = {
+    "multiplicity-extensions": (
+        "real = invariants.multiplicity\n"
+        "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n"),
+    "minor-decomposition": "generators._expansion = lambda parts: {}\n",
+}
+
+
+def run_sabotaged(check, optimize):
+    script = ("import sys\n"
+              "from doubledet import cli, generators, invariants\n"
+              + SABOTAGE[check]
+              + "sys.exit(cli.main(['verify', '2', '2', '2', "
+                "'--level', 'formulas']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("check, optimize", [
+    ("multiplicity-extensions", True),
+    ("minor-decomposition", True),
+    ("multiplicity-extensions", False),
+])
+def test_sabotage_gives_fail_line_and_exit_1(check, optimize):
+    proc = run_sabotaged(check, optimize)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"\nFAIL {check} (" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_runner_maps_each_exception_to_a_status():
+    def ok():
+        return "fine"
+
+    def disagree():
+        raise CheckFailed("3 != 4")
+
+    def broken_invariant():
+        raise ArithmeticError("h(1) != e")
+
+    def broken_assert():
+        raise AssertionError
+
+    def too_big():
+        raise SizeGuardError("too many")
+
+    outcomes = verify.run_checks([
+        ("a", ok), ("b", disagree), ("c", broken_invariant),
+        ("d", broken_assert), ("e", too_big)])
+    assert [tuple(o) for o in outcomes] == [
+        ("a", "ok", "fine"),
+        ("b", "FAIL", "3 != 4"),
+        ("c", "FAIL", "ArithmeticError: h(1) != e"),
+        ("d", "FAIL", "AssertionError"),
+        ("e", "skip", "too many"),
+    ]
+
+
+def test_budget_exhaustion_ends_the_run():
+    def over_budget():
+        raise BudgetExceededError("12 > 11")
+
+    with pytest.raises(BudgetExceededError):
+        verify.run_checks([("a", over_budget)])
+
+
+def test_verify_module_has_no_assert():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements at lines {lines} vanish under -O"
