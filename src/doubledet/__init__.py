@@ -4,8 +4,7 @@ the Gorenstein criterion, and the facet structure of the diagonal initial
 complex, each backed by an independent brute-force cross-check.
 """
 
-from .errors import (BudgetExceededError, CheckFailed, SizeGuardError,
-                     check_sizes)
+from .errors import BudgetExceededError, CheckFailed, SizeGuardError
 from .generators import (FAMILY_KEYS, Minor, decompose_into_minors,
                          family_sizes, generator_families, minor_basis,
                          minor_dependency_witness, minors_H, minors_V,

@@ -54,8 +54,8 @@ def build_checks(m, n, r, level, budget):
             return fn
         return add
 
-    def guard_facet_count(limit):
-        if multinomial((m - 1, n - 1, r - 1)) > limit:
+    def guard_facet_count():
+        if multinomial((m - 1, n - 1, r - 1)) > budget:
             raise SizeGuardError("facet count exceeds budget")
 
     @check("ideal-count")
@@ -195,12 +195,13 @@ def build_checks(m, n, r, level, budget):
 
     @check("facet-count-purity", tier=1)
     def facet_catalog():
-        guard_facet_count(budget)
+        guard_facet_count()
         report = invariants.compute_invariants(m, n, r)
         count = 0
         for facet in simplicial.facets(m, n, r, budget=budget):
-            _require(len(facet.vertices) == m + n + r - 2,
-                     f"{facet.word} has {len(facet.vertices)} vertices")
+            if len(facet.vertices) != m + n + r - 2:
+                raise CheckFailed(f"{facet.word} has {len(facet.vertices)} "
+                                  "vertices")
             count += 1
         _require(count == report.multiplicity, f"{count} facets")
         return f"{count} facets, all of size {m + n + r - 2}"
@@ -214,7 +215,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("word-codec-roundtrip", tier=1)
     def codec_roundtrip():
-        guard_facet_count(budget)
+        guard_facet_count()
         for facet in simplicial.facets(m, n, r, budget=budget):
             back = simplicial.facet_from_vertices(facet.vertices, m, n, r)
             if back != facet:
@@ -223,7 +224,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("extend-fixes-facets", tier=1)
     def extend_fixes():
-        guard_facet_count(budget)
+        guard_facet_count()
         for facet in simplicial.facets(m, n, r, budget=budget):
             if simplicial.extend_to_facet(facet.vertices, m, n, r) != facet:
                 raise CheckFailed(f"extension moves {facet.word}")
@@ -279,7 +280,8 @@ def build_checks(m, n, r, level, budget):
         for rel in generators.sorting_relations(m, n, r):
             rem = groebner.reduce(groebner.SparsePoly.from_binomial(rel),
                                   minors)
-            _require(not rem, f"{rel} does not reduce to zero")
+            if rem:
+                raise CheckFailed(f"{rel} does not reduce to zero")
         return "all sorting relations reduce to zero"
 
     return checks
