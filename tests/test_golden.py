@@ -64,6 +64,9 @@ def _cases():
                   for level in ("formulas", "complex", "groebner")]
         # a size guard turns hilbert-oracle into a skip
         cases.append(["verify", "1", "1", "14", "--level", "formulas", *f])
+        # a budget below the oracles' work
+        cases.append(["verify", "2", "2", "2", "--level", "complex",
+                      "--budget", "5", *f])
     cases += [["facets", *sizes, "--style", "paths"]
               for sizes in (("2", "2", "3"), ("3", "3", "3"))]
     # invalid input or exhausted budget: exit 2 with nothing on stdout
