@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import generators, invariants, poset, simplicial, verify
-from .errors import BudgetExceededError, SizeGuardError, check_sizes
+from .errors import BudgetExceededError, check_sizes
 from .multiset import DEFAULT_BUDGET
 
 
@@ -318,7 +318,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (SizeGuardError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SizeGuardError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,29 @@
-"""Shared exception types and the size check every entry point uses."""
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured budget."""
+"""Shared exception types, the one work guard and the one size check."""
 
 
 class SizeGuardError(ValueError):
-    """Input is too large for a brute-force oracle."""
+    """An enumeration oracle's work exceeds a limit: too big to run."""
+    kind = "guard"
+
+
+class BudgetExceededError(SizeGuardError):
+    """An enumeration would exceed the caller's budget."""
+    kind = "budget"
 
 
 class CheckFailed(Exception):
     """A verify check found a closed form and its oracle in disagreement."""
+
+
+def bound(count, limit, where, unit, error=SizeGuardError):
+    """Refuse an enumeration of ``count`` units of work above ``limit``.
+
+    ``where`` is the layer as ``module.function``.  ``error`` is
+    ``BudgetExceededError`` for the caller's budget, ``SizeGuardError`` for
+    a fixed oracle cap.  Call it once per enumeration, never once per item.
+    """
+    if count > limit:
+        raise error(f"{where}: {count} {unit} exceed {error.kind} {limit}")
 
 
 def check_sizes(m, n, r):

@@ -11,7 +11,10 @@ from dataclasses import dataclass
 from math import comb
 
 from . import poset as poset_mod
-from .errors import SizeGuardError, check_sizes
+from .errors import bound, check_sizes
+
+#: fixed cap on the ideal pairs lattice_isomorphic_to_ideals compares
+MAX_IDEAL_PAIRS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,13 @@ def count_incomparable_pairs(m, n, r):
     return comb(total + 1, 2) - count_comparable_pairs(m, n, r)
 
 
-def lattice_isomorphic_to_ideals(m, n, r, max_ideals=10_000):
+def lattice_isomorphic_to_ideals(m, n, r):
     """Verify explicitly that I -> (|I ∩ chain_t| + 1)_t is an order
     isomorphism from the ideal lattice of the three-chain poset onto the
     grid: a bijection preserving order in both directions."""
     check_sizes(m, n, r)
-    if m * n * r > max_ideals:
-        raise SizeGuardError(f"{m * n * r} ideals exceed guard {max_ideals}")
+    bound((m * n * r) ** 2, MAX_IDEAL_PAIRS,
+          "grid.lattice_isomorphic_to_ideals", "ideal pairs")
     p = poset_mod.make_pmnr(m, n, r)
     chains = poset_mod.pmnr_chain_ranges(m, n, r)
     ideals = p.order_ideals()

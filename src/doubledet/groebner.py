@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import combinations
 
 from . import generators, sorting
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, bound
 from .multiset import DEFAULT_BUDGET
 from .ring import Binomial, lex_greater, monomial, monomial_str
 
@@ -182,9 +182,8 @@ def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
     if not all(in_kernel_poly(p, m, n, r) for p in polys):
         return False
     pair_count = len(polys) * (len(polys) - 1) // 2
-    if budget is not None and pair_count > budget:
-        raise BudgetExceededError(
-            f"{pair_count} S-pairs exceed budget {budget}")
+    bound(pair_count, budget, "groebner.verify_groebner", "S-pairs",
+          BudgetExceededError)
     lts = [leading_term(p) for p in polys]
     for a, b in combinations(range(len(polys)), 2):
         if not (Counter(lts[a]) & Counter(lts[b])):

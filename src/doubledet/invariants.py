@@ -13,12 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from . import poset as poset_mod
-from .errors import BudgetExceededError, SizeGuardError, check_sizes
+from . import grid, poset as poset_mod
+from .errors import BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
-from .multiset import DEFAULT_BUDGET, descent_polynomial, multinomial
+from .multiset import DEFAULT_BUDGET, descent_polynomial
+
+#: fixed caps on the work of the two brute-force oracles
+MAX_MAP_ELEMENTS = 12
+MAX_MONOMIALS = 10 ** 6
 
 # exponent in the paper-style Hilbert function display is read as d in all
 # three binomials: the proof counts order-preserving maps chain by chain,
@@ -67,10 +71,8 @@ class InvariantReport:
 
 
 def minimal_generator_count(m, n, r):
-    """All grid pairs minus the comparable ones."""
-    check_sizes(m, n, r)
-    return (comb(m * n * r + 1, 2)
-            - comb(m + 1, 2) * comb(n + 1, 2) * comb(r + 1, 2))
+    """One minimal generator per pair of incomparable grid points."""
+    return grid.count_incomparable_pairs(m, n, r)
 
 
 def multiplicity(m, n, r):
@@ -107,13 +109,13 @@ def hilbert_function(m, n, r, d):
     return comb(m - 1 + d, d) * comb(n - 1 + d, d) * comb(r - 1 + d, d)
 
 
-def order_preserving_map_count(p, d, max_elements=12):
+def order_preserving_map_count(p, d):
     """Oracle: count maps p -> {0..d} with f(a) <= f(b) whenever a precedes
     b, by exhaustive assignment in natural-label order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if p.n > max_elements:
-        raise SizeGuardError(f"poset has {p.n} > {max_elements} elements")
+    bound(p.n, MAX_MAP_ELEMENTS, "invariants.order_preserving_map_count",
+          "elements")
     values = [0] * p.n
 
     def count_from(e):
@@ -142,9 +144,9 @@ def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
     three-chain poset; agrees with the word count via the label-to-letter
     bijection."""
     check_sizes(m, n, r)
-    if budget is not None and multiplicity(m, n, r) > budget:
-        raise BudgetExceededError(
-            f"{multiplicity(m, n, r)} extensions exceed budget {budget}")
+    bound(multiplicity(m, n, r), budget,
+          "invariants.h_poly_via_linear_extensions", "extensions",
+          BudgetExceededError)
     return poset_descent_polynomial(poset_mod.make_pmnr(m, n, r),
                                     budget=budget)
 
@@ -156,9 +158,9 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     seen = 0
     for ext in p.linear_extensions():
         seen += 1
-        if budget is not None and seen > budget:
-            raise BudgetExceededError(
-                f"extension count exceeds budget {budget}")
+        if seen > budget:  # bound() on overrun only, not once per extension
+            bound(seen, budget, "invariants.poset_descent_polynomial",
+                  "extensions", BudgetExceededError)
         coeffs[sum(1 for a, b in zip(ext, ext[1:]) if a > b)] += 1
     return IntPolynomial(coeffs)
 
@@ -190,25 +192,15 @@ def macmahon_check(counts, max_degree, budget=DEFAULT_BUDGET):
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts) or max_degree < 0:
         raise ValueError("multiplicities and degree bound must be nonnegative")
-    if budget is not None and multinomial(counts) > budget:
-        raise BudgetExceededError(
-            f"{multinomial(counts)} words exceed budget {budget}")
     items = [letter for letter, c in enumerate(counts, start=1)
              for _ in range(c)]
     lhs = descent_polynomial(items, budget=budget)
     a = sum(counts)
     series = IntPolynomial([
-        _product(comb(ai + d, d) for ai in counts)
+        prod(comb(ai + d, d) for ai in counts)
         for d in range(max_degree + 1)])
     rhs = one_minus_t_power(a + 1).mul_truncated(series, max_degree)
     return [lhs[d] for d in range(max_degree + 1)] == rhs
-
-
-def _product(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def check_symmetry(m, n, r, budget=DEFAULT_BUDGET):
@@ -225,14 +217,13 @@ def check_symmetry(m, n, r, budget=DEFAULT_BUDGET):
     return True
 
 
-def hilbert_function_bruteforce(m, n, r, d, max_count=10 ** 6):
+def hilbert_function_bruteforce(m, n, r, d):
     """Oracle for small inputs: count degree-d monomials in the subring
     generated by the x_i y_j z_k, i.e. triples of degree-d monomials in
     m, n and r variables respectively."""
     check_sizes(m, n, r)
-    total = hilbert_function(m, n, r, d)
-    if total > max_count:
-        raise SizeGuardError(f"{total} monomials exceed guard {max_count}")
+    bound(hilbert_function(m, n, r, d), MAX_MONOMIALS,
+          "invariants.hilbert_function_bruteforce", "monomials")
 
     def count_monomials(width):
         return sum(1 for _ in combinations_with_replacement(range(width), d))

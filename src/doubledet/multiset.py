@@ -6,9 +6,10 @@ lexicographic order, each distinct rearrangement exactly once, which keeps
 every downstream catalog reproducible.
 """
 
+from collections import Counter
 from math import factorial
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, bound
 from .intpoly import IntPolynomial
 
 #: default cap on the number of words/extensions an enumeration may visit
@@ -65,12 +66,9 @@ def descent_polynomial(items, budget=DEFAULT_BUDGET):
     permutations (checked up front via the multinomial count).
     """
     items = list(items)
-    counts = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    if budget is not None and multinomial(counts.values()) > budget:
-        raise BudgetExceededError(
-            f"{multinomial(counts.values())} permutations exceed budget {budget}")
+    counts = Counter(items)
+    bound(multinomial(counts.values()), budget,
+          "multiset.descent_polynomial", "permutations", BudgetExceededError)
     coeffs = [0] * max(1, len(items))
     for w in multiset_permutations(items):
         coeffs[descents(w)] += 1

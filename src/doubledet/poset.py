@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import check_sizes
+from .errors import bound, check_sizes
+
+#: fixed cap on the poset elements max_antichain_bruteforce searches
+MAX_ANTICHAIN_ELEMENTS = 20
 
 
 class Poset:
@@ -233,10 +236,10 @@ def pmnr_chain_ranges(m, n, r):
     return range(0, a), range(a, b), range(b, c)
 
 
-def max_antichain_bruteforce(p, max_elements=20):
+def max_antichain_bruteforce(p):
     """Oracle: largest antichain size by exhaustive subset search."""
-    if p.n > max_elements:
-        raise ValueError("poset too large for brute-force antichain search")
+    bound(p.n, MAX_ANTICHAIN_ELEMENTS, "poset.max_antichain_bruteforce",
+          "elements")
     best = 0
     for size in range(p.n, 0, -1):
         if size <= best:

@@ -18,10 +18,14 @@ import re
 from math import comb
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, SizeGuardError, check_sizes
+from .errors import BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial
 from .multiset import DEFAULT_BUDGET, multinomial, multiset_permutations
 from .ring import Variable
+
+#: fixed caps on the board vertices of maximal_faces_bruteforce and all_faces
+MAX_BRUTEFORCE_VERTICES = 27
+MAX_FACE_VERTICES = 12
 
 
 class Vertex(NamedTuple):
@@ -143,11 +147,13 @@ class Facet:
             for step in sub:
                 row, col = (row - 1, col) if step == "M" else (row, col + 1)
                 path.append(Vertex(row, col))
-            assert path[-1] == Vertex(self.g[k], (k - 1) * n + self.h[k - 1])
+            if path[-1] != Vertex(self.g[k], (k - 1) * n + self.h[k - 1]):
+                raise ArithmeticError(f"path {k} of {word} misses its corner")
             paths.append(tuple(path))
         self.paths = tuple(paths)
         self.vertices = frozenset(v for path in paths for v in path)
-        assert len(self.vertices) == m + n + r - 2
+        if len(self.vertices) != m + n + r - 2:
+            raise ArithmeticError(f"{word} has {len(self.vertices)} vertices")
 
     def __eq__(self, other):
         if isinstance(other, Facet):
@@ -168,9 +174,8 @@ class Facet:
 def facets(m, n, r, budget=DEFAULT_BUDGET):
     """Yield every facet once, in lexicographic word order (M < N < R)."""
     check_sizes(m, n, r)
-    if budget is not None and multinomial((m - 1, n - 1, r - 1)) > budget:
-        raise BudgetExceededError(
-            f"{multinomial((m - 1, n - 1, r - 1))} facets exceed budget {budget}")
+    bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
+          "facets", BudgetExceededError)
     letters = "M" * (m - 1) + "N" * (n - 1) + "R" * (r - 1)
     for word in multiset_permutations(letters):
         yield Facet(m, n, r, "".join(word))
@@ -223,8 +228,6 @@ def extend_to_facet(face_vertices, m, n, r):
     verts = {Vertex(*v) for v in face_vertices}
     for v in verts:
         _check_vertex(v, m, n, r)
-    if not is_face(verts, m, n, r):
-        raise ValueError("input is not a face of the complex")
     # per-matrix points in path order, as (row, in-block column)
     blocks = [[] for _ in range(r + 1)]  # 1-based
     for v in verts:
@@ -256,23 +259,24 @@ def extend_to_facet(face_vertices, m, n, r):
         steps = []
         for (r1, c1), (r2, c2) in zip(anchors, anchors[1:]):
             if r1 < r2 or c1 > c2:
-                raise ValueError(
-                    f"face cannot be threaded through ({r1},{c1})->({r2},{c2})")
+                raise ValueError("input is not a face of the complex: no "
+                                 f"path ({r1},{c1})->({r2},{c2}) in matrix {k}")
             steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
         words.append("".join(steps))
     facet = Facet(m, n, r, "R".join(words))
-    assert verts <= facet.vertices
+    if not verts <= facet.vertices:  # a subset of a facet is a face
+        raise ValueError("input is not a face of the complex")
     return facet
 
 
-def maximal_faces_bruteforce(m, n, r, max_vertices=27):
+def maximal_faces_bruteforce(m, n, r):
     """Oracle: facets as maximal independent sets of the conflict graph,
     enumerated Bron-Kerbosch style with pivoting on bitmasks."""
     check_sizes(m, n, r)
     verts = board(m, n, r)
     count = len(verts)
-    if count > max_vertices:
-        raise SizeGuardError(f"{count} vertices exceed guard {max_vertices}")
+    bound(count, MAX_BRUTEFORCE_VERTICES, "simplicial.maximal_faces_bruteforce",
+          "vertices")
     # non-neighbors in the conflict graph = admissible companions
     compat = [0] * count
     for a in range(count):
@@ -302,13 +306,12 @@ def maximal_faces_bruteforce(m, n, r, max_vertices=27):
     return out
 
 
-def all_faces(m, n, r, max_vertices=12):
+def all_faces(m, n, r):
     """Every face of the complex (independent sets, not only maximal)."""
     check_sizes(m, n, r)
     verts = board(m, n, r)
     count = len(verts)
-    if count > max_vertices:
-        raise SizeGuardError(f"{count} vertices exceed guard {max_vertices}")
+    bound(count, MAX_FACE_VERTICES, "simplicial.all_faces", "vertices")
     faces = []
     current = []
 
@@ -324,14 +327,14 @@ def all_faces(m, n, r, max_vertices=12):
     return faces
 
 
-def complex_h_vector(m, n, r, max_vertices=12):
+def complex_h_vector(m, n, r):
     """h-vector of the complex from its face counts; must coincide with
     the ring's h-polynomial because passing to the initial ideal preserves
     the Hilbert series."""
     check_sizes(m, n, r)
     top = m + n + r - 2
     f = [0] * (top + 1)  # f[s] = number of faces with s vertices
-    for face in all_faces(m, n, r, max_vertices=max_vertices):
+    for face in all_faces(m, n, r):
         f[len(face)] += 1
     h = [sum((-1) ** (j - s) * comb(top - s, j - s) * f[s]
              for s in range(j + 1))

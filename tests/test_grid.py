@@ -99,3 +99,6 @@ def test_lattice_isomorphic_to_ideals():
     assert lattice_isomorphic_to_ideals(4, 3, 2)
     with pytest.raises(SizeGuardError):
         lattice_isomorphic_to_ideals(30, 30, 30)
+    # the guard counts the N^2 ideal pairs compared, not the N ideals
+    with pytest.raises(SizeGuardError, match="85766121 ideal pairs"):
+        lattice_isomorphic_to_ideals(21, 21, 21)

@@ -147,6 +147,9 @@ def test_h_poly_budget():
         h_poly_via_words(5, 5, 5, budget=10)
     with pytest.raises(BudgetExceededError):
         h_poly_via_linear_extensions(5, 5, 5, budget=10)
+    with pytest.raises(BudgetExceededError, match="invariants.poset_descent_"
+                       "polynomial: 6 extensions exceed budget 5"):
+        poset_descent_polynomial(Poset(3), budget=5)
 
 
 def test_poset_descent_polynomial_general():

@@ -216,6 +216,21 @@ def test_extend_rejects_non_face():
         extend_to_facet([(1, 1), (2, 2)], 2, 2, 2)
 
 
+@pytest.mark.parametrize("m, n, r", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_extend_raises_exactly_on_non_faces(m, n, r):
+    # extend_to_facet runs no is_face check of its own
+    verts = [Vertex(i, c) for i in range(1, m + 1)
+             for c in range(1, n * r + 1)]
+    for mask in range(1 << len(verts)):
+        subset = [v for a, v in enumerate(verts) if mask >> a & 1]
+        try:
+            extend_to_facet(subset, m, n, r)
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised != is_face(subset, m, n, r), subset
+
+
 # ----------------------------------------------------------------------
 # brute-force facet oracle
 
