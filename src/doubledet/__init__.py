@@ -4,7 +4,8 @@ the Gorenstein criterion, and the facet structure of the diagonal initial
 complex, each backed by an independent brute-force cross-check.
 """
 
-from .errors import BudgetExceededError, CheckFailed, SizeGuardError
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, CheckFailed,
+                     SizeGuardError)
 from .generators import (FAMILY_KEYS, Minor, decompose_into_minors,
                          family_sizes, generator_families, minor_basis,
                          minor_dependency_witness, minors_H, minors_V,
@@ -21,8 +22,8 @@ from .invariants import (InvariantReport, check_symmetry, compute_invariants,
                          macmahon_check, minimal_generator_count,
                          multiplicity, order_preserving_map_count,
                          poset_descent_polynomial)
-from .multiset import (DEFAULT_BUDGET, descent_polynomial, descents,
-                       multinomial, multiset_permutations)
+from .multiset import (descent_polynomial, descents, multinomial,
+                       multiset_permutations)
 from .poset import (Poset, descent_count, is_linear_extension, make_pmnr,
                     pmnr_chain_ranges, poset_from_text, poset_to_text)
 from .ring import Binomial, Variable, parse_binomial

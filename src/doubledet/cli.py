@@ -15,8 +15,7 @@ import json
 import sys
 
 from . import generators, invariants, poset, simplicial, verify
-from .errors import BudgetExceededError, check_sizes
-from .multiset import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, BudgetExceededError, check_sizes
 
 
 def build_parser():
@@ -32,8 +31,10 @@ def build_parser():
             p.add_argument(size, type=int)
         p.add_argument("-f", "--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="max number of words/extensions/S-pairs to visit")
+        if name in ("hpoly", "facets", "verify"):
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="max number of facets/extensions/S-pairs "
+                                "to visit")
         p.set_defaults(func=func)
         return p
 
@@ -217,8 +218,7 @@ def cmd_hpoly(args):
         check_sizes(m, n, r)
         methods = {
             "series": lambda: invariants.h_poly_via_series(m, n, r),
-            "words": lambda: invariants.h_poly_via_words(
-                m, n, r, budget=args.budget),
+            "words": lambda: invariants.h_poly_via_words(m, n, r),
             "extensions": lambda: invariants.h_poly_via_linear_extensions(
                 m, n, r, budget=args.budget),
         }
@@ -312,7 +312,7 @@ def main(argv=None):
     try:
         if hasattr(args, "m"):
             check_sizes(args.m, args.n, args.r)
-        if args.budget <= 0:
+        if hasattr(args, "budget") and args.budget <= 0:
             raise ValueError("budget must be positive")
         return args.func(args)
     except BudgetExceededError as exc:

@@ -15,6 +15,10 @@ class CheckFailed(Exception):
     """A verify check found a closed form and its oracle in disagreement."""
 
 
+#: default cap on the facets/extensions/S-pairs an enumeration may visit
+DEFAULT_BUDGET = 10 ** 7
+
+
 def bound(count, limit, where, unit, error=SizeGuardError):
     """Refuse an enumeration of ``count`` units of work above ``limit``.
 

@@ -13,8 +13,7 @@ from collections import Counter
 from itertools import combinations
 
 from . import generators, sorting
-from .errors import BudgetExceededError, bound
-from .multiset import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, BudgetExceededError, bound
 from .ring import Binomial, lex_greater, monomial, monomial_str
 
 

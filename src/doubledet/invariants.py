@@ -5,8 +5,9 @@ lattice of an (m, n, r) triple of chains, so every invariant reduces to
 chain combinatorics: minimal generators count incomparable grid pairs,
 multiplicity counts maximal chains, the Hilbert function counts triples of
 monomials, and the h-polynomial is a descent generating function.  The
-three independent h-polynomial computations (multiset words, linear
-extensions, truncated Hilbert series) exist to cross-check each other.
+three independent h-polynomial computations (descents of words by a
+recursion over letter counts, linear extensions, truncated Hilbert
+series) exist to cross-check each other.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
 from . import grid, poset as poset_mod
-from .errors import BudgetExceededError, bound, check_sizes
+from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
-from .multiset import DEFAULT_BUDGET, descent_polynomial
+from .multiset import descent_polynomial, descents
 
 #: fixed caps on the work of the two brute-force oracles
 MAX_MAP_ELEMENTS = 12
@@ -131,12 +132,11 @@ def order_preserving_map_count(p, d):
     return count_from(0)
 
 
-def h_poly_via_words(m, n, r, budget=DEFAULT_BUDGET):
+def h_poly_via_words(m, n, r):
     """Descent generating polynomial over words with m-1 ones, n-1 twos
     and r-1 threes."""
     check_sizes(m, n, r)
-    return descent_polynomial(
-        [1] * (m - 1) + [2] * (n - 1) + [3] * (r - 1), budget=budget)
+    return descent_polynomial([1] * (m - 1) + [2] * (n - 1) + [3] * (r - 1))
 
 
 def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
@@ -155,13 +155,11 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     """Sum of t^descents over all linear extensions of an arbitrary
     naturally labeled poset."""
     coeffs = [0] * max(1, p.n)
-    seen = 0
-    for ext in p.linear_extensions():
-        seen += 1
+    for seen, ext in enumerate(p.linear_extensions(), start=1):
         if seen > budget:  # bound() on overrun only, not once per extension
             bound(seen, budget, "invariants.poset_descent_polynomial",
                   "extensions", BudgetExceededError)
-        coeffs[sum(1 for a, b in zip(ext, ext[1:]) if a > b)] += 1
+        coeffs[descents(ext)] += 1
     return IntPolynomial(coeffs)
 
 
@@ -185,7 +183,7 @@ def h_poly_via_series(m, n, r):
     return IntPolynomial(coeffs[:cutoff])
 
 
-def macmahon_check(counts, max_degree, budget=DEFAULT_BUDGET):
+def macmahon_check(counts, max_degree):
     """Check descent-count against binomial-product series up to max_degree:
     sum over multiset permutations of t^descents must equal
     (1-t)^(a+1) * sum_d prod_i C(a_i + d, d) t^d with a the total size."""
@@ -194,7 +192,7 @@ def macmahon_check(counts, max_degree, budget=DEFAULT_BUDGET):
         raise ValueError("multiplicities and degree bound must be nonnegative")
     items = [letter for letter, c in enumerate(counts, start=1)
              for _ in range(c)]
-    lhs = descent_polynomial(items, budget=budget)
+    lhs = descent_polynomial(items)
     a = sum(counts)
     series = IntPolynomial([
         prod(comb(ai + d, d) for ai in counts)
@@ -203,16 +201,16 @@ def macmahon_check(counts, max_degree, budget=DEFAULT_BUDGET):
     return [lhs[d] for d in range(max_degree + 1)] == rhs
 
 
-def check_symmetry(m, n, r, budget=DEFAULT_BUDGET):
+def check_symmetry(m, n, r):
     """All invariants and both descent polynomials must be unchanged under
     every permutation of (m, n, r)."""
     check_sizes(m, n, r)
     base_report = compute_invariants(m, n, r)
-    base_words = h_poly_via_words(m, n, r, budget=budget)
+    base_words = h_poly_via_words(m, n, r)
     for pm, pn, pr in set(permutations((m, n, r))):
         if compute_invariants(pm, pn, pr) != base_report:
             return False
-        if h_poly_via_words(pm, pn, pr, budget=budget) != base_words:
+        if h_poly_via_words(pm, pn, pr) != base_words:
             return False
     return True
 

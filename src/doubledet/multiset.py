@@ -3,17 +3,18 @@
 A word here is any finite sequence of mutually comparable letters (ints,
 single-character strings, ...).  Permutations are always generated in
 lexicographic order, each distinct rearrangement exactly once, which keeps
-every downstream catalog reproducible.
+every downstream catalog reproducible.  The descent polynomial is counted
+without listing the words, by a recursion over letter counts.
 """
 
-from collections import Counter
-from math import factorial
+from itertools import groupby
+from math import factorial, prod
 
-from .errors import BudgetExceededError, bound
+from .errors import bound
 from .intpoly import IntPolynomial
 
-#: default cap on the number of words/extensions an enumeration may visit
-DEFAULT_BUDGET = 10 ** 7
+#: fixed cap on descent_polynomial's states: 4*m*n*r for the words route
+MAX_WORD_STATES = 500_000
 
 
 def multinomial(counts):
@@ -28,30 +29,23 @@ def multinomial(counts):
 
 
 def multiset_permutations(items):
-    """Yield every distinct permutation of ``items``, lexicographically.
-
-    The empty multiset yields the single empty word.
+    """Yield every distinct permutation of ``items``, lexicographically,
+    by Narayana's successor rule.  The empty multiset yields the single
+    empty word.
     """
-    letters = sorted(set(items))
-    counts = [0] * len(letters)
-    for x in items:
-        counts[letters.index(x)] += 1
-    total = len(list(items))
-    word = []
-
-    def emit():
-        if len(word) == total:
-            yield tuple(word)
+    word = sorted(items)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for t, letter in enumerate(letters):
-            if counts[t]:
-                counts[t] -= 1
-                word.append(letter)
-                yield from emit()
-                word.pop()
-                counts[t] += 1
-
-    yield from emit()
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
 
 
 def descents(word):
@@ -59,17 +53,28 @@ def descents(word):
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
-def descent_polynomial(items, budget=DEFAULT_BUDGET):
+def descent_polynomial(items):
     """Sum of t^descents over all distinct permutations of ``items``.
 
-    Raises BudgetExceededError if the multiset has more than ``budget``
-    permutations (checked up front via the multinomial count).
+    Built one position at a time.  A state is (how many of each letter are
+    placed, index of the last letter placed, -1 before the first); its
+    value counts the prefixes reaching it by descents.  Only the current
+    layer is kept.  Raises SizeGuardError above MAX_WORD_STATES states.
     """
-    items = list(items)
-    counts = Counter(items)
-    bound(multinomial(counts.values()), budget,
-          "multiset.descent_polynomial", "permutations", BudgetExceededError)
-    coeffs = [0] * max(1, len(items))
-    for w in multiset_permutations(items):
-        coeffs[descents(w)] += 1
-    return IntPolynomial(coeffs)
+    counts = [len(list(run)) for _, run in groupby(sorted(items))]
+    bound(prod(c + 1 for c in counts) * (len(counts) + 1), MAX_WORD_STATES,
+          "multiset.descent_polynomial", "states")
+    layer = {((0,) * len(counts), -1): [1]}
+    for _ in range(sum(counts)):
+        nxt = {}
+        for (placed, last), coeffs in layer.items():
+            for t, c in enumerate(counts):
+                if placed[t] < c:
+                    key = (placed[:t] + (placed[t] + 1,) + placed[t + 1:], t)
+                    acc = nxt.setdefault(key, [])
+                    shift = last > t  # a descent: t^1
+                    acc.extend([0] * (len(coeffs) + shift - len(acc)))
+                    for d, x in enumerate(coeffs, start=shift):
+                        acc[d] += x
+        layer = nxt
+    return sum(map(IntPolynomial, layer.values()), IntPolynomial())

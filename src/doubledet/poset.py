@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import bound, check_sizes
+from .multiset import descents
 
 #: fixed cap on the poset elements max_antichain_bruteforce searches
 MAX_ANTICHAIN_ELEMENTS = 20
@@ -101,44 +102,40 @@ class Poset:
         Under inclusion these form a distributive lattice: the union and
         the intersection of ideals are again ideals.
         """
-        out = []
-        current = set()
-
-        def extend(start):
-            out.append(frozenset(current))
-            for e in range(start, self.n):
-                if self._down[e] <= current:
-                    current.add(e)
-                    extend(e + 1)
-                    current.discard(e)
-
-        extend(0)
-        return out
+        ideals = {frozenset()}
+        # after step e, every ideal inside {0..e}: e is maximal in those
+        # holding it (labels are natural), so they come from step e-1
+        for e in range(self.n):
+            ideals |= {ideal | {e} for ideal in ideals
+                       if self._down[e] <= ideal}
+        return sorted(ideals, key=sorted)
 
     def linear_extensions(self):
         """Yield every linear extension once, lexicographically.
 
         An extension is a tuple listing all elements so that no element
-        appears before one of its predecessors.
+        appears before one of its predecessors.  The placed elements always
+        form an order ideal, so an element is ready once its cover
+        predecessors are placed.
         """
-        placed = [False] * self.n
-        seq = []
-
-        def backtrack():
+        below = [set() for _ in range(self.n)]
+        for a, b in self.covers():
+            below[b].add(a)
+        placed, seq = set(), []  # seq: placed in the order placed
+        stack = [iter(range(self.n))]  # per depth: the elements left to try
+        while stack:
             if len(seq) == self.n:
                 yield tuple(seq)
-                return
-            for e in range(self.n):
-                if placed[e]:
-                    continue
-                if all(placed[p] for p in self._down[e]):
-                    placed[e] = True
+            for e in stack[-1]:
+                if e not in placed and below[e] <= placed:
+                    placed.add(e)
                     seq.append(e)
-                    yield from backtrack()
-                    seq.pop()
-                    placed[e] = False
-
-        yield from backtrack()
+                    stack.append(iter(range(self.n)))
+                    break
+            else:
+                stack.pop()
+                if seq:
+                    placed.discard(seq.pop())
 
     def width(self):
         """Largest antichain, via Dilworth: n minus a maximum matching of
@@ -209,7 +206,7 @@ def descent_count(seq, p):
     seq = tuple(seq)
     if not is_linear_extension(p, seq):
         raise ValueError("sequence is not a linear extension of the poset")
-    return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
+    return descents(seq)
 
 
 def make_pmnr(m, n, r):

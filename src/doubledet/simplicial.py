@@ -18,9 +18,9 @@ import re
 from math import comb
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, bound, check_sizes
+from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial
-from .multiset import DEFAULT_BUDGET, multinomial, multiset_permutations
+from .multiset import multinomial, multiset_permutations
 from .ring import Variable
 
 #: fixed caps on the board vertices of maximal_faces_bruteforce and all_faces

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import doubledet
 from doubledet import cli, invariants
 from doubledet.intpoly import IntPolynomial
 
@@ -188,6 +193,23 @@ def test_generators_minors_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 13  # header + 6 H + 6 V
     assert {row[0] for row in rows[1:]} == {"H", "V"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("facets", "1", "1", "1200"),
+    ("hpoly", "1", "1", "1200", "--method", "all"),
+])
+def test_long_words_need_no_recursion(argv):
+    # a fresh interpreter, so the default recursion limit applies: the
+    # enumerators must not recurse once per letter or element
+    src = pathlib.Path(doubledet.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "doubledet.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_sizes_exit_2(capsys):

@@ -144,8 +144,6 @@ def test_h_poly_methods_agree_up_to_4():
 
 def test_h_poly_budget():
     with pytest.raises(BudgetExceededError):
-        h_poly_via_words(5, 5, 5, budget=10)
-    with pytest.raises(BudgetExceededError):
         h_poly_via_linear_extensions(5, 5, 5, budget=10)
     with pytest.raises(BudgetExceededError, match="invariants.poset_descent_"
                        "polynomial: 6 extensions exceed budget 5"):
@@ -170,8 +168,6 @@ def test_macmahon_examples():
     assert macmahon_check((3,), 4)
     with pytest.raises(ValueError):
         macmahon_check((1, -1), 3)
-    with pytest.raises(BudgetExceededError):
-        macmahon_check((6, 6, 6), 4, budget=100)
 
 
 def test_symmetry():

@@ -4,9 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet.errors import BudgetExceededError
-from doubledet.multiset import (descent_polynomial, descents, multinomial,
-                                multiset_permutations)
+from doubledet.errors import SizeGuardError
+from doubledet.intpoly import IntPolynomial
+from doubledet.multiset import (MAX_WORD_STATES, descent_polynomial, descents,
+                                multinomial, multiset_permutations)
 
 
 def brute_permutations(items):
@@ -57,8 +58,17 @@ def test_descent_polynomial_eulerian():
     assert list(descent_polynomial([1, 1, 1]).coeffs) == [1]
 
 
-def test_descent_polynomial_budget():
-    with pytest.raises(BudgetExceededError):
-        descent_polynomial(list(range(10)), budget=100)
-    # exactly at the budget is fine
-    assert descent_polynomial([1, 2, 3], budget=6)(1) == 6
+@given(st.lists(st.integers(1, 4), max_size=9))
+def test_descent_polynomial_matches_enumeration(items):
+    # the enumeration stays here as the reference for the recursion
+    coeffs = [0] * max(1, len(items))
+    for w in multiset_permutations(items):
+        coeffs[descents(w)] += 1
+    assert descent_polynomial(items) == IntPolynomial(coeffs)
+
+
+def test_descent_polynomial_state_cap():
+    # three letters 50 times each: 51^3 * 4 states
+    with pytest.raises(SizeGuardError, match="multiset.descent_polynomial: "
+                       f"530604 states exceed guard {MAX_WORD_STATES}"):
+        descent_polynomial([1, 2, 3] * 50)

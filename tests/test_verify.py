@@ -78,13 +78,12 @@ def test_runner_maps_each_exception_to_a_status():
 
 def test_budget_exhaustion_skips_the_check():
     def over_budget():
-        raise BudgetExceededError("multiset.descent_polynomial: 12 "
-                                  "permutations exceed budget 11")
+        raise BudgetExceededError("simplicial.facets: 12 facets exceed "
+                                  "budget 11")
 
     outcomes = verify.run_checks([("a", over_budget), ("b", lambda: "fine")])
     assert [tuple(o) for o in outcomes] == [
-        ("a", "skip", "multiset.descent_polynomial: 12 permutations exceed "
-                      "budget 11"),
+        ("a", "skip", "simplicial.facets: 12 facets exceed budget 11"),
         ("b", "ok", "fine"),
     ]
 
