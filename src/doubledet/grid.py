@@ -105,7 +105,7 @@ def lattice_isomorphic_to_ideals(m, n, r):
         return False
     for ideal, (i, j, k) in images.items():
         up = {images.get(ideal | {e}) for e in range(p.n)
-              if e not in ideal and p.strict_downset(e) <= ideal}
+              if e not in ideal and p.lower_covers(e) <= ideal}
         if up != {(i + 1, j, k), (i, j + 1, k), (i, j, k + 1)} & points:
             return False
     return True

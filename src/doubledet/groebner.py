@@ -72,8 +72,9 @@ class SparsePoly:
 
 
 def _descending_key(mono):
-    # tuple of variable keys; shorter-prefix = larger handled by callers
-    return tuple(v.order_key for v in mono)
+    # the end marker sorts above every variable key, so a monomial comes
+    # after its own extensions, as ring.lex_greater orders them
+    return tuple(v.order_key for v in mono) + ((float("inf"),),)
 
 
 def leading_term(p: SparsePoly):

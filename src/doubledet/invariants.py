@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, prod
+from math import comb, prod
 
 from . import grid, poset as poset_mod
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
-from .multiset import descent_polynomial, descents
+from .multiset import descent_polynomial, descents, multinomial
 
 #: fixed caps on the work of the two brute-force oracles
 MAX_MAP_ELEMENTS = 12
@@ -78,8 +78,7 @@ def minimal_generator_count(m, n, r):
 
 def multiplicity(m, n, r):
     check_sizes(m, n, r)
-    return (factorial(m + n + r - 3)
-            // (factorial(m - 1) * factorial(n - 1) * factorial(r - 1)))
+    return multinomial((m - 1, n - 1, r - 1))
 
 
 def is_gorenstein(m, n, r):
@@ -118,11 +117,14 @@ def order_preserving_map_count(p, d):
     bound(p.n, MAX_MAP_ELEMENTS, "invariants.order_preserving_map_count",
           "elements")
     values = [0] * p.n
+    # the predecessors of e are already assigned, monotonically, so their
+    # largest value is that of one of e's lower covers
+    below = [p.lower_covers(e) for e in range(p.n)]
 
     def count_from(e):
         if e == p.n:
             return 1
-        lower = max((values[q] for q in p.strict_downset(e)), default=0)
+        lower = max((values[q] for q in below[e]), default=0)
         total = 0
         for v in range(lower, d + 1):
             values[e] = v

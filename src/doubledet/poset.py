@@ -2,10 +2,12 @@
 
 Elements are the integers 0..n-1; the natural label of element ``e`` is
 ``e + 1``, and every stored order must satisfy ``a`` < ``b`` (as ints)
-whenever ``a`` precedes ``b``.  Order ideals are frozensets of elements,
-linear extensions are tuples of elements (the sequence in which the
-elements are listed), and all iteration orders are lexicographic in the
-labels, so repeated runs produce identical output.
+whenever ``a`` precedes ``b``.  The order is stored as its transitive
+closure plus its cover relation, both derived once at construction.
+Order ideals are frozensets of elements, linear extensions are tuples of
+elements (the sequence in which the elements are listed), and all
+iteration orders are lexicographic in the labels, so repeated runs
+produce identical output.
 """
 
 from __future__ import annotations
@@ -41,24 +43,27 @@ class Poset:
                     f"relation {a + 1} < {b + 1} violates the natural labeling")
             if a != b:
                 up[a].add(b)
-        # transitive closure; processing in reverse label order suffices
-        # because all edges point from smaller to larger labels
+        # one pass in reverse label order yields the closure and the covers,
+        # as edges point upward in label.  A given successor b of a is a
+        # cover unless it lies above a smaller given successor; anything
+        # strictly between a and b has a smaller label than b.
+        covers, lower = [], [set() for _ in range(n)]
         for a in range(n - 1, -1, -1):
-            acc = set(up[a])
-            for b in up[a]:
-                acc |= up[b]
+            acc = set()
+            for b in sorted(up[a]):
+                if b not in acc:
+                    covers.append((a, b))
+                    lower[b].add(a)
+                    acc.add(b)
+                    acc |= up[b]
             up[a] = acc
         self._up = tuple(frozenset(s) for s in up)
-        self._down = tuple(
-            frozenset(a for a in range(n) if b in self._up[a])
-            for b in range(n))
+        self._covers = tuple(sorted(covers))
+        self._lower = tuple(frozenset(s) for s in lower)
 
     def less(self, a, b):
         """True iff a strictly precedes b."""
         return b in self._up[a]
-
-    def leq(self, a, b):
-        return a == b or b in self._up[a]
 
     def comparable(self, a, b):
         return a == b or b in self._up[a] or a in self._up[b]
@@ -67,10 +72,12 @@ class Poset:
         return self._up[a]
 
     def strict_downset(self, a):
-        return self._down[a]
+        # natural labeling: every predecessor of a has a smaller label
+        return frozenset(b for b in range(a) if a in self._up[b])
 
-    def label(self, a):
-        return a + 1
+    def lower_covers(self, a):
+        """The elements a covers: its predecessors with nothing between."""
+        return self._lower[a]
 
     def __eq__(self, other):
         if isinstance(other, Poset):
@@ -84,13 +91,8 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()})"
 
     def covers(self):
-        """Cover pairs (a, b): a < b with nothing strictly between."""
-        out = []
-        for a in range(self.n):
-            for b in sorted(self._up[a]):
-                if not any(b in self._up[c] for c in self._up[a]):
-                    out.append((a, b))
-        return out
+        """Sorted cover pairs (a, b): a < b with nothing strictly between."""
+        return list(self._covers)
 
     # ------------------------------------------------------------------
     # ideals, extensions, chain statistics
@@ -107,7 +109,7 @@ class Poset:
         # holding it (labels are natural), so they come from step e-1
         for e in range(self.n):
             ideals |= {ideal | {e} for ideal in ideals
-                       if self._down[e] <= ideal}
+                       if self._lower[e] <= ideal}
         return sorted(ideals, key=sorted)
 
     def linear_extensions(self):
@@ -115,12 +117,10 @@ class Poset:
 
         An extension is a tuple listing all elements so that no element
         appears before one of its predecessors.  The placed elements always
-        form an order ideal, so an element is ready once its cover
-        predecessors are placed.
+        form an order ideal, so an element is ready once its lower covers
+        are placed.
         """
-        below = [set() for _ in range(self.n)]
-        for a, b in self.covers():
-            below[b].add(a)
+        below = self._lower
         placed, seq = set(), []  # seq: placed in the order placed
         stack = [iter(range(self.n))]  # per depth: the elements left to try
         while stack:
@@ -157,13 +157,11 @@ class Poset:
 
     def rank(self):
         """Length (edge count) of the longest chain; -1 for the empty poset."""
-        if self.n == 0:
-            return -1
         height = [0] * self.n
         for b in range(self.n):
-            for a in self._down[b]:
+            for a in self._lower[b]:
                 height[b] = max(height[b], height[a] + 1)
-        return max(height)
+        return max(height, default=-1)
 
     def is_pure(self):
         """True iff all maximal chains have the same length.
@@ -172,18 +170,11 @@ class Poset:
         chain lengths from minimal elements (kept as bitmasks); the empty
         poset counts as pure.
         """
-        if self.n == 0:
-            return True
-        cover_down = [[] for _ in range(self.n)]
-        for a, b in self.covers():
-            cover_down[b].append(a)
-        lengths = [0] * self.n
+        # bit k of lengths[e]: a saturated chain of length k ends at e
+        lengths = [int(not below) for below in self._lower]
         for e in range(self.n):
-            if cover_down[e]:
-                for a in cover_down[e]:
-                    lengths[e] |= lengths[a] << 1
-            else:
-                lengths[e] = 1
+            for a in self._lower[e]:
+                lengths[e] |= lengths[a] << 1
         top = 0
         for e in range(self.n):
             if not self._up[e]:  # maximal element

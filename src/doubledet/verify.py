@@ -22,6 +22,7 @@ A check never uses ``assert``, so it gives the same verdict under
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from . import generators, grid, groebner, invariants, poset, simplicial
@@ -54,6 +55,11 @@ def build_checks(m, n, r, level, budget):
                 checks.append((name, fn))
             return fn
         return add
+
+    # shared by three checks; a build that raises is not cached
+    @functools.cache
+    def families():
+        return generators.generator_families(m, n, r)
 
     @check("ideal-count")
     def ideal_count():
@@ -90,7 +96,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("families-vs-sorting-relations")
     def families_match():
-        fams = generators.generator_families(m, n, r)
+        fams = families()
         sizes = generators.family_sizes(m, n, r)
         for key, val in fams.items():
             _require(len(val) == sizes[key],
@@ -104,7 +110,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("kernel-membership")
     def kernel_membership():
-        fams = generators.generator_families(m, n, r)
+        fams = families()
         for key, val in fams.items():
             _require(all(in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")
@@ -115,7 +121,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("minor-decomposition")
     def decompositions():
-        fams = generators.generator_families(m, n, r)
+        fams = families()
         total = 0
         for val in fams.values():
             for b in val:
@@ -138,14 +144,12 @@ def build_checks(m, n, r, level, budget):
         p = poset.make_pmnr(m, n, r)
         expected_rank = -1 if p.n == 0 else max(m, n, r) - 2
         expected_width = sum(1 for s in (m, n, r) if s > 1)
-        _require(p.rank() == expected_rank,
-                 f"rank {p.rank()} != {expected_rank}")
-        _require(p.width() == expected_width,
-                 f"width {p.width()} != {expected_width}")
-        _require(p.is_pure() == report.gorenstein,
-                 f"pure={p.is_pure()} but gorenstein={report.gorenstein}")
-        return (f"rank {p.rank()}, width {p.width()}, "
-                f"pure={str(p.is_pure()).lower()}")
+        rank, width, pure = p.rank(), p.width(), p.is_pure()
+        _require(rank == expected_rank, f"rank {rank} != {expected_rank}")
+        _require(width == expected_width, f"width {width} != {expected_width}")
+        _require(pure == report.gorenstein,
+                 f"pure={pure} but gorenstein={report.gorenstein}")
+        return f"rank {rank}, width {width}, pure={str(pure).lower()}"
 
     @check("hilbert-oracle")
     def hilbert_oracle():

@@ -6,7 +6,8 @@ from doubledet.groebner import (SparsePoly, in_kernel_poly,
                                 initial_ideal_minimal_generators,
                                 leading_term, lcm_monomial, reduce,
                                 s_polynomial, verify_groebner)
-from doubledet.ring import Binomial, Variable, lex_greater, monomial
+from doubledet.ring import (Binomial, Variable, lex_greater, monomial,
+                           monomial_str)
 from doubledet.simplicial import initial_generators, vertex_for_variable
 
 GB_SIZES = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (1, 2, 5), (2, 2, 1)]
@@ -39,6 +40,15 @@ def test_leading_term_is_diagonal():
     assert leading_term(single) == monomial([Variable(1, 2, 1)])
     with pytest.raises(ValueError):
         leading_term(SparsePoly.zero())
+
+
+def test_str_lists_terms_from_the_leading_term_down():
+    v, w = Variable(1, 1, 1), Variable(1, 2, 1)
+    # v*v > v*w > v > w: a monomial is below its own extensions
+    p = SparsePoly({(v,): 1, (w,): -2, (v, w): 3, (v, v): 1})
+    assert str(p).startswith(monomial_str(leading_term(p)))
+    assert str(p) == ("x[1,1,1]*x[1,1,1] + 3*x[1,1,1]*x[1,2,1] + x[1,1,1] "
+                      "- 2*x[1,2,1]")
 
 
 def test_all_minor_leading_terms_are_diagonals():

@@ -1,8 +1,10 @@
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
+from doubledet.invariants import order_preserving_map_count
 from doubledet.poset import (Poset, descent_count, is_linear_extension,
                              make_pmnr, max_antichain_bruteforce,
                              pmnr_chain_ranges, poset_from_text, poset_to_text)
@@ -24,6 +26,30 @@ def ideals_bruteforce(p):
         if all(p.strict_downset(e) <= sub for e in sub):
             out.append(sub)
     return set(out)
+
+
+def covers_bruteforce(p):
+    """Pairs a < b with no c strictly between, testing every c above a."""
+    return [(a, b) for a in range(p.n) for b in sorted(p.strict_upset(a))
+            if not any(b in p.strict_upset(c) for c in p.strict_upset(a))]
+
+
+def order_preserving_maps_bruteforce(p, d):
+    """Maps p -> {0..d} with f(a) <= f(b) whenever a precedes b, by
+    testing every map."""
+    return sum(1 for f in product(range(d + 1), repeat=p.n)
+               if all(f[a] <= f[b]
+                      for a in range(p.n) for b in p.strict_upset(a)))
+
+
+@st.composite
+def posets(draw, max_size):
+    """Naturally labeled posets: each drawn pair is related smaller label
+    first."""
+    n = draw(st.integers(0, max_size))
+    element = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(element, element), max_size=2 * n))
+    return Poset(n, [tuple(sorted(pair)) for pair in pairs])
 
 
 def rank_bruteforce(p):
@@ -109,6 +135,25 @@ def test_transitive_closure():
     p = Poset(3, [(0, 1), (1, 2)])
     assert p.less(0, 2)
     assert p.covers() == [(0, 1), (1, 2)]
+
+
+def test_covers_and_lower_covers_against_bruteforce():
+    for name, p in CORPUS.items():
+        covers = covers_bruteforce(p)
+        assert p.covers() == covers, name
+        for b in range(p.n):
+            assert p.lower_covers(b) == {a for a, c in covers if c == b}, name
+
+
+@given(posets(9))
+def test_covers_are_the_transitive_reduction(p):
+    assert p.covers() == covers_bruteforce(p)
+
+
+@given(posets(6), st.integers(0, 2))
+def test_order_preserving_map_count_against_bruteforce(p, d):
+    assert (order_preserving_map_count(p, d)
+            == order_preserving_maps_bruteforce(p, d))
 
 
 # ----------------------------------------------------------------------
