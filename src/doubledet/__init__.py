@@ -10,7 +10,7 @@ from .generators import (FAMILY_KEYS, Minor, decompose_into_minors,
                          family_sizes, generator_families, minor_basis,
                          minor_dependency_witness, minors_H, minors_V,
                          sorting_relations)
-from .grid import (GridPoint, comparable, count_comparable_pairs,
+from .grid import (comparable, count_comparable_pairs,
                    count_incomparable_pairs, grid_points, join,
                    lattice_isomorphic_to_ideals, meet)
 from .groebner import (SparsePoly, initial_ideal_minimal_generators,
@@ -33,6 +33,6 @@ from .simplicial import (Facet, Vertex, check_shelling_order,
                          is_face, maximal_faces_bruteforce, parse_vertices,
                          vertex_for_variable)
 from .sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
-                      is_sorted, phi, phi_monomial, sort_pair)
+                      is_sorted, phi_monomial, sort_pair)
 
 __version__ = "0.1.0"

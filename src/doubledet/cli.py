@@ -4,7 +4,9 @@ One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  Exit status: 0 success,
-1 failed verification, 2 invalid input or exhausted budget.
+1 failed verification, 2 invalid input or exhausted budget, 141 (128 +
+SIGPIPE, as a shell reports a process killed by it) when the reader
+closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import generators, invariants, poset, simplicial, verify
@@ -314,7 +317,14 @@ def main(argv=None):
             check_sizes(args.m, args.n, args.r)
         if hasattr(args, "budget") and args.budget <= 0:
             raise ValueError("budget must be positive")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at the
+        # null device so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 2

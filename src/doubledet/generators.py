@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from . import sorting
+from . import grid, sorting
 from .errors import check_sizes
 from .ring import Binomial, Variable, monomial
 
@@ -75,6 +75,8 @@ def _v_minor(m, r1, r2, j1, j2):
 def minors_H(m, n, r):
     """All 2x2 minors of H, row pairs outer, column pairs inner."""
     check_sizes(m, n, r)
+    if n * r < 2:
+        return []  # no column pair, so no need to walk the row pairs
     return [_h_minor(n, i1, i2, c1, c2)
             for i1, i2 in combinations(range(1, m + 1), 2)
             for c1, c2 in combinations(range(1, n * r + 1), 2)]
@@ -83,6 +85,8 @@ def minors_H(m, n, r):
 def minors_V(m, n, r):
     """All 2x2 minors of V, row pairs outer, column pairs inner."""
     check_sizes(m, n, r)
+    if n < 2:
+        return []  # no column pair, so no need to walk the row pairs
     return [_v_minor(m, r1, r2, j1, j2)
             for r1, r2 in combinations(range(1, m * r + 1), 2)
             for j1, j2 in combinations(range(1, n + 1), 2)]
@@ -157,20 +161,11 @@ def family_sizes(m, n, r):
 def sorting_relations(m, n, r):
     """One relation per unsorted pair: the product of two incomparable grid
     variables minus the product over their meet and join."""
-    check_sizes(m, n, r)
-    triples = [(i, j, k)
-               for i in range(1, m + 1)
-               for j in range(1, n + 1)
-               for k in range(1, r + 1)]
-    out = []
-    for a, b in combinations(triples, 2):
-        if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b)):
-            continue
-        lo = tuple(min(x, y) for x, y in zip(a, b))
-        hi = tuple(max(x, y) for x, y in zip(a, b))
-        out.append(Binomial.make((Variable(*a), Variable(*b)),
-                                 (Variable(*lo), Variable(*hi))))
-    return out
+    return [Binomial.make((Variable(*a), Variable(*b)),
+                          (Variable(*grid.meet(a, b)),
+                           Variable(*grid.join(a, b))))
+            for a, b in combinations(grid.grid_points(m, n, r), 2)
+            if not grid.comparable(a, b)]
 
 
 def _expansion(signed_minors):
@@ -197,9 +192,9 @@ def decompose_into_minors(g: Binomial, m, n, r):
         if v.i > m or v.j > n or v.k > r:
             raise ValueError(f"variable {v} outside a {m}x{n} x{r} arrangement")
     a, b = g.minus
-    lo = (min(a.i, b.i), min(a.j, b.j), min(a.k, b.k))
-    hi = (max(a.i, b.i), max(a.j, b.j), max(a.k, b.k))
-    if ((a.i, a.j, a.k) in (lo, hi)  # comparable points: not a relation
+    pa, pb = (a.i, a.j, a.k), (b.i, b.j, b.k)
+    lo, hi = grid.meet(pa, pb), grid.join(pa, pb)
+    if (grid.comparable(pa, pb)  # comparable points: not a relation
             or monomial(g.plus) != monomial((Variable(*lo), Variable(*hi)))):
         raise ValueError(f"{g} is not a minimal generator")
     i1, j1, k1 = lo

@@ -1,13 +1,15 @@
 """The grid {1..m} x {1..n} x {1..r} under componentwise order.
 
 This is a distributive lattice (a product of three chains); meet and join
-are componentwise min and max, so no Hasse diagram is ever materialized —
-a point plus its bounds is the whole representation.
+are componentwise min and max.  A point is a plain (i, j, k) tuple, and
+this module holds the only definition of the order on it: ``comparable``,
+``meet`` and ``join`` give the sorting relations in ``generators`` and the
+oracles in ``verify``.  No Hasse diagram is ever materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from . import poset as poset_mod
@@ -17,56 +19,24 @@ from .errors import bound, check_sizes
 MAX_IDEALS = 10_000
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    i: int
-    j: int
-    k: int
-    bounds: tuple  # (m, n, r)
-
-    def __post_init__(self):
-        m, n, r = self.bounds
-        if not (1 <= self.i <= m and 1 <= self.j <= n and 1 <= self.k <= r):
-            raise ValueError(
-                f"point ({self.i},{self.j},{self.k}) outside {self.bounds}")
-
-    @property
-    def coords(self):
-        return (self.i, self.j, self.k)
-
-    def __str__(self):
-        return f"({self.i},{self.j},{self.k})"
-
-
 def grid_points(m, n, r):
     """All grid points in lexicographic (i, j, k) order."""
     check_sizes(m, n, r)
-    return [GridPoint(i, j, k, (m, n, r))
-            for i in range(1, m + 1)
-            for j in range(1, n + 1)
-            for k in range(1, r + 1)]
-
-
-def _check_same_bounds(p, q):
-    if p.bounds != q.bounds:
-        raise ValueError(f"mismatched grid bounds: {p.bounds} vs {q.bounds}")
+    return list(product(range(1, m + 1), range(1, n + 1), range(1, r + 1)))
 
 
 def comparable(p, q):
     """True iff p <= q or q <= p componentwise."""
-    _check_same_bounds(p, q)
-    return (all(a <= b for a, b in zip(p.coords, q.coords))
-            or all(a >= b for a, b in zip(p.coords, q.coords)))
+    return (all(a <= b for a, b in zip(p, q))
+            or all(a >= b for a, b in zip(p, q)))
 
 
 def meet(p, q):
-    _check_same_bounds(p, q)
-    return GridPoint(min(p.i, q.i), min(p.j, q.j), min(p.k, q.k), p.bounds)
+    return tuple(map(min, p, q))
 
 
 def join(p, q):
-    _check_same_bounds(p, q)
-    return GridPoint(max(p.i, q.i), max(p.j, q.j), max(p.k, q.k), p.bounds)
+    return tuple(map(max, p, q))
 
 
 def count_comparable_pairs(m, n, r):
@@ -100,7 +70,7 @@ def lattice_isomorphic_to_ideals(m, n, r):
     ideals = p.order_ideals()
     images = {ideal: tuple(sum(1 for e in chain if e in ideal) + 1
                            for chain in chains) for ideal in ideals}
-    points = {q.coords for q in grid_points(m, n, r)}
+    points = set(grid_points(m, n, r))
     if set(images.values()) != points or len(ideals) != len(points):
         return False
     for ideal, (i, j, k) in images.items():

@@ -4,7 +4,10 @@ Everything here is exact: coefficients are Python ints (reductions of
 binomials can transiently create longer integer combinations), monomials
 are canonical tuples from the ring module, and the reduction strategy is
 fixed (largest reducible term, divisor with the largest leading term), so
-remainders are reproducible.
+remainders are reproducible.  Nothing here decides an order or a map:
+leading terms, the reduction strategy and the printed term order read the
+diagonal order from ``ring`` (``_monomial_key``, ``lex_greater``), and
+kernel membership is ``sorting.in_kernel``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from . import generators, sorting
+from . import generators
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound
-from .ring import Binomial, lex_greater, monomial, monomial_str
+from .ring import (Binomial, _monomial_key, lex_greater, monomial,
+                   monomial_str)
+from .sorting import in_kernel
 
 
 class SparsePoly:
@@ -30,10 +35,6 @@ class SparsePoly:
     @classmethod
     def from_binomial(cls, b: Binomial):
         return cls({monomial(b.plus): 1, monomial(b.minus): -1})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def __bool__(self):
         return bool(self.terms)
@@ -62,7 +63,7 @@ class SparsePoly:
         if not self.terms:
             return "0"
         parts = []
-        for t in sorted(self.terms, key=_descending_key):
+        for t in sorted(self.terms, key=_monomial_key):
             c = self.terms[t]
             sign = "-" if c < 0 else "+"
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
@@ -71,21 +72,11 @@ class SparsePoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _descending_key(mono):
-    # the end marker sorts above every variable key, so a monomial comes
-    # after its own extensions, as ring.lex_greater orders them
-    return tuple(v.order_key for v in mono) + ((float("inf"),),)
-
-
 def leading_term(p: SparsePoly):
     """Largest monomial of a nonzero polynomial under the diagonal order."""
     if not p:
         raise ValueError("the zero polynomial has no leading term")
-    best = None
-    for t in p.terms:
-        if best is None or lex_greater(t, best):
-            best = t
-    return best
+    return min(p.terms, key=_monomial_key)
 
 
 def divides(a, b):
@@ -124,10 +115,7 @@ def reduce(p: SparsePoly, basis):
     work = dict(p.terms)
     remainder = {}
     while work:
-        t = None
-        for cand in work:
-            if t is None or lex_greater(cand, t):
-                t = cand
+        t = min(work, key=_monomial_key)
         chosen = None
         for lt, b in prepared:
             if divides(lt, t) and (chosen is None or lex_greater(lt, chosen[0])):
@@ -158,29 +146,19 @@ def s_polynomial(f: SparsePoly, g: SparsePoly):
             - g.scaled(f.terms[lt_f], quotient(big, lt_g)))
 
 
-def in_kernel_poly(p: SparsePoly, m, n, r):
-    """True iff p maps to zero under the monomial map x[i,j,k] -> x_i y_j z_k."""
-    image = {}
-    for t, c in p.terms.items():
-        key = sorting.phi_monomial(t, m, n, r)
-        image[key] = image.get(key, 0) + c
-    return all(c == 0 for c in image.values())
-
-
 def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
-    """Certify that ``basis`` is a Groebner basis of the full minor ideal.
+    """Certify that the Binomials ``basis`` are a Groebner basis of the
+    full minor ideal.
 
-    Three ingredients: every basis element lies in the ideal (its image
-    under the monomial map vanishes); every S-polynomial of a basis pair
-    reduces to zero (pairs with coprime leading terms are skipped); and
-    every 2x2 minor of H and V reduces to zero, so the basis generates at
-    least the whole ideal.  Polynomials are accepted as SparsePoly or
-    Binomial.
+    Three ingredients: every basis element lies in the ideal (its two
+    terms have the same image under the monomial map); every S-polynomial
+    of a basis pair reduces to zero (pairs with coprime leading terms are
+    skipped); and every 2x2 minor of H and V reduces to zero, so the basis
+    generates at least the whole ideal.
     """
-    polys = [SparsePoly.from_binomial(b) if isinstance(b, Binomial) else b
-             for b in basis]
-    if not all(in_kernel_poly(p, m, n, r) for p in polys):
+    if not all(in_kernel(b, m, n, r) for b in basis):
         return False
+    polys = [SparsePoly.from_binomial(b) for b in basis]
     pair_count = len(polys) * (len(polys) - 1) // 2
     bound(pair_count, budget, "groebner.verify_groebner", "S-pairs",
           BudgetExceededError)
@@ -196,12 +174,9 @@ def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
 
 
 def initial_ideal_minimal_generators(basis):
-    """Minimal monomial generators of the leading-term ideal of the basis."""
-    lts = set()
-    for b in basis:
-        p = SparsePoly.from_binomial(b) if isinstance(b, Binomial) else b
-        lts.add(leading_term(p))
-    ordered = sorted(lts, key=len)
+    """Minimal monomial generators of the leading-term ideal of the
+    Binomials ``basis``."""
+    ordered = sorted({b.plus for b in basis}, key=len)
     kept = []
     for t in ordered:
         if not any(divides(s, t) for s in kept):

@@ -11,48 +11,60 @@ Under this order the leading term of every 2x2 minor of the horizontal or
 vertical concatenation is its main-diagonal product, so we call it the
 diagonal order.  A monomial is stored as a tuple of Variables sorted with
 the largest variable first.
+
+This module is the only definition of the order: ``_monomial_key`` sorts
+monomials from the largest down, and ``lex_greater``, ``Binomial.make`` and
+everything in ``groebner`` (leading terms, the reduction strategy, the
+printed term order) read it from here.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     i: int
     j: int
     k: int
+    #: sort key: a smaller key is a larger variable in the diagonal order
+    order_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.i < 1 or self.j < 1 or self.k < 1:
             raise ValueError(f"variable indices must be positive: {self}")
-
-    @property
-    def order_key(self):
-        """Sort key: smaller key means larger variable in the diagonal order."""
-        return (self.k, self.i, self.j)
+        object.__setattr__(self, "order_key", (self.k, self.i, self.j))
 
     def __str__(self):
         return f"x[{self.i},{self.j},{self.k}]"
 
 
+_order_key = attrgetter("order_key")
+
+# sorts above every variable key, so a monomial comes after its extensions
+_END = ((float("inf"),),)
+
+
 def monomial(variables):
     """Canonical monomial: variables sorted largest-first."""
-    return tuple(sorted(variables, key=lambda v: v.order_key))
+    return tuple(sorted(variables, key=_order_key))
 
 
-def lex_greater(a, b):
-    """Compare canonical monomials under the diagonal lexicographic order.
+def _monomial_key(mono):
+    """Sort key of a canonical monomial: a smaller key is a larger monomial.
 
     Pure lex: the first differing variable decides; with one monomial a
     prefix of the other, the longer (higher-degree) one is greater.
     """
-    for va, vb in zip(a, b):
-        if va != vb:
-            return va.order_key < vb.order_key
-    return len(a) > len(b)
+    return tuple([v.order_key for v in mono]) + _END
+
+
+def lex_greater(a, b):
+    """True iff canonical monomial a is above b in the diagonal order."""
+    return _monomial_key(a) < _monomial_key(b)
 
 
 def monomial_str(mono):

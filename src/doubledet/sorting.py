@@ -6,12 +6,18 @@ z_1..z_r, ordered block by block).  To sort a pair, concatenate the two
 exponent sequences, sort the combined sequence weakly increasing, and deal
 it back out alternately: odd positions form the first output monomial,
 even positions the second.  A pair is sorted when this operation fixes it.
+
+This module also holds the only definition of the monomial map
+phi: x[i,j,k] -> x_i * y_j * z_k, whose kernel is the ideal of the minors:
+``phi_monomial`` applies it to a product of ring variables and
+``in_kernel`` is the one kernel-membership test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import grid
 from .errors import check_sizes
 from .ring import Binomial, Variable
 
@@ -95,32 +101,19 @@ def is_sorted(u1, u2):
 
 
 def a_mnr(m, n, r):
-    """All degree-3 monomials x_i*y_j*z_k, in lexicographic (i, j, k) order.
+    """All degree-3 monomials x_i*y_j*z_k, the images of the ring variables,
+    in lexicographic (i, j, k) order.
 
     This set is sortable: sorting any pair takes componentwise min/max of
     the index triples, which stays inside the set.
     """
-    alphabet = BlockAlphabet.xyz(m, n, r)
-    return [
-        BlockMonomial.make(alphabet, (alphabet.var_id(0, i),
-                                      alphabet.var_id(1, j),
-                                      alphabet.var_id(2, k)))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-        for k in range(1, r + 1)
-    ]
-
-
-def phi(v: Variable, m, n, r):
-    """The monomial map on variables: x[i,j,k] -> x_i * y_j * z_k."""
-    alphabet = BlockAlphabet.xyz(m, n, r)
-    return BlockMonomial.make(alphabet, (alphabet.var_id(0, v.i),
-                                         alphabet.var_id(1, v.j),
-                                         alphabet.var_id(2, v.k)))
+    return [phi_monomial((Variable(*p),), m, n, r)
+            for p in grid.grid_points(m, n, r)]
 
 
 def phi_monomial(variables, m, n, r):
-    """Multiplicative extension of phi to a product of ring variables."""
+    """The monomial map on a product of ring variables:
+    x[i,j,k] -> x_i * y_j * z_k, extended multiplicatively."""
     alphabet = BlockAlphabet.xyz(m, n, r)
     ids = []
     for v in variables:

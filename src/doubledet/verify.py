@@ -195,10 +195,14 @@ def build_checks(m, n, r, level, budget):
     @check("facet-count-purity", tier=1)
     def facet_catalog():
         report = invariants.compute_invariants(m, n, r)
-        # a facet of the wrong size raises ArithmeticError as it is decoded
-        count = sum(1 for _ in simplicial.facets(m, n, r, budget=budget))
+        count = 0
+        for facet in simplicial.facets(m, n, r, budget=budget):
+            if len(facet.vertices) != report.dim:
+                raise CheckFailed(f"facet {facet.word} has size "
+                                  f"{len(facet.vertices)}, dim {report.dim}")
+            count += 1
         _require(count == report.multiplicity, f"{count} facets")
-        return f"{count} facets, all of size {m + n + r - 2}"
+        return f"{count} facets, all of size {report.dim}"
 
     @check("facets-vs-bruteforce", tier=1)
     def facets_vs_bruteforce():

@@ -16,6 +16,13 @@ PAPER_VERTICES = ("(4,5),(3,5),(3,7),(2,7),(2,8),(2,9),(2,10),(2,11),"
                   "(1,11),(1,12)")
 
 
+def fresh_env():
+    """Environment for a child interpreter that imports this checkout."""
+    src = pathlib.Path(doubledet.__file__).parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -202,14 +209,40 @@ def test_generators_minors_csv(capsys):
 def test_long_words_need_no_recursion(argv):
     # a fresh interpreter, so the default recursion limit applies: the
     # enumerators must not recurse once per letter or element
-    src = pathlib.Path(doubledet.__file__).parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "doubledet.cli", *argv],
-                          env=env, capture_output=True, text=True,
+                          env=fresh_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_reader_closing_the_pipe_is_no_error():
+    # 1.8 MB of output, far more than a pipe buffers, so the writes after
+    # the reader leaves hit the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "doubledet.cli", "facets", "5", "5", "4",
+         "--style", "paths"],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 141
+
+
+def test_python_m_doubledet_is_the_cli():
+    runs = [subprocess.run([sys.executable, "-m", module,
+                            "invariants", "2", "2", "2"],
+                           env=fresh_env(), capture_output=True, text=True,
+                           timeout=60)
+            for module in ("doubledet", "doubledet.cli")]
+    assert runs[0].stderr == runs[1].stderr == ""
+    assert (runs[0].stdout, runs[0].returncode) == (runs[1].stdout, 0)
 
 
 def test_bad_sizes_exit_2(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doubledet.errors import SizeGuardError
-from doubledet.grid import (GridPoint, comparable, count_comparable_pairs,
+from doubledet.grid import (comparable, count_comparable_pairs,
                             count_incomparable_pairs, grid_points, join,
                             lattice_isomorphic_to_ideals, meet)
 
@@ -16,27 +16,11 @@ def comparable_pairs_bruteforce(m, n, r):
                if comparable(points[a], points[b]))
 
 
-def test_point_validation():
-    GridPoint(2, 1, 3, (2, 2, 3))
-    for bad in [(0, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 4)]:
-        with pytest.raises(ValueError):
-            GridPoint(*bad, bounds=(2, 2, 3))
-
-
 def test_meet_join_examples():
-    b = (2, 2, 3)
-    p, q = GridPoint(2, 1, 3, b), GridPoint(1, 2, 3, b)
-    assert meet(p, q).coords == (1, 1, 3)
-    assert join(p, q).coords == (2, 2, 3)
+    p, q = (2, 1, 3), (1, 2, 3)
+    assert meet(p, q) == (1, 1, 3)
+    assert join(p, q) == (2, 2, 3)
     assert meet(p, p) == p and join(q, q) == q
-
-
-def test_mismatched_bounds_rejected():
-    p = GridPoint(1, 1, 1, (2, 2, 2))
-    q = GridPoint(1, 1, 1, (2, 2, 3))
-    for op in (meet, join, comparable):
-        with pytest.raises(ValueError):
-            op(p, q)
 
 
 def test_lattice_laws_exhaustive_222():
@@ -56,18 +40,16 @@ def test_lattice_laws_exhaustive_222():
        st.data())
 def test_lattice_laws_random_333(m, n, r, data):
     pick = st.tuples(st.integers(1, m), st.integers(1, n), st.integers(1, r))
-    p, q, s = (GridPoint(*data.draw(pick), bounds=(m, n, r))
-               for _ in range(3))
+    p, q, s = (data.draw(pick) for _ in range(3))
     assert meet(p, join(q, s)) == join(meet(p, q), meet(p, s))
     assert join(p, meet(q, s)) == meet(join(p, q), join(p, s))
     assert comparable(p, q) == (meet(p, q) in (p, q))
 
 
 def test_comparable_examples():
-    b = (2, 2, 3)
-    assert comparable(GridPoint(1, 1, 1, b), GridPoint(2, 2, 2, b))
-    assert not comparable(GridPoint(2, 1, 1, b), GridPoint(1, 2, 1, b))
-    assert comparable(GridPoint(2, 1, 2, b), GridPoint(2, 1, 3, b))
+    assert comparable((1, 1, 1), (2, 2, 2))
+    assert not comparable((2, 1, 1), (1, 2, 1))
+    assert comparable((2, 1, 2), (2, 1, 3))
 
 
 def test_count_comparable_pairs_examples():

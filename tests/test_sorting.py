@@ -3,14 +3,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet.grid import GridPoint, comparable
+from doubledet.grid import comparable
 from doubledet.ring import Binomial, Variable
 from doubledet.sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
-                               is_sorted, phi, phi_monomial, sort_pair)
+                               is_sorted, phi_monomial, sort_pair)
 
 
 def xyz_monomial(m, n, r, i, j, k):
-    return phi(Variable(i, j, k), m, n, r)
+    return phi_monomial((Variable(i, j, k),), m, n, r)
 
 
 def test_alphabet_layout():
@@ -102,11 +102,9 @@ def test_unsorted_iff_incomparable():
         triples = list(product(range(1, m + 1), range(1, n + 1),
                                range(1, r + 1)))
         for a, b in combinations(triples, 2):
-            pa = GridPoint(*a, bounds=(m, n, r))
-            pb = GridPoint(*b, bounds=(m, n, r))
             ua = xyz_monomial(m, n, r, *a)
             ub = xyz_monomial(m, n, r, *b)
-            assert is_sorted(ua, ub) == comparable(pa, pb)
+            assert is_sorted(ua, ub) == comparable(a, b)
 
 
 def test_sort_matches_meet_join_on_grid():
@@ -120,11 +118,11 @@ def test_sort_matches_meet_join_on_grid():
 
 
 def test_phi_examples():
-    assert str(phi(Variable(1, 2, 3), 2, 2, 3)) == "x1*y2*z3"
+    assert str(phi_monomial((Variable(1, 2, 3),), 2, 2, 3)) == "x1*y2*z3"
     u = phi_monomial((Variable(1, 1, 1), Variable(2, 2, 2)), 2, 2, 2)
     assert str(u) == "x1*x2*y1*y2*z1*z2"
     with pytest.raises(ValueError):
-        phi(Variable(3, 1, 1), 2, 2, 2)
+        phi_monomial((Variable(3, 1, 1),), 2, 2, 2)
 
 
 def test_in_kernel_examples():

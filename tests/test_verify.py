@@ -14,21 +14,31 @@ from doubledet.errors import BudgetExceededError, CheckFailed, SizeGuardError
 
 SRC = pathlib.Path(doubledet.__file__).parent
 
-#: a broken closed form, and the check that must report it
+#: the check that must report a broken closed form: the lowest level that
+#: runs it, and the code that breaks the closed form
 SABOTAGE = {
-    "multiplicity-extensions": (
+    "multiplicity-extensions": ("formulas", (
         "real = invariants.multiplicity\n"
-        "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n"),
-    "minor-decomposition": "generators._expansion = lambda parts: {}\n",
+        "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n")),
+    "minor-decomposition": (
+        "formulas", "generators._expansion = lambda parts: {}\n"),
+    # regularity = dim + a still holds, so only an oracle for dim sees it
+    "facet-count-purity": ("complex", (
+        "real = invariants.compute_invariants\n"
+        "def compute_invariants(m, n, r):\n"
+        "    rep = real(m, n, r)\n"
+        "    return dataclasses.replace(rep, dim=rep.dim + 1,\n"
+        "                               a_invariant=rep.a_invariant - 1)\n"
+        "invariants.compute_invariants = compute_invariants\n")),
 }
 
 
-def run_sabotaged(check, optimize):
-    script = ("import sys\n"
+def run_sabotaged(sabotage, level, optimize):
+    script = ("import dataclasses, sys\n"
               "from doubledet import cli, generators, invariants\n"
-              + SABOTAGE[check]
+              + sabotage
               + "sys.exit(cli.main(['verify', '2', '2', '2', "
-                "'--level', 'formulas']))\n")
+                f"'--level', '{level}']))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     flags = ["-O"] if optimize else []
@@ -40,9 +50,11 @@ def run_sabotaged(check, optimize):
     ("multiplicity-extensions", True),
     ("minor-decomposition", True),
     ("multiplicity-extensions", False),
+    ("facet-count-purity", True),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(check, optimize):
-    proc = run_sabotaged(check, optimize)
+    level, sabotage = SABOTAGE[check]
+    proc = run_sabotaged(sabotage, level, optimize)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert f"\nFAIL {check} (" in proc.stdout
     assert "Traceback" not in proc.stderr
