@@ -74,6 +74,8 @@ def _cases():
         ["invariants", "0", "2", "2"],
         ["verify", "2", "2", "2", "--budget", "0"],
         ["facets", "4", "5", "3", "--budget", "100"],
+        ["facets", "4", "5", "3", "--budget", "100", "-f", "json"],
+        ["facets", "4", "5", "3", "--budget", "100", "-f", "csv"],
         ["word2facet", "2", "2", "3", "MMRR"],
         ["extend", "2", "2", "2", "--vertices", "(1,1),(2,2)"],
         ["hpoly", "2", "2"],
