@@ -3,7 +3,8 @@
 One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
-or --format json/csv with stable key order.  Exit status: 0 success,
+or --format json/csv with stable key order.  `facets` writes each facet
+as it is decoded and holds no catalog.  Exit status: 0 success,
 1 failed verification, 2 invalid input or exhausted budget, 141 (128 +
 SIGPIPE, as a shell reports a process killed by it) when the reader
 closes stdout before the output ends.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -243,8 +245,10 @@ def cmd_hpoly(args):
 
 
 def cmd_facets(args):
-    catalog = list(simplicial.facets(args.m, args.n, args.r,
-                                     budget=args.budget))
+    stream = simplicial.facets(args.m, args.n, args.r, budget=args.budget)
+    # the first facet runs the budget check, so a refusal precedes the
+    # CSV header; every catalog has at least one facet
+    catalog = itertools.chain([next(stream)], stream)
     _emit(args, lambda: [_facet_json(f) for f in catalog], FACET_HEADER,
           lambda: (_facet_row(i, f) for i, f in enumerate(catalog, start=1)),
           lambda: ((f"{f.word}: {_facet_paths_text(f)}" for f in catalog)

@@ -143,19 +143,16 @@ def generator_families(m, n, r):
                                  (Variable(i1, j2, k1), Variable(i2, j1, k2)),
                                  (Variable(i2, j1, k1), Variable(i1, j2, k2)),
                                  (Variable(i2, j2, k1), Variable(i1, j1, k2))))
-    return {"same_row": same_row, "same_column": same_column,
-            "same_block": same_block, "mixed": mixed}
+    return dict(zip(FAMILY_KEYS, (same_row, same_column, same_block, mixed)))
 
 
 def family_sizes(m, n, r):
     """Closed-form family cardinalities."""
     check_sizes(m, n, r)
-    return {
-        "same_row": m * comb(r, 2) * comb(n, 2),
-        "same_column": n * comb(r, 2) * comb(m, 2),
-        "same_block": r * comb(m, 2) * comb(n, 2),
-        "mixed": 3 * comb(r, 2) * comb(m, 2) * comb(n, 2),
-    }
+    return dict(zip(FAMILY_KEYS, (m * comb(r, 2) * comb(n, 2),
+                                  n * comb(r, 2) * comb(m, 2),
+                                  r * comb(m, 2) * comb(n, 2),
+                                  3 * comb(r, 2) * comb(m, 2) * comb(n, 2))))
 
 
 def sorting_relations(m, n, r):

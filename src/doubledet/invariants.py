@@ -12,7 +12,7 @@ series) exist to cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
 
@@ -59,16 +59,10 @@ class InvariantReport:
                 f"regularity {self.regularity} != deg h = {h.degree}")
 
     def to_dict(self):
-        """Stable key order for JSON output."""
-        return {
-            "mu": self.mu,
-            "dim": self.dim,
-            "multiplicity": self.multiplicity,
-            "regularity": self.regularity,
-            "a_invariant": self.a_invariant,
-            "gorenstein": self.gorenstein,
-            "h_polynomial": list(self.h_polynomial.coeffs),
-        }
+        """The fields in declaration order (a stable key order for JSON
+        output), with the h-polynomial as its coefficient list."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "h_polynomial": list(self.h_polynomial.coeffs)}
 
 
 def minimal_generator_count(m, n, r):

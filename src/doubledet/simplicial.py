@@ -10,11 +10,16 @@ up (-1,0) and right (0,1); writing the steps as letters M (up) and
 N (right) and separating consecutive paths by R encodes each facet as a
 word with exactly m-1 M's, n-1 N's and r-1 R's, and this is a bijection.
 The word is therefore used as the identity of a facet.
+
+``is_face``, ``facet_from_vertices`` and ``extend_to_facet`` read their
+input through ``_read_vertices``, the one place that checks a vertex
+against the board and groups a vertex set by matrix in path order.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -48,9 +53,18 @@ def vertex_for_variable(v: Variable, n):
     return Vertex(v.i, (v.k - 1) * n + v.j)
 
 
-def _check_vertex(v, m, n, r):
-    if not (1 <= v.row <= m and 1 <= v.col <= n * r):
-        raise ValueError(f"vertex {v} outside the {m} x {n * r} board")
+def _read_vertices(vertices, m, n, r):
+    """The set of ``Vertex``es given and, for k = 1..r, entry k-1 the list
+    of those in matrix k in path order (column ascending, row descending).
+    Rejects a vertex off the m x nr board."""
+    check_sizes(m, n, r)
+    verts = {Vertex(*v) for v in vertices}
+    blocks = [[] for _ in range(r)]
+    for v in sorted(verts, key=lambda v: (v.col, -v.row)):
+        if not (1 <= v.row <= m and 1 <= v.col <= n * r):
+            raise ValueError(f"vertex {v} outside the {m} x {n * r} board")
+        blocks[v.block(n) - 1].append(v)
+    return verts, blocks
 
 
 def conflicts(v1, v2, m, n, r):
@@ -100,13 +114,9 @@ def board(m, n, r):
 
 def is_face(vertices, m, n, r):
     """True iff no pair of the given vertices conflicts."""
-    check_sizes(m, n, r)
-    verts = [Vertex(*v) for v in vertices]
-    for v in verts:
-        _check_vertex(v, m, n, r)
-    return not any(conflicts(verts[a], verts[b], m, n, r)
-                   for a in range(len(verts))
-                   for b in range(a + 1, len(verts)))
+    verts, _ = _read_vertices(vertices, m, n, r)
+    return not any(conflicts(a, b, m, n, r)
+                   for a, b in combinations(verts, 2))
 
 
 class Facet:
@@ -184,19 +194,11 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
 def facet_from_vertices(vertices, m, n, r):
     """Reconstruct a facet from its vertex set; rejects sets that are not
     facets (wrong block structure, broken paths, stray vertices)."""
-    check_sizes(m, n, r)
-    verts = {Vertex(*v) for v in vertices}
-    for v in verts:
-        _check_vertex(v, m, n, r)
-    blocks = [[] for _ in range(r)]
-    for v in verts:
-        blocks[v.block(n) - 1].append(v)
+    verts, blocks = _read_vertices(vertices, m, n, r)
     words = []
-    for k in range(1, r + 1):
-        block = blocks[k - 1]
+    for k, block in enumerate(blocks, start=1):
         if not block:
             raise ValueError(f"no vertices in matrix {k}: not a facet")
-        block.sort(key=lambda v: v.col - v.row)
         steps = []
         for a, b in zip(block, block[1:]):
             delta = (b.row - a.row, b.col - a.col)
@@ -224,16 +226,10 @@ def extend_to_facet(face_vertices, m, n, r):
     Inside each matrix, consecutive anchor points are then bridged moving
     up first, then right.  Applied to a facet this reproduces it.
     """
-    check_sizes(m, n, r)
-    verts = {Vertex(*v) for v in face_vertices}
-    for v in verts:
-        _check_vertex(v, m, n, r)
-    # per-matrix points in path order, as (row, in-block column)
-    blocks = [[] for _ in range(r + 1)]  # 1-based
-    for v in verts:
-        blocks[v.block(n)].append((v.row, v.block_col(n)))
-    for block in blocks:
-        block.sort(key=lambda p: (p[1], -p[0]))
+    verts, grouped = _read_vertices(face_vertices, m, n, r)
+    # per-matrix points in path order, as (row, in-block column); 1-based
+    blocks = [None] + [[(v.row, v.block_col(n)) for v in block]
+                       for block in grouped]
     occupied = [k for k in range(1, r + 1) if blocks[k]]
     if not occupied:
         for k in range(1, r + 1):

@@ -149,6 +149,10 @@ def build_checks(m, n, r, level, budget):
         _require(width == expected_width, f"width {width} != {expected_width}")
         _require(pure == report.gorenstein,
                  f"pure={pure} but gorenstein={report.gorenstein}")
+        # the Hibi ring of J(P) has dim |P| + 1 and a = -(rank P + 2)
+        _require(report.dim == p.n + 1, f"dim {report.dim} != {p.n + 1}")
+        _require(report.a_invariant == -(rank + 2),
+                 f"a-invariant {report.a_invariant} != {-(rank + 2)}")
         return f"rank {rank}, width {width}, pure={str(pure).lower()}"
 
     @check("hilbert-oracle")
@@ -245,8 +249,8 @@ def build_checks(m, n, r, level, budget):
     def shelling_evidence():
         bound(multinomial((m - 1, n - 1, r - 1)), 2000,
               "verify.shelling_evidence", "facets")
-        ordering = list(simplicial.facets(m, n, r, budget=budget))
-        verdict = simplicial.check_shelling_order(ordering)
+        verdict = simplicial.check_shelling_order(
+            simplicial.facets(m, n, r, budget=budget))
         # open question: recorded, never required
         return f"info: lexicographic order is a shelling: {verdict}"
 

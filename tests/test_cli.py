@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -107,6 +109,25 @@ def test_facets_budget_exit_2(capsys):
     code, _, err = run(capsys, "facets", "4", "5", "3", "--budget", "100")
     assert code == 2
     assert "budget" in err
+
+
+class Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_facets_holds_no_catalog(fmt):
+    # 4,200 facets: a catalog held in memory peaks near 8 MiB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            code = cli.main(["facets", "4", "4", "5", "-f", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_extend_paper_example(capsys):

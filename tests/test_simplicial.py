@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -75,8 +76,16 @@ def test_is_face_examples():
     assert is_face([], 2, 2, 2)
     assert is_face(PAPER_FACE, 4, 5, 3)
     assert not is_face([(1, 1), (2, 2)], 2, 2, 2)
-    with pytest.raises(ValueError):
-        is_face([(1, 5)], 2, 2, 2)
+
+
+@pytest.mark.parametrize("reader", [is_face, facet_from_vertices,
+                                    extend_to_facet])
+# row 0, row m + 1, column 0 and column nr + 1 of the 2 x 4 board
+@pytest.mark.parametrize("vertex", [(0, 1), (3, 1), (1, 0), (1, 5)])
+def test_off_board_vertex_is_named(reader, vertex):
+    message = re.escape(f"vertex {Vertex(*vertex)} outside the 2 x 4 board")
+    with pytest.raises(ValueError, match=message):
+        reader([(2, 1), vertex], 2, 2, 2)
 
 
 def test_face_subsets_of_facets_are_faces():

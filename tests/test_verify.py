@@ -14,6 +14,15 @@ from doubledet.errors import BudgetExceededError, CheckFailed, SizeGuardError
 
 SRC = pathlib.Path(doubledet.__file__).parent
 
+# regularity = dim + a still holds, so only an oracle for dim or a sees it
+DIM_PLUS_ONE = (
+    "real = invariants.compute_invariants\n"
+    "def compute_invariants(m, n, r):\n"
+    "    rep = real(m, n, r)\n"
+    "    return dataclasses.replace(rep, dim=rep.dim + 1,\n"
+    "                               a_invariant=rep.a_invariant - 1)\n"
+    "invariants.compute_invariants = compute_invariants\n")
+
 #: the check that must report a broken closed form: the lowest level that
 #: runs it, and the code that breaks the closed form
 SABOTAGE = {
@@ -22,14 +31,8 @@ SABOTAGE = {
         "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n")),
     "minor-decomposition": (
         "formulas", "generators._expansion = lambda parts: {}\n"),
-    # regularity = dim + a still holds, so only an oracle for dim sees it
-    "facet-count-purity": ("complex", (
-        "real = invariants.compute_invariants\n"
-        "def compute_invariants(m, n, r):\n"
-        "    rep = real(m, n, r)\n"
-        "    return dataclasses.replace(rep, dim=rep.dim + 1,\n"
-        "                               a_invariant=rep.a_invariant - 1)\n"
-        "invariants.compute_invariants = compute_invariants\n")),
+    "poset-stats": ("formulas", DIM_PLUS_ONE),
+    "facet-count-purity": ("complex", DIM_PLUS_ONE),
 }
 
 
@@ -51,6 +54,8 @@ def run_sabotaged(sabotage, level, optimize):
     ("minor-decomposition", True),
     ("multiplicity-extensions", False),
     ("facet-count-purity", True),
+    ("poset-stats", True),
+    ("poset-stats", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(check, optimize):
     level, sabotage = SABOTAGE[check]
