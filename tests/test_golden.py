@@ -67,6 +67,9 @@ def _cases():
         # a budget below the oracles' work
         cases.append(["verify", "2", "2", "2", "--level", "complex",
                       "--budget", "5", *f])
+    # the size the benchmark certifies, so its detail strings are pinned
+    cases.append(["verify", "3", "3", "2", "--level", "groebner",
+                  "-f", "text"])
     cases += [["facets", *sizes, "--style", "paths"]
               for sizes in (("2", "2", "3"), ("3", "3", "3"))]
     # invalid input or exhausted budget: exit 2 with nothing on stdout
