@@ -3,16 +3,25 @@
 Everything here is exact: coefficients are Python ints (reductions of
 binomials can transiently create longer integer combinations), monomials
 are canonical tuples from the ring module, and the reduction strategy is
-fixed (largest reducible term, divisor with the largest leading term), so
-remainders are reproducible.  Nothing here decides an order or a map:
-leading terms, the reduction strategy and the printed term order read the
-diagonal order from ``ring`` (``_monomial_key``, ``lex_greater``), and
-kernel membership is ``sorting.in_kernel``.
+fixed (largest reducible term, divisor with the largest leading term and,
+on a tie of leading terms, the first basis element), so remainders are
+reproducible.
+
+Division reads the leading-term index built by ``_prepare``: it maps each
+leading term to the first basis element that has it, so the divisors of a
+term are found by looking up its sub-monomials, not by scanning the basis.
+``reduce`` builds the index on each call; ``verify_groebner`` builds it
+once and reduces through ``_reduce``.  ``divides``, ``quotient`` and
+``lcm_monomial`` work on the sorted variable tuples directly.
+
+Nothing here decides an order or a map: leading terms, the reduction
+strategy and the printed term order read the diagonal order from ``ring``
+(``_monomial_key``, ``lex_greater``), and kernel membership is
+``sorting.in_kernel``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from . import generators
@@ -79,19 +88,46 @@ def leading_term(p: SparsePoly):
     return min(p.terms, key=_monomial_key)
 
 
+def _difference(b, a):
+    """The multiset b - a as a list in b's order; variables of a that are
+    not in b are ignored.  A sub-list of a sorted tuple stays sorted."""
+    rest = list(b)
+    for v in a:
+        if v in rest:
+            rest.remove(v)
+    return rest
+
+
 def divides(a, b):
     """Monomial divisibility as multisets of variables."""
-    return not Counter(a) - Counter(b)
+    return len(_difference(b, a)) == len(b) - len(a)
 
 
 def quotient(b, a):
     """b / a for monomials with a | b."""
-    counts = Counter(b) - Counter(a)
-    return monomial(counts.elements())
+    return tuple(_difference(b, a))
 
 
 def lcm_monomial(a, b):
-    return monomial((Counter(a) | Counter(b)).elements())
+    return monomial(b + tuple(_difference(a, b)))
+
+
+def _prepare(basis):
+    """The leading-term index of a division basis: ``(index, degrees)``.
+
+    ``index`` maps each leading term to the first basis element that has
+    it; ``degrees`` are the degrees of the leading terms.  Every basis
+    element must be nonzero with unit leading coefficient.
+    """
+    index = {}
+    for b in basis:
+        if not b:
+            raise ValueError("basis elements must be nonzero")
+        lt = leading_term(b)
+        if abs(b.terms[lt]) != 1:
+            raise ValueError("basis leading coefficients must be units")
+        index.setdefault(lt, b)
+    return index, {len(lt) for lt in index}
 
 
 def reduce(p: SparsePoly, basis):
@@ -99,32 +135,34 @@ def reduce(p: SparsePoly, basis):
 
     Strategy: repeatedly take the largest still-reducible term and divide
     by the basis element with the largest leading term among those whose
-    leading term divides it; all basis elements must have unit leading
-    coefficient.  The remainder has no term divisible by any basis leading
-    term, so remainder zero certifies ideal membership whenever the basis
-    is a Groebner basis.
+    leading term divides it, and on a tie of leading terms by the first
+    basis element; all basis elements must have unit leading coefficient.
+    The remainder has no term divisible by any basis leading term, so
+    remainder zero certifies ideal membership whenever the basis is a
+    Groebner basis.  The divisors are looked up in the leading-term index
+    of ``_prepare``, built anew on each call.
     """
-    prepared = []
-    for b in basis:
-        if not b:
-            raise ValueError("basis elements must be nonzero")
-        lt = leading_term(b)
-        if abs(b.terms[lt]) != 1:
-            raise ValueError("basis leading coefficients must be units")
-        prepared.append((lt, b))
+    return _reduce(p, _prepare(basis))
+
+
+def _reduce(p: SparsePoly, prepared):
+    """``reduce`` against a basis already indexed by ``_prepare``."""
+    index, degrees = prepared
     work = dict(p.terms)
     remainder = {}
     while work:
         t = min(work, key=_monomial_key)
-        chosen = None
-        for lt, b in prepared:
-            if divides(lt, t) and (chosen is None or lex_greater(lt, chosen[0])):
-                chosen = (lt, b)
         coeff = work.pop(t)
-        if chosen is None:
+        lt = None
+        for d in degrees:
+            # t is sorted, so each sub-monomial of it is canonical
+            for sub in set(combinations(t, d)):
+                if sub in index and (lt is None or lex_greater(sub, lt)):
+                    lt = sub
+        if lt is None:
             remainder[t] = coeff
             continue
-        lt, b = chosen
+        b = index[lt]
         factor = coeff * b.terms[lt]  # lc is +-1, so this divides exactly
         shift = quotient(t, lt)
         for mono, c in b.scaled(factor, shift).terms.items():
@@ -162,14 +200,15 @@ def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
     pair_count = len(polys) * (len(polys) - 1) // 2
     bound(pair_count, budget, "groebner.verify_groebner", "S-pairs",
           BudgetExceededError)
-    lts = [leading_term(p) for p in polys]
+    prepared = _prepare(polys)
+    lt_vars = [set(leading_term(p)) for p in polys]
     for a, b in combinations(range(len(polys)), 2):
-        if not (Counter(lts[a]) & Counter(lts[b])):
+        if not lt_vars[a] & lt_vars[b]:
             continue  # coprime leading terms: S-pair reduces automatically
-        if reduce(s_polynomial(polys[a], polys[b]), polys):
+        if _reduce(s_polynomial(polys[a], polys[b]), prepared):
             return False
     return all(
-        not reduce(SparsePoly.from_binomial(minor.binomial), polys)
+        not _reduce(SparsePoly.from_binomial(minor.binomial), prepared)
         for minor in generators.minor_basis(m, n, r))
 
 

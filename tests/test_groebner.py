@@ -1,13 +1,15 @@
+from collections import Counter
 from functools import cmp_to_key
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from doubledet.errors import BudgetExceededError
 from doubledet.generators import minor_basis, sorting_relations
-from doubledet.groebner import (SparsePoly, initial_ideal_minimal_generators,
-                                leading_term, lcm_monomial, reduce,
+from doubledet.groebner import (SparsePoly, divides,
+                                initial_ideal_minimal_generators,
+                                leading_term, lcm_monomial, quotient, reduce,
                                 s_polynomial, verify_groebner)
 from doubledet.ring import (Binomial, Variable, lex_greater, monomial,
                            monomial_str)
@@ -90,6 +92,95 @@ def test_every_reader_of_the_diagonal_order_agrees(monos, term_a, term_b):
         assert Binomial.make(term_a, term_b).plus == plus
 
 
+MONOMIALS = st.lists(VARIABLES, max_size=4).map(reference_monomial)
+
+
+@given(MONOMIALS, MONOMIALS)
+def test_monomial_helpers_are_multiset_operations(a, b):
+    ca, cb = Counter(a), Counter(b)
+    assert divides(a, b) == (not ca - cb)
+    big = lcm_monomial(a, b)
+    assert Counter(big) == ca | cb and big == monomial(big)
+    for mono, part in ((big, a), (big, b), (reference_monomial(a + b), a)):
+        q = quotient(mono, part)
+        assert Counter(q) == Counter(mono) - Counter(part)
+        assert q == monomial(q)
+
+
+def reference_reduce(p, basis):
+    """The division strategy written out as a scan of the basis: the largest
+    term still to do, divided by the basis element whose leading term is
+    strictly the greatest of those dividing it (so the first element wins
+    a tie), divisibility being multiset inclusion."""
+    def largest(monos):
+        return next(a for a in monos
+                    if all(a == b or reference_greater(a, b) for b in monos))
+
+    work, remainder = dict(p.terms), {}
+    while work:
+        t = largest(list(work))
+        coeff = work.pop(t)
+        chosen = None
+        for b in basis:
+            lt = largest(list(b.terms))
+            if not Counter(lt) - Counter(t) and (
+                    chosen is None or reference_greater(lt, chosen[0])):
+                chosen = (lt, b)
+        if chosen is None:
+            remainder[t] = coeff
+            continue
+        lt, b = chosen
+        shift = list((Counter(t) - Counter(lt)).elements())
+        for mono, c in b.terms.items():
+            mono = reference_monomial(list(mono) + shift)
+            if mono != t:
+                work[mono] = work.get(mono, 0) - c * coeff * b.terms[lt]
+                if not work[mono]:
+                    del work[mono]
+    return SparsePoly(remainder)
+
+
+def minor_polys(m, n, r):
+    return [SparsePoly.from_binomial(mi.binomial)
+            for mi in minor_basis(m, n, r)]
+
+
+def tied_minors(m, n, r):
+    """Two minors of the board with the same leading term."""
+    seen = {}
+    for p in minor_polys(m, n, r):
+        lt = leading_term(p)
+        if lt in seen:
+            return seen[lt], p
+        seen[lt] = p
+    raise LookupError("no tie")
+
+
+@st.composite
+def division_problems(draw):
+    """A polynomial of degree 1-4 over a board up to (2, 2, 3), and a
+    shuffled sample of the board's minors, where leading terms can tie."""
+    m, n, r = draw(st.sampled_from([(2, 2, 2), (2, 2, 3), (1, 2, 3)]))
+    minors = draw(st.permutations(minor_polys(m, n, r)))
+    basis = minors[:draw(st.integers(1, len(minors)))]
+    variables = st.builds(Variable, st.integers(1, m), st.integers(1, n),
+                          st.integers(1, r))
+    terms = draw(st.dictionaries(
+        st.lists(variables, min_size=1, max_size=4).map(reference_monomial),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=6))
+    return SparsePoly(terms), basis
+
+
+TIE = tied_minors(2, 2, 3)
+
+
+@given(division_problems())
+@example((SparsePoly({leading_term(TIE[0]): 1}), list(TIE)))
+def test_reduce_matches_the_linear_scan(problem):
+    p, basis = problem
+    assert str(reduce(p, basis)) == str(reference_reduce(p, basis))
+
+
 def test_all_minor_leading_terms_are_diagonals():
     for m, n, r in [(2, 2, 3), (3, 2, 2), (3, 3, 2)]:
         for minor in minor_basis(m, n, r):
@@ -133,7 +224,7 @@ def test_s_polynomial_cancels_leading_terms():
 
 
 def test_verify_groebner_positive():
-    for m, n, r in GB_SIZES:
+    for m, n, r in GB_SIZES + [(3, 3, 3)]:
         minors = [mi.binomial for mi in minor_basis(m, n, r)]
         assert verify_groebner(minors, m, n, r), (m, n, r)
 
@@ -142,6 +233,15 @@ def test_verify_groebner_negative_control():
     single = [Binomial.make((Variable(1, 1, 1), Variable(2, 2, 1)),
                             (Variable(1, 2, 1), Variable(2, 1, 1)))]
     assert verify_groebner(single, 2, 2, 2) is False
+
+
+@pytest.mark.parametrize("size", [(2, 2, 2), (2, 2, 3)])
+def test_verify_groebner_needs_every_leading_term(size):
+    # dropping one minor is no control: another may share its leading term
+    minors = [mi.binomial for mi in minor_basis(*size)]
+    for lt in {b.plus for b in minors}:
+        kept = [b for b in minors if b.plus != lt]
+        assert verify_groebner(kept, *size) is False, lt
 
 
 def test_verify_groebner_rejects_non_members():
