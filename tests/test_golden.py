@@ -1,7 +1,9 @@
-"""Golden outputs: stdout and exit status of every subcommand, byte for byte.
+"""Golden outputs: stdout, stderr and exit status of every subcommand, byte
+for byte.
 
 Each case runs ``cli.main`` in-process and compares what it writes to
-stdout, and the status it returns, with the record in ``golden.json``.
+stdout and stderr, and the status it returns, with the record in
+``golden.json``.
 The cases cover every subcommand in text, JSON and CSV, every ``--show``
 of ``generators``, both ``facets`` styles, ``verify`` at each level, the
 paper's (4, 5, 3) example, the usual exit-2 inputs, and every ``--help``
@@ -81,6 +83,9 @@ def _cases():
         ["facets", "4", "5", "3", "--budget", "100", "-f", "csv"],
         ["word2facet", "2", "2", "3", "MMRR"],
         ["extend", "2", "2", "2", "--vertices", "(1,1),(2,2)"],
+        ["extend", "2", "2", "2", "--vertices", "(3,1)"],
+        ["facet2word", "2", "2", "2", "--vertices",
+         "(2,1),(1,2),(1,3),(1,4)"],
         ["hpoly", "2", "2"],
         ["hilbert", "2", "2", "2", "--max-degree", "-1"],
     ]
@@ -95,16 +100,15 @@ def _key(argv):
 
 
 def run(argv, poset_path):
-    """(exit status, stdout) of one in-process invocation."""
+    """(exit status, stdout, stderr) of one in-process invocation."""
     argv = [poset_path if a == POSET else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # --help
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +127,11 @@ def poset_path(tmp_path_factory):
 @pytest.mark.parametrize("argv", CASES, ids=_key)
 def test_golden(argv, golden, poset_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    code, out = run(argv, poset_path)
+    code, out, err = run(argv, poset_path)
     want = golden[_key(argv)]
     assert code == want["exit"]
     assert out.split("\n") == want["stdout"]
+    assert err.split("\n") == want["stderr"]
 
 
 def test_golden_file_has_no_stale_cases(golden):
@@ -141,8 +146,9 @@ def record():
             handle.write(POSET_TEXT)
         data = {}
         for argv in CASES:
-            code, out = run(argv, poset_path)
-            data[_key(argv)] = {"exit": code, "stdout": out.split("\n")}
+            code, out, err = run(argv, poset_path)
+            data[_key(argv)] = {"exit": code, "stdout": out.split("\n"),
+                                "stderr": err.split("\n")}
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1)
         handle.write("\n")
