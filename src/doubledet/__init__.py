@@ -27,10 +27,10 @@ from .multiset import (descent_polynomial, descents, multinomial,
 from .poset import (Poset, descent_count, is_linear_extension, make_pmnr,
                     pmnr_chain_ranges, poset_from_text, poset_to_text)
 from .ring import Binomial, Variable, parse_binomial
-from .simplicial import (Facet, Vertex, check_shelling_order,
-                         complex_h_vector, extend_to_facet,
-                         facet_from_vertices, facets, initial_generators,
-                         is_face, maximal_faces_bruteforce, parse_vertices,
+from .simplicial import (Facet, check_shelling_order, complex_h_vector,
+                         extend_to_facet, facet_from_vertices, facets,
+                         initial_generators, is_face,
+                         maximal_faces_bruteforce, parse_vertices,
                          vertex_for_variable)
 from .sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
                       is_sorted, phi_monomial, sort_pair)

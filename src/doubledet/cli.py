@@ -101,7 +101,7 @@ def _join(values):
 
 
 def _vertex_list(vertices):
-    return _join(sorted(vertices))
+    return " ".join(map(simplicial.vertex_str, sorted(vertices)))
 
 
 def _minor_json(minor):
@@ -129,8 +129,9 @@ def _facet_json(facet):
 
 
 def _facet_paths_text(facet):
+    text = simplicial.vertex_str
     return " | ".join(
-        f"{path[0]}->{path[-1]}: " + " ".join(str(v) for v in path)
+        f"{text(path[0])}->{text(path[-1])}: " + " ".join(map(text, path))
         for path in facet.paths)
 
 

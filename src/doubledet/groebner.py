@@ -10,9 +10,11 @@ reproducible.
 Division reads the leading-term index built by ``_prepare``: it maps each
 leading term to the first basis element that has it, so the divisors of a
 term are found by looking up its sub-monomials, not by scanning the basis.
-``reduce`` builds the index on each call; ``verify_groebner`` builds it
-once and reduces through ``_reduce``.  ``divides``, ``quotient`` and
-``lcm_monomial`` work on the sorted variable tuples directly.
+``remainders`` is the batch form of ``reduce``: it builds the index once
+and divides every polynomial of a stream by it, so ``verify_groebner``
+and ``verify``'s sorting relations index their basis once.  ``divides``,
+``quotient`` and ``lcm_monomial`` work on the sorted variable tuples
+directly.
 
 Nothing here decides an order or a map: leading terms, the reduction
 strategy and the printed term order read the diagonal order from ``ring``
@@ -22,7 +24,7 @@ strategy and the printed term order read the diagonal order from ``ring``
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import generators
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound
@@ -142,7 +144,15 @@ def reduce(p: SparsePoly, basis):
     Groebner basis.  The divisors are looked up in the leading-term index
     of ``_prepare``, built anew on each call.
     """
-    return _reduce(p, _prepare(basis))
+    return next(remainders([p], basis))
+
+
+def remainders(polys, basis):
+    """Yield the remainder of each of ``polys`` on division by the basis,
+    in order: ``reduce`` on a stream, with the basis indexed once."""
+    prepared = _prepare(basis)
+    for p in polys:
+        yield _reduce(p, prepared)
 
 
 def _reduce(p: SparsePoly, prepared):
@@ -200,24 +210,18 @@ def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
     pair_count = len(polys) * (len(polys) - 1) // 2
     bound(pair_count, budget, "groebner.verify_groebner", "S-pairs",
           BudgetExceededError)
-    prepared = _prepare(polys)
     lt_vars = [set(leading_term(p)) for p in polys]
-    for a, b in combinations(range(len(polys)), 2):
-        if not lt_vars[a] & lt_vars[b]:
-            continue  # coprime leading terms: S-pair reduces automatically
-        if _reduce(s_polynomial(polys[a], polys[b]), prepared):
-            return False
-    return all(
-        not _reduce(SparsePoly.from_binomial(minor.binomial), prepared)
-        for minor in generators.minor_basis(m, n, r))
+    # pairs with coprime leading terms reduce to zero automatically
+    s_polys = (s_polynomial(polys[a], polys[b])
+               for a, b in combinations(range(len(polys)), 2)
+               if lt_vars[a] & lt_vars[b])
+    minors = (SparsePoly.from_binomial(minor.binomial)
+              for minor in generators.minor_basis(m, n, r))
+    return not any(remainders(chain(s_polys, minors), polys))
 
 
 def initial_ideal_minimal_generators(basis):
     """Minimal monomial generators of the leading-term ideal of the
-    Binomials ``basis``."""
-    ordered = sorted({b.plus for b in basis}, key=len)
-    kept = []
-    for t in ordered:
-        if not any(divides(s, t) for s in kept):
-            kept.append(t)
-    return frozenset(kept)
+    Binomials ``basis``: their distinct leading terms, since every
+    ``Binomial`` is quadratic and so no leading term divides another."""
+    return frozenset(b.plus for b in basis)

@@ -11,8 +11,11 @@ N (right) and separating consecutive paths by R encodes each facet as a
 word with exactly m-1 M's, n-1 N's and r-1 R's, and this is a bijection.
 The word is therefore used as the identity of a facet.
 
-``is_face``, ``facet_from_vertices`` and ``extend_to_facet`` read their
-input through ``_read_vertices``, the one place that checks a vertex
+A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
+as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
+column c is column j of matrix k; ``_layout`` is the one reader of that
+split.  ``is_face``, ``facet_from_vertices`` and ``extend_to_facet`` read
+their input through ``_read_vertices``, the one place that checks a vertex
 against the board and groups a vertex set by matrix in path order.
 """
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 import re
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial
@@ -33,49 +35,40 @@ MAX_BRUTEFORCE_VERTICES = 27
 MAX_FACE_VERTICES = 12
 
 
-class Vertex(NamedTuple):
-    row: int
-    col: int
-
-    def block(self, n):
-        """Index k of the matrix whose columns contain this vertex."""
-        return (self.col - 1) // n + 1
-
-    def block_col(self, n):
-        """Column inside that matrix."""
-        return (self.col - 1) % n + 1
-
-    def __str__(self):
-        return f"({self.row},{self.col})"
-
-
 def vertex_for_variable(v: Variable, n):
-    return Vertex(v.i, (v.k - 1) * n + v.j)
+    return v.i, (v.k - 1) * n + v.j
+
+
+def _layout(col, n):
+    """(k - 1, j - 1) for board column col: column j of matrix k."""
+    return divmod(col - 1, n)
 
 
 def _read_vertices(vertices, m, n, r):
-    """The set of ``Vertex``es given and, for k = 1..r, entry k-1 the list
-    of those in matrix k in path order (column ascending, row descending).
-    Rejects a vertex off the m x nr board."""
+    """The set of ``(row, col)`` vertices given and, for k = 1..r, entry
+    k-1 the list of those in matrix k in path order (column ascending, row
+    descending).  Rejects a vertex off the m x nr board."""
     check_sizes(m, n, r)
-    verts = {Vertex(*v) for v in vertices}
+    verts = {(row, col) for row, col in vertices}
     blocks = [[] for _ in range(r)]
-    for v in sorted(verts, key=lambda v: (v.col, -v.row)):
-        if not (1 <= v.row <= m and 1 <= v.col <= n * r):
-            raise ValueError(f"vertex {v} outside the {m} x {n * r} board")
-        blocks[v.block(n) - 1].append(v)
+    for v in sorted(verts, key=lambda v: (v[1], -v[0])):
+        row, col = v
+        if not (1 <= row <= m and 1 <= col <= n * r):
+            raise ValueError(
+                f"vertex {vertex_str(v)} outside the {m} x {n * r} board")
+        blocks[_layout(col, n)[0]].append(v)
     return verts, blocks
 
 
-def conflicts(v1, v2, m, n, r):
+def conflicts(v1, v2, n):
     """True iff the two board positions carry a forbidden (diagonal) pair:
     inside one matrix, both coordinates strictly increase together; across
     matrices, rows increase with the matrix index, or columns do."""
     if v1 == v2:
         return False
-    k1, j1 = v1.block(n), v1.block_col(n)
-    k2, j2 = v2.block(n), v2.block_col(n)
-    i1, i2 = v1.row, v2.row
+    (i1, c1), (i2, c2) = v1, v2
+    k1, j1 = _layout(c1, n)
+    k2, j2 = _layout(c2, n)
     if k1 > k2:
         (i1, j1, k1), (i2, j2, k2) = (i2, j2, k2), (i1, j1, k1)
     if k1 == k2:
@@ -92,7 +85,7 @@ def initial_generators(m, n, r):
         frozenset((verts[a], verts[b]))
         for a in range(len(verts))
         for b in range(a + 1, len(verts))
-        if conflicts(verts[a], verts[b], m, n, r))
+        if conflicts(verts[a], verts[b], n))
 
 
 def initial_generator_count(m, n, r):
@@ -108,14 +101,13 @@ def initial_generator_count(m, n, r):
 def board(m, n, r):
     """All board positions, row-major."""
     check_sizes(m, n, r)
-    return [Vertex(i, c)
-            for i in range(1, m + 1) for c in range(1, n * r + 1)]
+    return [(i, c) for i in range(1, m + 1) for c in range(1, n * r + 1)]
 
 
 def is_face(vertices, m, n, r):
     """True iff no pair of the given vertices conflicts."""
     verts, _ = _read_vertices(vertices, m, n, r)
-    return not any(conflicts(a, b, m, n, r)
+    return not any(conflicts(a, b, n)
                    for a, b in combinations(verts, 2))
 
 
@@ -139,25 +131,19 @@ class Facet:
                 f"word {word!r} needs {m - 1} M's, {n - 1} N's, {r - 1} R's")
         self.m, self.n, self.r, self.word = m, n, r, word
         subwords = word.split("R")
-        suffix = ""
-        g = [1]
-        h = [1]
-        for sub in reversed(subwords[1:]):  # letters after the k-th R
-            suffix = sub + suffix
-            g.append(1 + suffix.count("M"))
-            h.append(1 + suffix.count("N"))
-        g.append(m)
-        h.append(n)
-        self.g = tuple(reversed(g))
-        self.h = tuple(reversed(h))
+        g, h = [m], [n]
+        for sub in subwords:  # path k spends the M's and N's of sub-word k
+            g.append(g[-1] - sub.count("M"))
+            h.append(h[-1] - sub.count("N"))
+        self.g, self.h = tuple(g), tuple(h)
         paths = []
         for k, sub in enumerate(subwords, start=1):
-            row, col = self.g[k - 1], (k - 1) * n + self.h[k]
-            path = [Vertex(row, col)]
+            row, col = g[k - 1], (k - 1) * n + h[k]
+            path = [(row, col)]
             for step in sub:
                 row, col = (row - 1, col) if step == "M" else (row, col + 1)
-                path.append(Vertex(row, col))
-            if path[-1] != Vertex(self.g[k], (k - 1) * n + self.h[k - 1]):
+                path.append((row, col))
+            if path[-1] != (g[k], (k - 1) * n + h[k - 1]):
                 raise ArithmeticError(f"path {k} of {word} misses its corner")
             paths.append(tuple(path))
         self.paths = tuple(paths)
@@ -201,14 +187,15 @@ def facet_from_vertices(vertices, m, n, r):
             raise ValueError(f"no vertices in matrix {k}: not a facet")
         steps = []
         for a, b in zip(block, block[1:]):
-            delta = (b.row - a.row, b.col - a.col)
+            delta = (b[0] - a[0], b[1] - a[1])
             if delta == (-1, 0):
                 steps.append("M")
             elif delta == (0, 1):
                 steps.append("N")
             else:
-                raise ValueError(
-                    f"vertices {a} and {b} are not one step apart: not a facet")
+                raise ValueError(f"vertices {vertex_str(a)} and "
+                                 f"{vertex_str(b)} are not one step apart: "
+                                 "not a facet")
         words.append("".join(steps))
     facet = Facet(m, n, r, "R".join(words))
     if facet.vertices != verts:
@@ -228,7 +215,7 @@ def extend_to_facet(face_vertices, m, n, r):
     """
     verts, grouped = _read_vertices(face_vertices, m, n, r)
     # per-matrix points in path order, as (row, in-block column); 1-based
-    blocks = [None] + [[(v.row, v.block_col(n)) for v in block]
+    blocks = [None] + [[(row, _layout(col, n)[1] + 1) for row, col in block]
                        for block in grouped]
     occupied = [k for k in range(1, r + 1) if blocks[k]]
     if not occupied:
@@ -277,7 +264,7 @@ def maximal_faces_bruteforce(m, n, r):
     compat = [0] * count
     for a in range(count):
         for b in range(count):
-            if a != b and not conflicts(verts[a], verts[b], m, n, r):
+            if a != b and not conflicts(verts[a], verts[b], n):
                 compat[a] |= 1 << b
     out = set()
 
@@ -314,7 +301,7 @@ def all_faces(m, n, r):
     def grow(start):
         faces.append(frozenset(current))
         for a in range(start, count):
-            if all(not conflicts(verts[a], v, m, n, r) for v in current):
+            if all(not conflicts(verts[a], v, n) for v in current):
                 current.append(verts[a])
                 grow(a + 1)
                 current.pop()
@@ -364,6 +351,10 @@ def check_shelling_order(ordering):
     return True
 
 
+def vertex_str(v):
+    return f"({v[0]},{v[1]})"
+
+
 _VERTEX_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
@@ -373,4 +364,4 @@ def parse_vertices(text):
     leftover = _VERTEX_RE.sub("", text).replace(",", "").strip()
     if not found or leftover:
         raise ValueError(f"cannot parse vertex list: {text!r}")
-    return [Vertex(int(a), int(b)) for a, b in found]
+    return [(int(a), int(b)) for a, b in found]

@@ -277,9 +277,9 @@ def build_checks(m, n, r, level, budget):
     def relations_reduce():
         minors = [groebner.SparsePoly.from_binomial(mi.binomial)
                   for mi in generators.minor_basis(m, n, r)]
-        for rel in generators.sorting_relations(m, n, r):
-            rem = groebner.reduce(groebner.SparsePoly.from_binomial(rel),
-                                  minors)
+        relations = generators.sorting_relations(m, n, r)
+        polys = [groebner.SparsePoly.from_binomial(rel) for rel in relations]
+        for rel, rem in zip(relations, groebner.remainders(polys, minors)):
             if rem:
                 raise CheckFailed(f"{rel} does not reduce to zero")
         return "all sorting relations reduce to zero"

@@ -170,7 +170,7 @@ def test_criterion_05_facet_catalog():
 def test_criterion_06_word_codec():
     def body():
         facet = simplicial.Facet(4, 5, 3, PAPER_WORD)
-        assert facet.vertices == {simplicial.Vertex(*v) for v in PAPER_FACET}
+        assert facet.vertices == PAPER_FACET
         assert simplicial.facet_from_vertices(PAPER_FACET, 4, 5, 3) == facet
         for sizes in SIZES3 + [(2, 2, 4), (4, 5, 3)]:
             for f in simplicial.facets(*sizes):

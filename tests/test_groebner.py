@@ -10,7 +10,7 @@ from doubledet.generators import minor_basis, sorting_relations
 from doubledet.groebner import (SparsePoly, divides,
                                 initial_ideal_minimal_generators,
                                 leading_term, lcm_monomial, quotient, reduce,
-                                s_polynomial, verify_groebner)
+                                remainders, s_polynomial, verify_groebner)
 from doubledet.ring import (Binomial, Variable, lex_greater, monomial,
                            monomial_str)
 from doubledet.simplicial import initial_generators, vertex_for_variable
@@ -179,6 +179,8 @@ TIE = tied_minors(2, 2, 3)
 def test_reduce_matches_the_linear_scan(problem):
     p, basis = problem
     assert str(reduce(p, basis)) == str(reference_reduce(p, basis))
+    ps = [p] + [SparsePoly({t: c}) for t, c in p.terms.items()]
+    assert list(remainders(ps, basis)) == [reduce(q, basis) for q in ps]
 
 
 def test_all_minor_leading_terms_are_diagonals():

@@ -7,10 +7,10 @@ import pytest
 from doubledet.errors import BudgetExceededError, SizeGuardError
 from doubledet.invariants import (h_poly_via_words, minimal_generator_count,
                                   multiplicity)
-from doubledet.simplicial import (Facet, Vertex, all_faces,
-                                  check_shelling_order, complex_h_vector,
-                                  extend_to_facet, facet_from_vertices,
-                                  facets, initial_generator_count,
+from doubledet.simplicial import (Facet, all_faces, check_shelling_order,
+                                  complex_h_vector, extend_to_facet,
+                                  facet_from_vertices, facets,
+                                  initial_generator_count,
                                   initial_generators, is_face,
                                   maximal_faces_bruteforce, parse_vertices)
 
@@ -39,10 +39,6 @@ PAPER_223_ORDER = [
     ("RRMN", (((2, 2), (2, 2)), ((2, 4), (2, 4)), ((2, 5), (1, 6)))),
     ("RRNM", (((2, 2), (2, 2)), ((2, 4), (2, 4)), ((2, 5), (1, 6)))),
 ]
-
-
-def vset(pairs):
-    return {Vertex(*p) for p in pairs}
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +105,13 @@ def test_facets_223_catalog():
     assert [f.word for f in catalog] == sorted(w for w, _ in PAPER_223_ORDER)
     by_word = {f.word: f for f in catalog}
     for word, endpoints in PAPER_223_ORDER:
-        got = tuple((tuple(a), tuple(b)) for a, b in by_word[word].path_endpoints())
-        assert got == endpoints, word
+        assert by_word[word].path_endpoints() == endpoints, word
 
 
 def test_facets_degenerate():
     only = list(facets(1, 1, 1))
     assert len(only) == 1
-    assert only[0].vertices == vset([(1, 1)])
+    assert only[0].vertices == {(1, 1)}
     assert only[0].word == ""
 
 
@@ -145,13 +140,44 @@ def test_facets_are_faces():
 
 def test_paper_word_decodes_to_paper_facet():
     facet = Facet(4, 5, 3, PAPER_WORD)
-    assert facet.vertices == vset(PAPER_FACET)
+    assert facet.vertices == PAPER_FACET
     assert facet.g == (4, 3, 2, 1)
     assert facet.h == (5, 5, 2, 1)
     assert facet.path_endpoints() == (
-        (Vertex(4, 5), Vertex(3, 5)),
-        (Vertex(3, 7), Vertex(2, 10)),
-        (Vertex(2, 11), Vertex(1, 12)))
+        ((4, 5), (3, 5)),
+        ((3, 7), (2, 10)),
+        ((2, 11), (1, 12)))
+
+
+def reference_decode(m, n, r, word):
+    """The decoder as first written: profiles by recounting each suffix of
+    the word, paths by walking the steps from each path's start."""
+    subwords = word.split("R")
+    suffix = ""
+    g, h = [1], [1]
+    for sub in reversed(subwords[1:]):
+        suffix = sub + suffix
+        g.append(1 + suffix.count("M"))
+        h.append(1 + suffix.count("N"))
+    g = tuple(reversed(g + [m]))
+    h = tuple(reversed(h + [n]))
+    paths = []
+    for k, sub in enumerate(subwords, start=1):
+        row, col = g[k - 1], (k - 1) * n + h[k]
+        path = [(row, col)]
+        for step in sub:
+            row, col = (row - 1, col) if step == "M" else (row, col + 1)
+            path.append((row, col))
+        paths.append(tuple(path))
+    return g, h, tuple(paths), frozenset(v for p in paths for v in p)
+
+
+def test_decoder_matches_reference():
+    for m, n, r in [(m, n, r) for m in range(1, 5) for n in range(1, 5)
+                    for r in range(1, 5)]:
+        for facet in facets(m, n, r):
+            assert (facet.g, facet.h, facet.paths, facet.vertices) == \
+                reference_decode(m, n, r, facet.word), facet
 
 
 def test_paper_facet_encodes_to_paper_word():
@@ -170,9 +196,9 @@ def test_word_validation():
 
 def test_single_path_staircase():
     facet = Facet(3, 3, 1, "MMNN")
-    assert facet.vertices == vset([(3, 1), (2, 1), (1, 1), (1, 2), (1, 3)])
+    assert facet.vertices == {(3, 1), (2, 1), (1, 1), (1, 2), (1, 3)}
     facet = Facet(3, 3, 1, "NNMM")
-    assert facet.vertices == vset([(3, 1), (3, 2), (3, 3), (2, 3), (1, 3)])
+    assert facet.vertices == {(3, 1), (3, 2), (3, 3), (2, 3), (1, 3)}
 
 
 def test_roundtrip_everywhere():
@@ -204,7 +230,7 @@ def test_facet_from_vertices_rejects_non_facets():
 def test_extend_paper_example():
     facet = extend_to_facet(PAPER_FACE, 4, 5, 3)
     assert facet.word == PAPER_WORD
-    assert facet.vertices == vset(PAPER_FACET)
+    assert facet.vertices == PAPER_FACET
 
 
 def test_extend_fixes_facets():
@@ -233,8 +259,7 @@ def test_extend_rejects_non_face():
 @pytest.mark.parametrize("m, n, r", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
 def test_extend_raises_exactly_on_non_faces(m, n, r):
     # extend_to_facet runs no is_face check of its own
-    verts = [Vertex(i, c) for i in range(1, m + 1)
-             for c in range(1, n * r + 1)]
+    verts = [(i, c) for i in range(1, m + 1) for c in range(1, n * r + 1)]
     for mask in range(1 << len(verts)):
         subset = [v for a, v in enumerate(verts) if mask >> a & 1]
         try:
@@ -258,7 +283,7 @@ def test_bruteforce_matches_parametric():
 def test_bruteforce_222_catalog():
     # frozen from an independent subset-filter enumeration
     expected = {
-        frozenset(vset(s)) for s in [
+        frozenset(s) for s in [
             [(1, 1), (1, 2), (1, 3), (2, 1)],
             [(1, 2), (1, 3), (1, 4), (2, 2)],
             [(1, 2), (1, 3), (2, 1), (2, 2)],
@@ -328,8 +353,8 @@ def test_scrambled_order_result_is_recorded():
 # vertex parsing
 
 def test_parse_vertices():
-    assert parse_vertices("(4,5),(3,7)") == [Vertex(4, 5), Vertex(3, 7)]
-    assert parse_vertices("( 1 , 2 )") == [Vertex(1, 2)]
+    assert parse_vertices("(4,5),(3,7)") == [(4, 5), (3, 7)]
+    assert parse_vertices("( 1 , 2 )") == [(1, 2)]
     for bad in ["", "4,5", "(4,5],(3,7)", "(4,5) junk"]:
         with pytest.raises(ValueError):
             parse_vertices(bad)
