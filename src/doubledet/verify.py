@@ -279,7 +279,8 @@ def build_checks(m, n, r, level, budget):
                   for mi in generators.minor_basis(m, n, r)]
         relations = generators.sorting_relations(m, n, r)
         polys = [groebner.SparsePoly.from_binomial(rel) for rel in relations]
-        for rel, rem in zip(relations, groebner.remainders(polys, minors)):
+        for rel, rem in zip(relations, groebner.remainders(polys, minors),
+                            strict=True):
             if rem:
                 raise CheckFailed(f"{rel} does not reduce to zero")
         return "all sorting relations reduce to zero"
