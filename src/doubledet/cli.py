@@ -52,8 +52,10 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=8)
     p = sub("hpoly", cmd_hpoly, "h-polynomial", sizes=False)
     p.add_argument("sizes", type=int, nargs="*", metavar="m n r")
+    # no default, so cmd_hpoly can refuse an explicit --method with
+    # --poset-file; None means series
     p.add_argument("--method", choices=("series", "words", "extensions",
-                                        "all"), default="series")
+                                        "all"))
     p.add_argument("--poset-file", metavar="FILE",
                    help="descent polynomial over the linear extensions of "
                         "the poset in FILE instead of the three-chain poset")
@@ -214,6 +216,9 @@ def cmd_hpoly(args):
     if args.poset_file:
         if args.sizes:
             raise ValueError("give either sizes m n r or --poset-file")
+        if args.method:
+            raise ValueError("--method applies to sizes m n r, "
+                             "not to --poset-file")
         with open(args.poset_file, encoding="utf-8") as handle:
             p = poset.poset_from_text(handle.read())
         h = invariants.poset_descent_polynomial(p, budget=args.budget)
@@ -229,7 +234,7 @@ def cmd_hpoly(args):
                 m, n, r, budget=args.budget),
         }
         if args.method != "all":
-            h = methods[args.method]()
+            h = methods[args.method or "series"]()
         else:
             results = {name: fn() for name, fn in methods.items()}
             h = results["series"]

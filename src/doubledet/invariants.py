@@ -5,25 +5,30 @@ lattice of an (m, n, r) triple of chains, so every invariant reduces to
 chain combinatorics: minimal generators count incomparable grid pairs,
 multiplicity counts maximal chains, the Hilbert function counts triples of
 monomials, and the h-polynomial is a descent generating function.  The
-three independent h-polynomial computations (descents of words by a
-recursion over letter counts, linear extensions, truncated Hilbert
-series) exist to cross-check each other.
+three independent h-polynomial computations exist to cross-check each
+other: descents of words by a recursion over letter counts, descents of
+the linear extensions of the three-chain poset by a recursion over its
+order ideals, and the truncated Hilbert series.  No route lists the
+linear extensions one by one; that enumeration survives only as the
+brute-force oracle of ``verify``'s ``multiplicity-extensions`` check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 from . import grid, poset as poset_mod
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
-from .multiset import descent_polynomial, descents, multinomial
+from .multiset import descent_polynomial, multinomial
 
 #: fixed caps on the work of the two brute-force oracles
 MAX_MAP_ELEMENTS = 12
 MAX_MONOMIALS = 10 ** 6
+#: fixed cap on poset_descent_polynomial's states in one layer
+MAX_POSET_STATES = 200_000
 
 # exponent in the paper-style Hilbert function display is read as d in all
 # three binomials: the proof counts order-preserving maps chain by chain,
@@ -137,8 +142,8 @@ def h_poly_via_words(m, n, r):
 
 def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
     """Descent generating polynomial over linear extensions of the
-    three-chain poset; agrees with the word count via the label-to-letter
-    bijection."""
+    three-chain poset, by poset_descent_polynomial's recursion; agrees with
+    the word count via the label-to-letter bijection."""
     check_sizes(m, n, r)
     bound(multiplicity(m, n, r), budget,
           "invariants.h_poly_via_linear_extensions", "extensions",
@@ -149,14 +154,47 @@ def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
 
 def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     """Sum of t^descents over all linear extensions of an arbitrary
-    naturally labeled poset."""
-    coeffs = [0] * max(1, p.n)
-    for seen, ext in enumerate(p.linear_extensions(), start=1):
-        if seen > budget:  # bound() on overrun only, not once per extension
-            bound(seen, budget, "invariants.poset_descent_polynomial",
-                  "extensions", BudgetExceededError)
-        coeffs[descents(ext)] += 1
-    return IntPolynomial(coeffs)
+    naturally labeled poset (Stanley's W-polynomial), without listing them.
+
+    Built one position at a time, like ``multiset.descent_polynomial``.  A
+    state is (bitmask of the placed elements, an order ideal; the last
+    element placed, -1 before the first); its value counts the prefixes
+    reaching it by descents.  An element is ready once its lower covers
+    are placed, and placing e after ``last`` is a descent iff last > e.
+    Only the current layer is kept, so the work is (number of order
+    ideals) x n, against e(P) for listing the extensions.  Raises
+    SizeGuardError once a layer passes MAX_POSET_STATES states (it stops
+    building that layer there; no layer holds more states than P has
+    extensions), and BudgetExceededError when the exact count of
+    extensions, h(1), exceeds ``budget``.
+    """
+    below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
+    # a value is its polynomial evaluated at t = 2^width: a coefficient
+    # counts prefixes, never more than n!, so the coefficients sit in
+    # disjoint width-bit slots, adding values adds the polynomials and
+    # << width multiplies by t
+    width = factorial(p.n).bit_length()
+    layer = {(0, -1): 1}
+    for _ in range(p.n):
+        nxt = {}
+        for (placed, last), value in layer.items():
+            for e, need in enumerate(below):
+                if not placed >> e & 1 and need & placed == need:
+                    key = (placed | 1 << e, e)
+                    nxt[key] = nxt.get(key, 0) + (
+                        value << width if last > e else value)
+            if len(nxt) > MAX_POSET_STATES:
+                break  # the layer is already too big; bound() refuses it
+        bound(len(nxt), MAX_POSET_STATES,
+              "invariants.poset_descent_polynomial", "states")
+        layer = nxt
+    total = sum(layer.values())
+    mask = (1 << width) - 1
+    h = IntPolynomial([total >> (width * d) & mask
+                       for d in range(max(1, p.n))])
+    bound(h(1), budget, "invariants.poset_descent_polynomial", "extensions",
+          BudgetExceededError)
+    return h
 
 
 def h_poly_via_series(m, n, r):

@@ -118,7 +118,8 @@ class Poset:
         An extension is a tuple listing all elements so that no element
         appears before one of its predecessors.  The placed elements always
         form an order ideal, so an element is ready once its lower covers
-        are placed.
+        are placed.  This listing is the brute-force oracle for
+        ``invariants.poset_descent_polynomial``, which never calls it.
         """
         below = self._lower
         placed, seq = set(), []  # seq: placed in the order placed

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 from . import generators, grid, groebner, invariants, poset, simplicial
 from .errors import BudgetExceededError, CheckFailed, SizeGuardError, bound
-from .multiset import multinomial
+from .intpoly import IntPolynomial
+from .multiset import descents, multinomial
 from .sorting import in_kernel
 
 LEVELS = ("formulas", "complex", "groebner")
@@ -134,8 +135,17 @@ def build_checks(m, n, r, level, budget):
         mult = invariants.multiplicity(m, n, r)
         bound(mult, budget, "verify.extensions_count", "extensions",
               BudgetExceededError)
-        count = sum(1 for _ in poset.make_pmnr(m, n, r).linear_extensions())
+        # the one listing of the extensions: the brute-force h-polynomial
+        p = poset.make_pmnr(m, n, r)
+        coeffs = [0] * max(1, p.n)
+        for ext in p.linear_extensions():
+            coeffs[descents(ext)] += 1
+        count = sum(coeffs)
         _require(count == mult, f"{count} != {mult}")
+        brute = IntPolynomial(coeffs)
+        h = invariants.h_poly_via_linear_extensions(m, n, r, budget=budget)
+        _require(brute == h, f"listed extensions give {brute}, "
+                             f"the recursion {h}")
         return f"{count} linear extensions = multiplicity"
 
     @check("poset-stats")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import doubledet
-from doubledet import cli, invariants
+from doubledet import cli, invariants, poset
 from doubledet.intpoly import IntPolynomial
 
 PAPER_VERTICES = ("(4,5),(3,5),(3,7),(2,7),(2,8),(2,9),(2,10),(2,11),"
@@ -188,6 +189,53 @@ def test_hpoly_poset_file_with_sizes_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "hpoly", "2", "2", "2",
                        "--poset-file", str(path))
     assert code == 2
+
+
+def test_hpoly_poset_file_with_method_rejected(capsys, tmp_path):
+    path = tmp_path / "p.poset"
+    path.write_text("n=3\n")
+    for method in ("series", "words", "extensions", "all"):
+        code, out, err = run(capsys, "hpoly", "--poset-file", str(path),
+                             "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_hpoly_poset_file_refuses_over_budget_without_listing(
+        capsys, tmp_path, monkeypatch):
+    def no_listing(self):
+        raise AssertionError("linear extensions listed")
+
+    monkeypatch.setattr(poset.Poset, "linear_extensions", no_listing)
+    path = tmp_path / "antichain.poset"
+    path.write_text("n=12\n")
+    code, out, err = run(capsys, "hpoly", "--poset-file", str(path),
+                         "--budget", "1000000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: budget exceeded: invariants.poset_descent_"
+                   "polynomial: 479001600 extensions exceed budget 1000000\n")
+
+
+def test_hpoly_poset_file_states_guard(tmp_path):
+    # in a child capped at 512 MB of address space: without the guard the
+    # recursion over this antichain's 2^40 ideals would take all memory
+    path = tmp_path / "antichain.poset"
+    path.write_text("n=40\n")
+    limit = 512 * 2 ** 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "doubledet", "hpoly", "--poset-file",
+         str(path)],
+        env=fresh_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: invariants.poset_descent_polynomial: ")
+    assert proc.stderr.endswith(
+        f" states exceed guard {invariants.MAX_POSET_STATES}\n")
 
 
 def test_hpoly_missing_sizes(capsys):

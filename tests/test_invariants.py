@@ -2,7 +2,9 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from doubledet import invariants
 from doubledet.errors import BudgetExceededError, SizeGuardError
 from doubledet.grid import comparable, grid_points
 from doubledet.invariants import (check_symmetry, compute_invariants,
@@ -14,6 +16,8 @@ from doubledet.invariants import (check_symmetry, compute_invariants,
                                   minimal_generator_count, multiplicity,
                                   order_preserving_map_count,
                                   poset_descent_polynomial)
+from doubledet.intpoly import IntPolynomial
+from doubledet.multiset import descents
 from doubledet.poset import Poset, make_pmnr
 
 SIZES4 = [(m, n, r) for m in range(1, 5) for n in range(1, 5)
@@ -156,6 +160,57 @@ def test_poset_descent_polynomial_general():
     # chain: single extension, no descent
     assert list(poset_descent_polynomial(
         Poset(3, [(0, 1), (1, 2)])).coeffs) == [1]
+
+
+def descent_polynomial_by_listing(p):
+    """Oracle: sum of t^descents over the listed linear extensions."""
+    coeffs = [0] * max(1, p.n)
+    for ext in p.linear_extensions():
+        coeffs[descents(ext)] += 1
+    return IntPolynomial(coeffs)
+
+
+def natural_posets_up_to(size):
+    """Every naturally labeled poset on at most ``size`` elements, as each
+    subset of the pairs a < b (many subsets give the same poset)."""
+    for n in range(size + 1):
+        pairs = list(combinations(range(n), 2))
+        for k in range(len(pairs) + 1):
+            for chosen in combinations(pairs, k):
+                yield Poset(n, chosen)
+
+
+@st.composite
+def natural_posets(draw, max_size):
+    n = draw(st.integers(0, max_size))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Poset(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+def test_poset_descent_polynomial_every_poset_up_to_5():
+    assert list(poset_descent_polynomial(Poset(0)).coeffs) == [1]
+    for p in natural_posets_up_to(5):
+        assert poset_descent_polynomial(p) == descent_polynomial_by_listing(p)
+
+
+# no deadline: listing the 40320 extensions of an 8-element antichain
+# takes about a quarter of a second, longer than hypothesis's default
+@settings(deadline=None)
+@given(natural_posets(8))
+def test_poset_descent_polynomial_against_listing(p):
+    assert poset_descent_polynomial(p) == descent_polynomial_by_listing(p)
+
+
+def test_poset_descent_polynomial_states_guard(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_POSET_STATES", 6)
+    # a layer never holds more states than there are extensions
+    assert list(poset_descent_polynomial(Poset(3)).coeffs) == [1, 4, 1]
+    with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
+                       r"polynomial: \d+ states exceed guard 6") as info:
+        poset_descent_polynomial(Poset(4))
+    assert not isinstance(info.value, BudgetExceededError)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,16 @@ SABOTAGE = {
         "formulas", "generators._expansion = lambda parts: {}\n"),
     "poset-stats": ("formulas", DIM_PLUS_ONE),
     "facet-count-purity": ("complex", DIM_PLUS_ONE),
+    "h-poly-agreement": ("formulas", (
+        "from doubledet.intpoly import IntPolynomial\n"
+        "real = invariants.poset_descent_polynomial\n"
+        "invariants.poset_descent_polynomial = lambda *args, **kw: (\n"
+        "    real(*args, **kw) + IntPolynomial([0, 1]))\n")),
 }
+
+#: other checks that must also report a sabotage: the listed extensions
+#: are the brute-force oracle of the recursion
+ALSO_FAILS = {"h-poly-agreement": ("multiplicity-extensions",)}
 
 
 def run_sabotaged(sabotage, level, optimize):
@@ -56,12 +65,15 @@ def run_sabotaged(sabotage, level, optimize):
     ("facet-count-purity", True),
     ("poset-stats", True),
     ("poset-stats", False),
+    ("h-poly-agreement", True),
+    ("h-poly-agreement", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(check, optimize):
     level, sabotage = SABOTAGE[check]
     proc = run_sabotaged(sabotage, level, optimize)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert f"\nFAIL {check} (" in proc.stdout
+    for name in (check, *ALSO_FAILS.get(check, ())):
+        assert f"\nFAIL {name} (" in proc.stdout
     assert "Traceback" not in proc.stderr
 
 
