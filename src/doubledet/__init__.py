@@ -8,8 +8,8 @@ from .errors import (DEFAULT_BUDGET, BudgetExceededError, CheckFailed,
                      SizeGuardError)
 from .generators import (FAMILY_KEYS, Minor, decompose_into_minors,
                          family_sizes, generator_families, minor_basis,
-                         minor_dependency_witness, minors_H, minors_V,
-                         sorting_relations)
+                         minor_count, minor_dependency_witness, minors_H,
+                         minors_V, sorting_relations)
 from .grid import (comparable, count_comparable_pairs,
                    count_incomparable_pairs, grid_points, join,
                    lattice_isomorphic_to_ideals, meet)
@@ -24,9 +24,9 @@ from .invariants import (InvariantReport, check_symmetry, compute_invariants,
                          poset_descent_polynomial)
 from .multiset import (descent_polynomial, descents, multinomial,
                        multiset_permutations)
-from .poset import (Poset, descent_count, is_linear_extension, make_pmnr,
-                    pmnr_chain_ranges, poset_from_text, poset_to_text)
-from .ring import Binomial, Variable, parse_binomial
+from .poset import (Poset, make_pmnr, pmnr_chain_ranges, poset_from_text,
+                    poset_to_text)
+from .ring import Binomial, parse_binomial
 from .simplicial import (Facet, check_shelling_order, complex_h_vector,
                          extend_to_facet, facet_from_vertices, facets,
                          initial_generators, is_face,

@@ -7,6 +7,9 @@ presentation ideal is generated by all 2x2 minors of H and V; its minimal
 generators split into four disjoint families according to which of the
 row / column / matrix indices coincide, and each family element is, up to
 sign, one minor or a sum of two.
+
+A variable x[i,j,k] is the grid point (i, j, k), so the sorting relations
+are built from ``grid.meet`` and ``grid.join`` directly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import comb
 
 from . import grid, sorting
 from .errors import check_sizes
-from .ring import Binomial, Variable, monomial
+from .ring import Binomial, monomial, var_str
 
 FAMILY_KEYS = ("same_row", "same_column", "same_block", "mixed")
 
@@ -41,23 +44,17 @@ class Minor:
         a11, a12, a21, a22 = self.entries
         return Binomial.make((a11, a22), (a12, a21))
 
-    @property
-    def block(self):
-        """The matrix index k if all four entries lie in one matrix, else None."""
-        ks = {v.k for v in self.entries}
-        return ks.pop() if len(ks) == 1 else None
-
     def __str__(self):
         return (f"{self.source}[rows={self.rows},cols={self.cols}]: "
                 f"{self.binomial}")
 
 
 def _h_entry(n, i, c):
-    return Variable(i, (c - 1) % n + 1, (c - 1) // n + 1)
+    return i, (c - 1) % n + 1, (c - 1) // n + 1
 
 
 def _v_entry(m, rho, j):
-    return Variable((rho - 1) % m + 1, j, (rho - 1) // m + 1)
+    return (rho - 1) % m + 1, j, (rho - 1) // m + 1
 
 
 def _h_minor(n, i1, i2, c1, c2):
@@ -105,6 +102,15 @@ def minor_basis(m, n, r):
     return out
 
 
+def minor_count(m, n, r):
+    """Closed form for len(minor_basis): the minors of H plus those of V,
+    less the r * C(m,2) * C(n,2) minors inside one matrix, which are
+    minors of both."""
+    check_sizes(m, n, r)
+    return (comb(m, 2) * comb(n * r, 2) + comb(m * r, 2) * comb(n, 2)
+            - r * comb(m, 2) * comb(n, 2))
+
+
 def generator_families(m, n, r):
     """The four disjoint families of minimal generators, keyed by which
     indices agree between the two points being swapped:
@@ -116,20 +122,20 @@ def generator_families(m, n, r):
     """
     check_sizes(m, n, r)
     same_row = [
-        Binomial.make((Variable(i, j2, k1), Variable(i, j1, k2)),
-                      (Variable(i, j1, k1), Variable(i, j2, k2)))
+        Binomial.make(((i, j2, k1), (i, j1, k2)),
+                      ((i, j1, k1), (i, j2, k2)))
         for i in range(1, m + 1)
         for j1, j2 in combinations(range(1, n + 1), 2)
         for k1, k2 in combinations(range(1, r + 1), 2)]
     same_column = [
-        Binomial.make((Variable(i2, j, k1), Variable(i1, j, k2)),
-                      (Variable(i1, j, k1), Variable(i2, j, k2)))
+        Binomial.make(((i2, j, k1), (i1, j, k2)),
+                      ((i1, j, k1), (i2, j, k2)))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j in range(1, n + 1)
         for k1, k2 in combinations(range(1, r + 1), 2)]
     same_block = [
-        Binomial.make((Variable(i1, j2, k), Variable(i2, j1, k)),
-                      (Variable(i1, j1, k), Variable(i2, j2, k)))
+        Binomial.make(((i1, j2, k), (i2, j1, k)),
+                      ((i1, j1, k), (i2, j2, k)))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j1, j2 in combinations(range(1, n + 1), 2)
         for k in range(1, r + 1)]
@@ -137,12 +143,12 @@ def generator_families(m, n, r):
     for i1, i2 in combinations(range(1, m + 1), 2):
         for j1, j2 in combinations(range(1, n + 1), 2):
             for k1, k2 in combinations(range(1, r + 1), 2):
-                sorted_term = (Variable(i1, j1, k1), Variable(i2, j2, k2))
+                sorted_term = ((i1, j1, k1), (i2, j2, k2))
                 mixed.extend(Binomial.make(unsorted, sorted_term)
                              for unsorted in (
-                                 (Variable(i1, j2, k1), Variable(i2, j1, k2)),
-                                 (Variable(i2, j1, k1), Variable(i1, j2, k2)),
-                                 (Variable(i2, j2, k1), Variable(i1, j1, k2))))
+                                 ((i1, j2, k1), (i2, j1, k2)),
+                                 ((i2, j1, k1), (i1, j2, k2)),
+                                 ((i2, j2, k1), (i1, j1, k2))))
     return dict(zip(FAMILY_KEYS, (same_row, same_column, same_block, mixed)))
 
 
@@ -158,9 +164,7 @@ def family_sizes(m, n, r):
 def sorting_relations(m, n, r):
     """One relation per unsorted pair: the product of two incomparable grid
     variables minus the product over their meet and join."""
-    return [Binomial.make((Variable(*a), Variable(*b)),
-                          (Variable(*grid.meet(a, b)),
-                           Variable(*grid.join(a, b))))
+    return [Binomial.make((a, b), (grid.meet(a, b), grid.join(a, b)))
             for a, b in combinations(grid.grid_points(m, n, r), 2)
             if not grid.comparable(a, b)]
 
@@ -186,33 +190,33 @@ def decompose_into_minors(g: Binomial, m, n, r):
     """
     check_sizes(m, n, r)
     for v in g.variables():
-        if v.i > m or v.j > n or v.k > r:
-            raise ValueError(f"variable {v} outside a {m}x{n} x{r} arrangement")
+        if v[0] > m or v[1] > n or v[2] > r:
+            raise ValueError(
+                f"variable {var_str(v)} outside a {m}x{n} x{r} arrangement")
     a, b = g.minus
-    pa, pb = (a.i, a.j, a.k), (b.i, b.j, b.k)
-    lo, hi = grid.meet(pa, pb), grid.join(pa, pb)
-    if (grid.comparable(pa, pb)  # comparable points: not a relation
-            or monomial(g.plus) != monomial((Variable(*lo), Variable(*hi)))):
+    lo, hi = grid.meet(a, b), grid.join(a, b)
+    if (grid.comparable(a, b)  # comparable points: not a relation
+            or monomial(g.plus) != monomial((lo, hi))):
         raise ValueError(f"{g} is not a minimal generator")
     i1, j1, k1 = lo
     i2, j2, k2 = hi
 
-    if a.i == b.i:
+    if a[0] == b[0]:
         # same row: one minor of V
         parts = [(1, _v_minor(m, (k1 - 1) * m + i1, (k2 - 1) * m + i1, j1, j2))]
-    elif a.j == b.j:
+    elif a[1] == b[1]:
         # same column: one minor of H
         parts = [(1, _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k2 - 1) * n + j1))]
-    elif a.k == b.k:
+    elif a[2] == b[2]:
         # one matrix: that matrix's own minor
         parts = [(1, _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k1 - 1) * n + j2))]
     else:
-        low = a if a.k == k1 else b  # the variable from the earlier matrix
+        low = a if a[2] == k1 else b  # the variable from the earlier matrix
         v_min = _v_minor(m, (k1 - 1) * m + i1, (k2 - 1) * m + i2, j1, j2)
         h_min = _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k2 - 1) * n + j2)
-        if (low.i, low.j) == (i1, j2):
+        if low[:2] == (i1, j2):
             parts = [(1, v_min)]
-        elif (low.i, low.j) == (i2, j1):
+        elif low[:2] == (i2, j1):
             parts = [(1, h_min)]
         else:
             # antidiagonal swap: V-minor plus the H-minor on crossed columns

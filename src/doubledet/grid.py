@@ -1,10 +1,11 @@
 """The grid {1..m} x {1..n} x {1..r} under componentwise order.
 
 This is a distributive lattice (a product of three chains); meet and join
-are componentwise min and max.  A point is a plain (i, j, k) tuple, and
-this module holds the only definition of the order on it: ``comparable``,
-``meet`` and ``join`` give the sorting relations in ``generators`` and the
-oracles in ``verify``.  No Hasse diagram is ever materialized.
+are componentwise min and max.  A point is a plain (i, j, k) tuple, and it
+is also the ring variable x[i,j,k] (see ``ring``).  This module holds the
+only definition of the order on it: ``comparable``, ``meet`` and ``join``
+give the sorting relations in ``generators`` and the oracles in
+``verify``.  No Hasse diagram is ever materialized.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ brute-force oracle of ``verify``'s ``multiplicity-extensions`` check.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb, factorial, prod
 
 from . import grid, poset as poset_mod
@@ -24,11 +24,13 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial, one_minus_t_power
 from .multiset import descent_polynomial, multinomial
 
-#: fixed caps on the work of the two brute-force oracles
+#: fixed cap on the work of the brute-force order-preserving map oracle
 MAX_MAP_ELEMENTS = 12
-MAX_MONOMIALS = 10 ** 6
-#: fixed cap on poset_descent_polynomial's states in one layer
+#: fixed caps on poset_descent_polynomial: its elements, its states in one
+#: layer, and its steps (|layer| x n, summed over the layers expanded)
+MAX_POSET_ELEMENTS = 2_000
 MAX_POSET_STATES = 200_000
+MAX_POSET_STEPS = 10 ** 7
 
 # exponent in the paper-style Hilbert function display is read as d in all
 # three binomials: the proof counts order-preserving maps chain by chain,
@@ -162,12 +164,19 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     reaching it by descents.  An element is ready once its lower covers
     are placed, and placing e after ``last`` is a descent iff last > e.
     Only the current layer is kept, so the work is (number of order
-    ideals) x n, against e(P) for listing the extensions.  Raises
-    SizeGuardError once a layer passes MAX_POSET_STATES states (it stops
-    building that layer there; no layer holds more states than P has
-    extensions), and BudgetExceededError when the exact count of
-    extensions, h(1), exceeds ``budget``.
+    ideals) x n, against e(P) for listing the extensions.
+
+    Each state holds an n-bit mask and a value of up to n slots of
+    log2(n!) bits, and expanding a layer takes |layer| x n steps, so three
+    fixed caps refuse the work before it is done: SizeGuardError for more
+    than MAX_POSET_ELEMENTS elements, for a layer whose expansion would
+    take the steps so far past MAX_POSET_STEPS, and once a layer passes
+    MAX_POSET_STATES states (it stops building that layer there; no layer
+    holds more states than P has extensions).  BudgetExceededError when
+    the exact count of extensions, h(1), exceeds ``budget``.
     """
+    where = "invariants.poset_descent_polynomial"
+    bound(p.n, MAX_POSET_ELEMENTS, where, "elements")
     below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
     # a value is its polynomial evaluated at t = 2^width: a coefficient
     # counts prefixes, never more than n!, so the coefficients sit in
@@ -175,7 +184,10 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     # << width multiplies by t
     width = factorial(p.n).bit_length()
     layer = {(0, -1): 1}
+    steps = 0
     for _ in range(p.n):
+        steps += len(layer) * p.n
+        bound(steps, MAX_POSET_STEPS, where, "steps")
         nxt = {}
         for (placed, last), value in layer.items():
             for e, need in enumerate(below):
@@ -185,15 +197,13 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
                         value << width if last > e else value)
             if len(nxt) > MAX_POSET_STATES:
                 break  # the layer is already too big; bound() refuses it
-        bound(len(nxt), MAX_POSET_STATES,
-              "invariants.poset_descent_polynomial", "states")
+        bound(len(nxt), MAX_POSET_STATES, where, "states")
         layer = nxt
     total = sum(layer.values())
     mask = (1 << width) - 1
     h = IntPolynomial([total >> (width * d) & mask
                        for d in range(max(1, p.n))])
-    bound(h(1), budget, "invariants.poset_descent_polynomial", "extensions",
-          BudgetExceededError)
+    bound(h(1), budget, where, "extensions", BudgetExceededError)
     return h
 
 
@@ -248,16 +258,3 @@ def check_symmetry(m, n, r):
             return False
     return True
 
-
-def hilbert_function_bruteforce(m, n, r, d):
-    """Oracle for small inputs: count degree-d monomials in the subring
-    generated by the x_i y_j z_k, i.e. triples of degree-d monomials in
-    m, n and r variables respectively."""
-    check_sizes(m, n, r)
-    bound(hilbert_function(m, n, r, d), MAX_MONOMIALS,
-          "invariants.hilbert_function_bruteforce", "monomials")
-
-    def count_monomials(width):
-        return sum(1 for _ in combinations_with_replacement(range(width), d))
-
-    return count_monomials(m) * count_monomials(n) * count_monomials(r)

@@ -3,7 +3,8 @@
 Elements are the integers 0..n-1; the natural label of element ``e`` is
 ``e + 1``, and every stored order must satisfy ``a`` < ``b`` (as ints)
 whenever ``a`` precedes ``b``.  The order is stored as its transitive
-closure plus its cover relation, both derived once at construction.
+closure, one bitmask of strict successors per element (n^2 / 8 bytes in
+all), plus its cover relation, both derived once at construction.
 Order ideals are frozensets of elements, linear extensions are tuples of
 elements (the sequence in which the elements are listed), and all
 iteration orders are lexicographic in the labels, so repeated runs
@@ -12,13 +13,7 @@ produce identical output.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .errors import bound, check_sizes
-from .multiset import descents
-
-#: fixed cap on the poset elements max_antichain_bruteforce searches
-MAX_ANTICHAIN_ELEMENTS = 20
+from .errors import check_sizes
 
 
 class Poset:
@@ -46,34 +41,26 @@ class Poset:
         # one pass in reverse label order yields the closure and the covers,
         # as edges point upward in label.  A given successor b of a is a
         # cover unless it lies above a smaller given successor; anything
-        # strictly between a and b has a smaller label than b.
+        # strictly between a and b has a smaller label than b.  Bit b of
+        # closure[a] is set iff a strictly precedes b.
         covers, lower = [], [set() for _ in range(n)]
+        closure = [0] * n
         for a in range(n - 1, -1, -1):
-            acc = set()
+            acc = 0
             for b in sorted(up[a]):
-                if b not in acc:
+                if not acc >> b & 1:
                     covers.append((a, b))
                     lower[b].add(a)
-                    acc.add(b)
-                    acc |= up[b]
-            up[a] = acc
-        self._up = tuple(frozenset(s) for s in up)
+                    acc |= 1 << b | closure[b]
+            closure[a] = acc
+        self._up = tuple(closure)
         self._covers = tuple(sorted(covers))
         self._lower = tuple(frozenset(s) for s in lower)
 
-    def less(self, a, b):
-        """True iff a strictly precedes b."""
-        return b in self._up[a]
-
     def comparable(self, a, b):
-        return a == b or b in self._up[a] or a in self._up[b]
-
-    def strict_upset(self, a):
-        return self._up[a]
-
-    def strict_downset(self, a):
-        # natural labeling: every predecessor of a has a smaller label
-        return frozenset(b for b in range(a) if a in self._up[b])
+        # natural labeling: only the smaller label can precede the other
+        lo, hi = sorted((a, b))
+        return lo == hi or self._up[lo] >> hi & 1 == 1
 
     def lower_covers(self, a):
         """The elements a covers: its predecessors with nothing between."""
@@ -142,9 +129,11 @@ class Poset:
         """Largest antichain, via Dilworth: n minus a maximum matching of
         the strict order viewed as a bipartite graph."""
         match = [-1] * self.n  # match[b] = a chained below b
+        above = [[b for b in range(a + 1, self.n) if up >> b & 1]
+                 for a, up in enumerate(self._up)]
 
         def augment(a, seen):
-            for b in self._up[a]:
+            for b in above[a]:
                 if b in seen:
                     continue
                 seen.add(b)
@@ -183,24 +172,6 @@ class Poset:
         return top.bit_count() <= 1
 
 
-def is_linear_extension(p, seq):
-    """Check that seq is a permutation of p's elements respecting the order."""
-    if sorted(seq) != list(range(p.n)):
-        return False
-    pos = {e: s for s, e in enumerate(seq)}
-    return all(pos[a] < pos[b]
-               for a in range(p.n) for b in p.strict_upset(a))
-
-
-def descent_count(seq, p):
-    """Descents of a linear extension: positions where the element placed
-    there carries a larger natural label than its successor."""
-    seq = tuple(seq)
-    if not is_linear_extension(p, seq):
-        raise ValueError("sequence is not a linear extension of the poset")
-    return descents(seq)
-
-
 def make_pmnr(m, n, r):
     """The poset of three disjoint chains with m-1, n-1 and r-1 elements.
 
@@ -223,21 +194,6 @@ def pmnr_chain_ranges(m, n, r):
     b = a + n - 1
     c = b + r - 1
     return range(0, a), range(a, b), range(b, c)
-
-
-def max_antichain_bruteforce(p):
-    """Oracle: largest antichain size by exhaustive subset search."""
-    bound(p.n, MAX_ANTICHAIN_ELEMENTS, "poset.max_antichain_bruteforce",
-          "elements")
-    best = 0
-    for size in range(p.n, 0, -1):
-        if size <= best:
-            break
-        for sub in combinations(range(p.n), size):
-            if all(not p.comparable(a, b) for a, b in combinations(sub, 2)):
-                best = size
-                break
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,10 @@ the key (k, i, j) increases:
 
 Under this order the leading term of every 2x2 minor of the horizontal or
 vertical concatenation is its main-diagonal product, so we call it the
-diagonal order.  A monomial is stored as a tuple of Variables sorted with
-the largest variable first.
+diagonal order.  A variable is its grid point, the plain tuple (i, j, k)
+that ``grid`` orders, meets and joins; ``var_str`` writes it as x[i,j,k].
+A monomial is stored as a tuple of variables sorted with the largest
+variable first.
 
 This module is the only definition of the order: ``_monomial_key`` sorts
 monomials from the largest down, and ``lex_greater``, ``Binomial.make`` and
@@ -21,28 +23,11 @@ printed term order) read it from here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import itemgetter
 
-
-@dataclass(frozen=True, slots=True)
-class Variable:
-    i: int
-    j: int
-    k: int
-    #: sort key: a smaller key is a larger variable in the diagonal order
-    order_key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.k < 1:
-            raise ValueError(f"variable indices must be positive: {self}")
-        object.__setattr__(self, "order_key", (self.k, self.i, self.j))
-
-    def __str__(self):
-        return f"x[{self.i},{self.j},{self.k}]"
-
-
-_order_key = attrgetter("order_key")
+#: sort key (k, i, j) of a variable: a smaller key is a larger variable
+_order_key = itemgetter(2, 0, 1)
 
 # sorts above every variable key, so a monomial comes after its extensions
 _END = ((float("inf"),),)
@@ -59,7 +44,7 @@ def _monomial_key(mono):
     Pure lex: the first differing variable decides; with one monomial a
     prefix of the other, the longer (higher-degree) one is greater.
     """
-    return tuple([v.order_key for v in mono]) + _END
+    return tuple(map(_order_key, mono)) + _END
 
 
 def lex_greater(a, b):
@@ -67,8 +52,13 @@ def lex_greater(a, b):
     return _monomial_key(a) < _monomial_key(b)
 
 
+def var_str(v):
+    """The text form x[i,j,k] of the variable (i, j, k)."""
+    return "x[{},{},{}]".format(*v)
+
+
 def monomial_str(mono):
-    return "*".join(str(v) for v in mono)
+    return "*".join(map(var_str, mono))
 
 
 @dataclass(frozen=True)
@@ -114,6 +104,9 @@ def parse_binomial(text):
         found = _VAR_RE.findall(side)
         if len(found) != 2 or _VAR_RE.sub("", side).replace("*", "").strip():
             raise ValueError(f"bad binomial term: {side.strip()!r}")
-        terms.append(tuple(Variable(int(i), int(j), int(k))
-                           for i, j, k in found))
+        term = tuple(tuple(map(int, v)) for v in found)
+        if any(index < 1 for v in term for index in v):
+            raise ValueError(
+                f"variable indices must be positive: {side.strip()!r}")
+        terms.append(term)
     return Binomial.make(*terms)

@@ -28,15 +28,16 @@ from math import comb
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial
 from .multiset import multinomial, multiset_permutations
-from .ring import Variable
 
 #: fixed caps on the board vertices of maximal_faces_bruteforce and all_faces
 MAX_BRUTEFORCE_VERTICES = 27
 MAX_FACE_VERTICES = 12
 
 
-def vertex_for_variable(v: Variable, n):
-    return v.i, (v.k - 1) * n + v.j
+def vertex_for_variable(v, n):
+    """The board vertex (i, (k-1)n + j) of the variable (i, j, k)."""
+    i, j, k = v
+    return i, (k - 1) * n + j
 
 
 def _layout(col, n):
@@ -162,9 +163,6 @@ class Facet:
 
     def __repr__(self):
         return f"Facet({self.m},{self.n},{self.r},{self.word!r})"
-
-    def path_endpoints(self):
-        return tuple((p[0], p[-1]) for p in self.paths)
 
 
 def facets(m, n, r, budget=DEFAULT_BUDGET):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import grid
 from .errors import check_sizes
-from .ring import Binomial, Variable
+from .ring import Binomial
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,18 @@ def a_mnr(m, n, r):
     This set is sortable: sorting any pair takes componentwise min/max of
     the index triples, which stays inside the set.
     """
-    return [phi_monomial((Variable(*p),), m, n, r)
-            for p in grid.grid_points(m, n, r)]
+    return [phi_monomial((p,), m, n, r) for p in grid.grid_points(m, n, r)]
 
 
 def phi_monomial(variables, m, n, r):
-    """The monomial map on a product of ring variables:
+    """The monomial map on a product of ring variables (i, j, k):
     x[i,j,k] -> x_i * y_j * z_k, extended multiplicatively."""
     alphabet = BlockAlphabet.xyz(m, n, r)
     ids = []
-    for v in variables:
-        ids.extend((alphabet.var_id(0, v.i),
-                    alphabet.var_id(1, v.j),
-                    alphabet.var_id(2, v.k)))
+    for i, j, k in variables:
+        ids.extend((alphabet.var_id(0, i),
+                    alphabet.var_id(1, j),
+                    alphabet.var_id(2, k)))
     return BlockMonomial.make(alphabet, tuple(ids))
 
 

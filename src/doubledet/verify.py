@@ -116,7 +116,12 @@ def build_checks(m, n, r, level, budget):
             _require(all(in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")
         minors = generators.minor_basis(m, n, r)
-        _require(all(in_kernel(mi.binomial, m, n, r) for mi in minors),
+        expected = generators.minor_count(m, n, r)
+        _require(len(minors) == expected,
+                 f"{len(minors)} minors, closed form {expected}")
+        binomials = {mi.binomial for mi in minors}
+        _require(len(binomials) == len(minors), "a minor is listed twice")
+        _require(all(in_kernel(b, m, n, r) for b in binomials),
                  "a minor is not in the kernel")
         return f"{len(minors)} minors and all generators in the kernel"
 

@@ -238,6 +238,29 @@ def test_hpoly_poset_file_states_guard(tmp_path):
         f" states exceed guard {invariants.MAX_POSET_STATES}\n")
 
 
+@pytest.mark.parametrize("shape, n", [("antichain", 100_000),
+                                      ("chain", 20_000)])
+def test_hpoly_poset_file_elements_guard(tmp_path, shape, n):
+    # in a child capped at 512 MB of address space: unguarded, the
+    # antichain's first layer alone takes 2.7 GB and the chain's n^2
+    # steps run for minutes, both for nothing
+    covers = range(1, n) if shape == "chain" else ()
+    path = tmp_path / f"{shape}.poset"
+    path.write_text(f"n={n}\n" + "".join(f"{a} < {a + 1}\n" for a in covers))
+    limit = 512 * 2 ** 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "doubledet", "hpoly", "--poset-file",
+         str(path)],
+        env=fresh_env(), capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: invariants.poset_descent_polynomial: {n} elements exceed "
+        f"guard {invariants.MAX_POSET_ELEMENTS}\n")
+
+
 def test_hpoly_missing_sizes(capsys):
     code, _, err = run(capsys, "hpoly", "2", "2")
     assert code == 2

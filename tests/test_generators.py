@@ -5,13 +5,24 @@ import pytest
 
 from doubledet.generators import (decompose_into_minors, family_sizes,
                                   generator_families, minor_basis,
-                                  minor_dependency_witness, minors_H,
-                                  minors_V, sorting_relations)
-from doubledet.ring import Binomial, Variable, parse_binomial
+                                  minor_count, minor_dependency_witness,
+                                  minors_H, minors_V, sorting_relations)
+from doubledet.ring import Binomial, parse_binomial
 from doubledet.sorting import in_kernel
 
 SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
          for r in range(1, 4)]
+
+
+def diagonal_key(v):
+    """The diagonal order's (k, i, j) key of the variable (i, j, k)."""
+    return v[2], v[0], v[1]
+
+
+def block(minor):
+    """The matrix index k if all four entries lie in one matrix, else None."""
+    ks = {k for _, _, k in minor.entries}
+    return ks.pop() if len(ks) == 1 else None
 
 
 def expand(signed_minors):
@@ -19,14 +30,14 @@ def expand(signed_minors):
     acc = Counter()
     for sign, minor in signed_minors:
         a11, a12, a21, a22 = minor.entries
-        acc[tuple(sorted((a11, a22), key=lambda v: v.order_key))] += sign
-        acc[tuple(sorted((a12, a21), key=lambda v: v.order_key))] -= sign
+        acc[tuple(sorted((a11, a22), key=diagonal_key))] += sign
+        acc[tuple(sorted((a12, a21), key=diagonal_key))] -= sign
     return {t: c for t, c in acc.items() if c}
 
 
 def binomial_dict(b):
-    return {tuple(sorted(b.plus, key=lambda v: v.order_key)): 1,
-            tuple(sorted(b.minus, key=lambda v: v.order_key)): -1}
+    return {tuple(sorted(b.plus, key=diagonal_key)): 1,
+            tuple(sorted(b.minus, key=diagonal_key)): -1}
 
 
 def mu_closed(m, n, r):
@@ -49,8 +60,8 @@ def test_minor_counts_111():
 
 
 def test_paper_minor_m1_in_H():
-    m1 = Binomial.make((Variable(1, 1, 1), Variable(2, 2, 2)),
-                       (Variable(2, 1, 1), Variable(1, 2, 2)))
+    m1 = Binomial.make(((1, 1, 1), (2, 2, 2)),
+                       ((2, 1, 1), (1, 2, 2)))
     assert m1 in {mi.binomial for mi in minors_H(2, 2, 2)}
 
 
@@ -59,7 +70,7 @@ def test_minor_layout_and_block():
     assert all(mi.source == "H" for mi in h)
     assert all(mi.rows[0] < mi.rows[1] and mi.cols[0] < mi.cols[1]
                for mi in h)
-    blocks = [mi.block for mi in h]
+    blocks = [block(mi) for mi in h]
     assert set(blocks) == {1, 2, 3, None}
 
 
@@ -67,7 +78,8 @@ def test_minor_dedup_count():
     for m, n, r in SMALL:
         expected = (len(minors_H(m, n, r)) + len(minors_V(m, n, r))
                     - r * comb(m, 2) * comb(n, 2))
-        assert len(minor_basis(m, n, r)) == expected
+        assert len(minor_basis(m, n, r)) == expected == minor_count(m, n, r)
+    assert len(minor_basis(4, 4, 5)) == minor_count(4, 4, 5) == 2100
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +137,8 @@ def test_everything_in_kernel():
 # decompositions
 
 def test_decompose_same_row_is_one_v_minor():
-    g = Binomial.make((Variable(1, 2, 1), Variable(1, 1, 2)),
-                      (Variable(1, 1, 1), Variable(1, 2, 2)))
+    g = Binomial.make(((1, 2, 1), (1, 1, 2)),
+                      ((1, 1, 1), (1, 2, 2)))
     parts = decompose_into_minors(g, 1, 2, 2)
     assert len(parts) == 1
     sign, minor = parts[0]
@@ -135,8 +147,8 @@ def test_decompose_same_row_is_one_v_minor():
 
 
 def test_decompose_mixed_third_form_is_v_plus_h():
-    g = Binomial.make((Variable(2, 2, 1), Variable(1, 1, 2)),
-                      (Variable(1, 1, 1), Variable(2, 2, 2)))
+    g = Binomial.make(((2, 2, 1), (1, 1, 2)),
+                      ((1, 1, 1), (2, 2, 2)))
     parts = decompose_into_minors(g, 2, 2, 2)
     assert len(parts) == 2
     assert {minor.source for _, minor in parts} == {"V", "H"}
@@ -144,11 +156,11 @@ def test_decompose_mixed_third_form_is_v_plus_h():
 
 
 def test_decompose_same_block_is_block_minor():
-    g = Binomial.make((Variable(1, 2, 1), Variable(2, 1, 1)),
-                      (Variable(1, 1, 1), Variable(2, 2, 1)))
+    g = Binomial.make(((1, 2, 1), (2, 1, 1)),
+                      ((1, 1, 1), (2, 2, 1)))
     parts = decompose_into_minors(g, 2, 2, 1)
     assert len(parts) == 1
-    assert parts[0][1].block == 1
+    assert block(parts[0][1]) == 1
     assert expand(parts) == binomial_dict(g)
 
 
@@ -163,18 +175,18 @@ def test_decompose_expands_back_everywhere():
 
 def test_decompose_rejects_outsiders():
     # plus term is not the meet/join pair of the minus term
-    bad = Binomial.make((Variable(1, 2, 1), Variable(2, 1, 1)),
-                        (Variable(1, 2, 2), Variable(2, 1, 2)))
+    bad = Binomial.make(((1, 2, 1), (2, 1, 1)),
+                        ((1, 2, 2), (2, 1, 2)))
     with pytest.raises(ValueError):
         decompose_into_minors(bad, 2, 2, 2)
     # comparable pair is no relation at all
-    comparable_pair = Binomial.make((Variable(1, 1, 1), Variable(2, 2, 1)),
-                                    (Variable(1, 1, 2), Variable(2, 2, 2)))
+    comparable_pair = Binomial.make(((1, 1, 1), (2, 2, 1)),
+                                    ((1, 1, 2), (2, 2, 2)))
     with pytest.raises(ValueError):
         decompose_into_minors(comparable_pair, 2, 2, 2)
     # out-of-range variable
-    g = Binomial.make((Variable(1, 2, 1), Variable(2, 1, 1)),
-                      (Variable(1, 1, 1), Variable(2, 2, 1)))
+    g = Binomial.make(((1, 2, 1), (2, 1, 1)),
+                      ((1, 1, 1), (2, 2, 1)))
     with pytest.raises(ValueError):
         decompose_into_minors(g, 1, 2, 2)
 
@@ -221,10 +233,17 @@ def test_binomial_text_roundtrip():
 
 
 def test_binomial_text_format():
-    b = Binomial.make((Variable(2, 1, 1), Variable(1, 2, 2)),
-                      (Variable(1, 1, 1), Variable(2, 2, 2)))
+    b = Binomial.make(((2, 1, 1), (1, 2, 2)),
+                      ((1, 1, 1), (2, 2, 2)))
     assert str(b) == "x[1,1,1]*x[2,2,2] - x[2,1,1]*x[1,2,2]"
     with pytest.raises(ValueError):
         parse_binomial("x[1,1,1]*x[2,2,2]")
     with pytest.raises(ValueError):
         parse_binomial("x[1,1]*x[2,2,2] - x[2,1,1]*x[1,2,2]")
+
+
+def test_parse_binomial_rejects_index_zero():
+    with pytest.raises(ValueError, match="positive"):
+        parse_binomial("x[0,1,1]*x[2,2,2] - x[2,1,1]*x[1,2,2]")
+    with pytest.raises(ValueError, match="positive"):
+        parse_binomial("x[1,1,1]*x[2,2,2] - x[2,1,0]*x[1,2,2]")

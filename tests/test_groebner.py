@@ -11,44 +11,42 @@ from doubledet.groebner import (SparsePoly, divides,
                                 initial_ideal_minimal_generators,
                                 leading_term, lcm_monomial, quotient, reduce,
                                 remainders, s_polynomial, verify_groebner)
-from doubledet.ring import (Binomial, Variable, lex_greater, monomial,
-                           monomial_str)
+from doubledet.ring import Binomial, lex_greater, monomial, monomial_str
 from doubledet.simplicial import initial_generators, vertex_for_variable
 
 GB_SIZES = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (1, 2, 5), (2, 2, 1)]
 
 
 def paper_m1():
-    return Binomial.make((Variable(1, 1, 1), Variable(2, 2, 2)),
-                         (Variable(2, 1, 1), Variable(1, 2, 2)))
+    return Binomial.make(((1, 1, 1), (2, 2, 2)),
+                         ((2, 1, 1), (1, 2, 2)))
 
 
 def test_variable_order():
     # x[1,1,1] > x[1,2,1] > x[2,1,1] > x[1,1,2]
-    chain = [Variable(1, 1, 1), Variable(1, 2, 1), Variable(2, 1, 1),
-             Variable(1, 1, 2)]
+    chain = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)]
     for a, b in zip(chain, chain[1:]):
         assert lex_greater(monomial([a]), monomial([b]))
 
 
 def test_lex_greater_prefix_rule():
-    v = Variable(1, 1, 1)
-    w = Variable(2, 2, 1)
+    v = (1, 1, 1)
+    w = (2, 2, 1)
     assert lex_greater(monomial([v, v]), monomial([v]))
     assert lex_greater(monomial([v]), monomial([w, w]))
 
 
 def test_leading_term_is_diagonal():
     p = SparsePoly.from_binomial(paper_m1())
-    assert leading_term(p) == monomial((Variable(1, 1, 1), Variable(2, 2, 2)))
-    single = SparsePoly({monomial([Variable(1, 2, 1)]): 3})
-    assert leading_term(single) == monomial([Variable(1, 2, 1)])
+    assert leading_term(p) == monomial(((1, 1, 1), (2, 2, 2)))
+    single = SparsePoly({monomial([(1, 2, 1)]): 3})
+    assert leading_term(single) == monomial([(1, 2, 1)])
     with pytest.raises(ValueError):
         leading_term(SparsePoly())
 
 
 def test_str_lists_terms_from_the_leading_term_down():
-    v, w = Variable(1, 1, 1), Variable(1, 2, 1)
+    v, w = (1, 1, 1), (1, 2, 1)
     # v*v > v*w > v > w: a monomial is below its own extensions
     p = SparsePoly({(v,): 1, (w,): -2, (v, w): 3, (v, v): 1})
     assert str(p).startswith(monomial_str(leading_term(p)))
@@ -61,17 +59,16 @@ def reference_greater(a, b):
     the one with the smaller (k, i, j) being larger; on a prefix the longer
     monomial wins."""
     for va, vb in zip(a, b):
-        if (va.k, va.i, va.j) != (vb.k, vb.i, vb.j):
-            return (va.k, va.i, va.j) < (vb.k, vb.i, vb.j)
+        if (va[2], va[0], va[1]) != (vb[2], vb[0], vb[1]):
+            return (va[2], va[0], va[1]) < (vb[2], vb[0], vb[1])
     return len(a) > len(b)
 
 
 def reference_monomial(variables):
-    return tuple(sorted(variables, key=lambda v: (v.k, v.i, v.j)))
+    return tuple(sorted(variables, key=lambda v: (v[2], v[0], v[1])))
 
 
-VARIABLES = st.builds(Variable, st.integers(1, 2), st.integers(1, 2),
-                      st.integers(1, 2))
+VARIABLES = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
 
 
 @given(st.lists(st.lists(VARIABLES, min_size=1, max_size=4)
@@ -163,7 +160,7 @@ def division_problems(draw):
     m, n, r = draw(st.sampled_from([(2, 2, 2), (2, 2, 3), (1, 2, 3)]))
     minors = draw(st.permutations(minor_polys(m, n, r)))
     basis = minors[:draw(st.integers(1, len(minors)))]
-    variables = st.builds(Variable, st.integers(1, m), st.integers(1, n),
+    variables = st.tuples(st.integers(1, m), st.integers(1, n),
                           st.integers(1, r))
     terms = draw(st.dictionaries(
         st.lists(variables, min_size=1, max_size=4).map(reference_monomial),
@@ -195,7 +192,7 @@ def test_reduce_basics():
     basis = [SparsePoly.from_binomial(mi.binomial)
              for mi in minor_basis(2, 2, 2)]
     assert not reduce(SparsePoly(), basis)
-    v = SparsePoly({monomial([Variable(1, 1, 1)]): 1})
+    v = SparsePoly({monomial([(1, 1, 1)]): 1})
     assert reduce(v, basis) == v  # a variable is never reducible by quadrics
 
 
@@ -211,7 +208,7 @@ def test_reduce_is_deterministic_remainder():
     basis = [SparsePoly.from_binomial(mi.binomial)
              for mi in minor_basis(2, 2, 2)]
     # an element outside the ideal keeps a nonzero, stable remainder
-    p = SparsePoly({monomial((Variable(1, 1, 1), Variable(1, 1, 2))): 1})
+    p = SparsePoly({monomial(((1, 1, 1), (1, 1, 2))): 1})
     r1, r2 = reduce(p, basis), reduce(p, basis)
     assert r1 == r2 == p
 
@@ -232,8 +229,8 @@ def test_verify_groebner_positive():
 
 
 def test_verify_groebner_negative_control():
-    single = [Binomial.make((Variable(1, 1, 1), Variable(2, 2, 1)),
-                            (Variable(1, 2, 1), Variable(2, 1, 1)))]
+    single = [Binomial.make(((1, 1, 1), (2, 2, 1)),
+                            ((1, 2, 1), (2, 1, 1)))]
     assert verify_groebner(single, 2, 2, 2) is False
 
 
@@ -248,8 +245,8 @@ def test_verify_groebner_needs_every_leading_term(size):
 
 def test_verify_groebner_rejects_non_members():
     # a binomial outside the kernel cannot be part of a basis of the ideal
-    outside = [Binomial.make((Variable(1, 1, 1), Variable(1, 2, 1)),
-                             (Variable(2, 1, 1), Variable(2, 2, 1)))]
+    outside = [Binomial.make(((1, 1, 1), (1, 2, 1)),
+                             ((2, 1, 1), (2, 2, 1)))]
     assert verify_groebner(outside, 2, 2, 2) is False
 
 

@@ -1,20 +1,18 @@
 import json
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from doubledet import invariants
-from doubledet.errors import BudgetExceededError, SizeGuardError
+from doubledet.errors import BudgetExceededError, SizeGuardError, bound
 from doubledet.grid import comparable, grid_points
 from doubledet.invariants import (check_symmetry, compute_invariants,
                                   h_poly_via_linear_extensions,
                                   h_poly_via_series, h_poly_via_words,
-                                  hilbert_function,
-                                  hilbert_function_bruteforce,
-                                  is_gorenstein, macmahon_check,
-                                  minimal_generator_count, multiplicity,
-                                  order_preserving_map_count,
+                                  hilbert_function, is_gorenstein,
+                                  macmahon_check, minimal_generator_count,
+                                  multiplicity, order_preserving_map_count,
                                   poset_descent_polynomial)
 from doubledet.intpoly import IntPolynomial
 from doubledet.multiset import descents
@@ -97,6 +95,23 @@ def test_hilbert_function_values():
     assert hilbert_function(3, 2, 4, 2) == 180
     with pytest.raises(ValueError):
         hilbert_function(2, 2, 2, -1)
+
+
+#: fixed cap on the monomials hilbert_function_bruteforce counts
+MAX_MONOMIALS = 10 ** 6
+
+
+def hilbert_function_bruteforce(m, n, r, d):
+    """Oracle for small inputs: count degree-d monomials in the subring
+    generated by the x_i y_j z_k, i.e. triples of degree-d monomials in
+    m, n and r variables respectively."""
+    bound(hilbert_function(m, n, r, d), MAX_MONOMIALS,
+          "hilbert_function_bruteforce", "monomials")
+
+    def count_monomials(width):
+        return sum(1 for _ in combinations_with_replacement(range(width), d))
+
+    return count_monomials(m) * count_monomials(n) * count_monomials(r)
 
 
 def test_hilbert_function_bruteforce_agrees():
@@ -195,9 +210,6 @@ def test_poset_descent_polynomial_every_poset_up_to_5():
         assert poset_descent_polynomial(p) == descent_polynomial_by_listing(p)
 
 
-# no deadline: listing the 40320 extensions of an 8-element antichain
-# takes about a quarter of a second, longer than hypothesis's default
-@settings(deadline=None)
 @given(natural_posets(8))
 def test_poset_descent_polynomial_against_listing(p):
     assert poset_descent_polynomial(p) == descent_polynomial_by_listing(p)
@@ -211,6 +223,21 @@ def test_poset_descent_polynomial_states_guard(monkeypatch):
                        r"polynomial: \d+ states exceed guard 6") as info:
         poset_descent_polynomial(Poset(4))
     assert not isinstance(info.value, BudgetExceededError)
+
+
+def test_poset_descent_polynomial_elements_and_steps_guards(monkeypatch):
+    chain = Poset(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(invariants, "MAX_POSET_ELEMENTS", 3)
+    monkeypatch.setattr(invariants, "MAX_POSET_STEPS", 9)
+    # a chain's layers hold one state each: 3 layers x 3 elements
+    assert list(poset_descent_polynomial(chain).coeffs) == [1]
+    with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
+                       "polynomial: 4 elements exceed guard 3"):
+        poset_descent_polynomial(Poset(4))
+    # the antichain's second layer holds 3 states: 3 + 3 x 3 steps
+    with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
+                       "polynomial: 12 steps exceed guard 9"):
+        poset_descent_polynomial(Poset(3))
 
 
 # ----------------------------------------------------------------------

@@ -4,17 +4,72 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from doubledet.errors import bound
 from doubledet.invariants import order_preserving_map_count
-from doubledet.poset import (Poset, descent_count, is_linear_extension,
-                             make_pmnr, max_antichain_bruteforce,
-                             pmnr_chain_ranges, poset_from_text, poset_to_text)
+from doubledet.multiset import descents
+from doubledet.poset import (Poset, make_pmnr, pmnr_chain_ranges,
+                             poset_from_text, poset_to_text)
 
 SIZES = [(m, n, r) for m in range(1, 5) for n in range(1, 5)
          for r in range(1, 5)]
 
 
+#: fixed cap on the poset elements max_antichain_bruteforce searches
+MAX_ANTICHAIN_ELEMENTS = 20
+
+
+# ----------------------------------------------------------------------
+# the order read through the public API: under the natural labeling, a
+# precedes b iff a < b and the two are comparable
+
+def less(p, a, b):
+    """True iff a strictly precedes b."""
+    return a < b and p.comparable(a, b)
+
+
+def strict_upset(p, a):
+    return frozenset(b for b in range(a + 1, p.n) if p.comparable(a, b))
+
+
+def strict_downset(p, a):
+    return frozenset(b for b in range(a) if p.comparable(a, b))
+
+
+def is_linear_extension(p, seq):
+    """Check that seq is a permutation of p's elements respecting the order."""
+    if sorted(seq) != list(range(p.n)):
+        return False
+    pos = {e: s for s, e in enumerate(seq)}
+    return all(pos[a] < pos[b]
+               for a in range(p.n) for b in strict_upset(p, a))
+
+
+def descent_count(seq, p):
+    """Descents of a linear extension: positions where the element placed
+    there carries a larger natural label than its successor."""
+    seq = tuple(seq)
+    if not is_linear_extension(p, seq):
+        raise ValueError("sequence is not a linear extension of the poset")
+    return descents(seq)
+
+
 # ----------------------------------------------------------------------
 # brute-force oracles
+
+def max_antichain_bruteforce(p):
+    """Oracle: largest antichain size by exhaustive subset search."""
+    bound(p.n, MAX_ANTICHAIN_ELEMENTS, "max_antichain_bruteforce",
+          "elements")
+    best = 0
+    for size in range(p.n, 0, -1):
+        if size <= best:
+            break
+        for sub in combinations(range(p.n), size):
+            if all(not p.comparable(a, b) for a, b in combinations(sub, 2)):
+                best = size
+                break
+    return best
+
 
 def ideals_bruteforce(p):
     """All downward closed subsets by filtering the power set."""
@@ -23,15 +78,15 @@ def ideals_bruteforce(p):
     for sub in chain.from_iterable(
             combinations(elements, k) for k in range(p.n + 1)):
         sub = frozenset(sub)
-        if all(p.strict_downset(e) <= sub for e in sub):
+        if all(strict_downset(p, e) <= sub for e in sub):
             out.append(sub)
     return set(out)
 
 
 def covers_bruteforce(p):
     """Pairs a < b with no c strictly between, testing every c above a."""
-    return [(a, b) for a in range(p.n) for b in sorted(p.strict_upset(a))
-            if not any(b in p.strict_upset(c) for c in p.strict_upset(a))]
+    return [(a, b) for a in range(p.n) for b in sorted(strict_upset(p, a))
+            if not any(b in strict_upset(p, c) for c in strict_upset(p, a))]
 
 
 def order_preserving_maps_bruteforce(p, d):
@@ -39,7 +94,7 @@ def order_preserving_maps_bruteforce(p, d):
     testing every map."""
     return sum(1 for f in product(range(d + 1), repeat=p.n)
                if all(f[a] <= f[b]
-                      for a in range(p.n) for b in p.strict_upset(a)))
+                      for a in range(p.n) for b in strict_upset(p, a)))
 
 
 @st.composite
@@ -66,7 +121,7 @@ def maximal_chain_lengths_bruteforce(p):
     covers_up = [[] for _ in range(p.n)]
     for a, b in p.covers():
         covers_up[a].append(b)
-    minimal = [e for e in range(p.n) if not p.strict_downset(e)]
+    minimal = [e for e in range(p.n) if not strict_downset(p, e)]
     lengths = set()
 
     def walk(e, length):
@@ -103,7 +158,7 @@ def test_pmnr_basic_shapes():
     p = make_pmnr(3, 2, 4)
     assert p.n == 6
     # chains 0<1 | 2 | 3<4<5, nothing across
-    assert p.less(0, 1) and p.less(3, 4) and p.less(4, 5) and p.less(3, 5)
+    assert less(p, 0, 1) and less(p, 3, 4) and less(p, 4, 5) and less(p, 3, 5)
     for a in (0, 1):
         for b in (2, 3, 4, 5):
             assert not p.comparable(a, b)
@@ -133,7 +188,7 @@ def test_constructor_rejects_unnatural_relation():
 
 def test_transitive_closure():
     p = Poset(3, [(0, 1), (1, 2)])
-    assert p.less(0, 2)
+    assert less(p, 0, 2)
     assert p.covers() == [(0, 1), (1, 2)]
 
 
@@ -264,7 +319,7 @@ def test_text_format():
     text = poset_to_text(Poset(3, [(0, 2)]))
     assert text == "n=3\n1 < 3\n"
     p = poset_from_text("n=4\n1 < 2\n2 < 4\n")
-    assert p.less(0, 3)
+    assert less(p, 0, 3)
 
 
 def test_text_errors():

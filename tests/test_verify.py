@@ -23,26 +23,35 @@ DIM_PLUS_ONE = (
     "                               a_invariant=rep.a_invariant - 1)\n"
     "invariants.compute_invariants = compute_invariants\n")
 
-#: the check that must report a broken closed form: the lowest level that
-#: runs it, and the code that breaks the closed form
+#: each sabotage of a closed form or its oracle: the lowest level that
+#: catches it, the code that breaks it, and the checks that must report it
 SABOTAGE = {
     "multiplicity-extensions": ("formulas", (
         "real = invariants.multiplicity\n"
-        "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n")),
+        "invariants.multiplicity = lambda m, n, r: real(m, n, r) + 1\n"),
+        ("multiplicity-extensions",)),
     "minor-decomposition": (
-        "formulas", "generators._expansion = lambda parts: {}\n"),
-    "poset-stats": ("formulas", DIM_PLUS_ONE),
-    "facet-count-purity": ("complex", DIM_PLUS_ONE),
+        "formulas", "generators._expansion = lambda parts: {}\n",
+        ("minor-decomposition",)),
+    "poset-stats": ("formulas", DIM_PLUS_ONE, ("poset-stats",)),
+    "facet-count-purity": ("complex", DIM_PLUS_ONE, ("facet-count-purity",)),
+    # the listed extensions are the brute-force oracle of the recursion
     "h-poly-agreement": ("formulas", (
         "from doubledet.intpoly import IntPolynomial\n"
         "real = invariants.poset_descent_polynomial\n"
         "invariants.poset_descent_polynomial = lambda *args, **kw: (\n"
-        "    real(*args, **kw) + IntPolynomial([0, 1]))\n")),
+        "    real(*args, **kw) + IntPolynomial([0, 1]))\n"),
+        ("h-poly-agreement", "multiplicity-extensions")),
+    "duplicated-minor": ("formulas", (
+        "real = generators.minor_basis\n"
+        "generators.minor_basis = lambda m, n, r: (\n"
+        "    real(m, n, r) + real(m, n, r)[-1:])\n"),
+        ("kernel-membership",)),
+    "dropped-minor": ("formulas", (
+        "real = generators.minor_basis\n"
+        "generators.minor_basis = lambda m, n, r: real(m, n, r)[1:]\n"),
+        ("kernel-membership",)),
 }
-
-#: other checks that must also report a sabotage: the listed extensions
-#: are the brute-force oracle of the recursion
-ALSO_FAILS = {"h-poly-agreement": ("multiplicity-extensions",)}
 
 
 def run_sabotaged(sabotage, level, optimize):
@@ -58,7 +67,7 @@ def run_sabotaged(sabotage, level, optimize):
                           capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("check, optimize", [
+@pytest.mark.parametrize("sabotage, optimize", [
     ("multiplicity-extensions", True),
     ("minor-decomposition", True),
     ("multiplicity-extensions", False),
@@ -67,12 +76,16 @@ def run_sabotaged(sabotage, level, optimize):
     ("poset-stats", False),
     ("h-poly-agreement", True),
     ("h-poly-agreement", False),
+    ("duplicated-minor", True),
+    ("duplicated-minor", False),
+    ("dropped-minor", True),
+    ("dropped-minor", False),
 ])
-def test_sabotage_gives_fail_line_and_exit_1(check, optimize):
-    level, sabotage = SABOTAGE[check]
-    proc = run_sabotaged(sabotage, level, optimize)
+def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
+    level, code, checks = SABOTAGE[sabotage]
+    proc = run_sabotaged(code, level, optimize)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    for name in (check, *ALSO_FAILS.get(check, ())):
+    for name in checks:
         assert f"\nFAIL {name} (" in proc.stdout
     assert "Traceback" not in proc.stderr
 
