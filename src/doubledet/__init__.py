@@ -28,7 +28,8 @@ from .poset import (Poset, make_pmnr, pmnr_chain_ranges, poset_from_text,
                     poset_to_text)
 from .ring import Binomial, parse_binomial
 from .simplicial import (Facet, check_shelling_order, complex_h_vector,
-                         extend_to_facet, facet_from_vertices, facets,
+                         extend_to_facet, extension_word,
+                         facet_from_vertices, facet_word, facets,
                          initial_generators, is_face,
                          maximal_faces_bruteforce, parse_vertices,
                          vertex_for_variable)

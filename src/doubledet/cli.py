@@ -4,10 +4,10 @@ One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
-as it is decoded and holds no catalog.  Exit status: 0 success,
-1 failed verification, 2 invalid input or exhausted budget, 141 (128 +
-SIGPIPE, as a shell reports a process killed by it) when the reader
-closes stdout before the output ends.
+as it is decoded and holds no catalog, in every format.  Exit status:
+0 success, 1 failed verification, 2 invalid input or exhausted budget,
+141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
+reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -94,8 +94,29 @@ def _emit(args, payload, header, rows, lines):
             print(line)
 
 
-def _dump_json(obj):
-    print(json.dumps(obj, separators=(",", ":")))
+#: characters of a JSON array written at once: a 64 KiB pipe reader then
+#: wakes once per chunk, not once per 8 KiB buffer flush
+JSON_CHUNK = 64 * 1024
+
+
+def _dump_json(value):
+    """Print ``value`` as compact JSON.  A value that is not a dict is an
+    array: its elements are encoded one at a time and written in chunks of
+    at least ``JSON_CHUNK`` characters, so a stream is never held whole and
+    the bytes are those of ``json.dumps`` of the list."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    if isinstance(value, dict):
+        print(encode(value))
+        return
+    parts, size, sep = [], 0, "["
+    for text in map(encode, value):
+        parts += (sep, text)
+        sep, size = ",", size + len(text) + 1
+        if size >= JSON_CHUNK:
+            sys.stdout.write("".join(parts))
+            parts, size = [], 0
+    parts.append("]\n" if sep == "," else "[]\n")
+    sys.stdout.write("".join(parts))
 
 
 def _join(values):
@@ -220,8 +241,10 @@ def cmd_hpoly(args):
             raise ValueError("--method applies to sizes m n r, "
                              "not to --poset-file")
         with open(args.poset_file, encoding="utf-8") as handle:
-            p = poset.poset_from_text(handle.read())
-        h = invariants.poset_descent_polynomial(p, budget=args.budget)
+            size, relations = poset.parse_poset_text(handle.read())
+        invariants.bound_poset_elements(size)
+        h = invariants.poset_descent_polynomial(poset.Poset(size, relations),
+                                                budget=args.budget)
     else:
         if len(args.sizes) != 3:
             raise ValueError("expected three sizes: m n r")
@@ -255,7 +278,7 @@ def cmd_facets(args):
     # the first facet runs the budget check, so a refusal precedes the
     # CSV header; every catalog has at least one facet
     catalog = itertools.chain([next(stream)], stream)
-    _emit(args, lambda: [_facet_json(f) for f in catalog], FACET_HEADER,
+    _emit(args, lambda: map(_facet_json, catalog), FACET_HEADER,
           lambda: (_facet_row(i, f) for i, f in enumerate(catalog, start=1)),
           lambda: ((f"{f.word}: {_facet_paths_text(f)}" for f in catalog)
                    if args.style == "paths" else (f.word for f in catalog)))

@@ -154,6 +154,14 @@ def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
                                     budget=budget)
 
 
+def bound_poset_elements(n):
+    """Refuse a poset of n elements, n > MAX_POSET_ELEMENTS, as
+    ``poset_descent_polynomial`` does.  A poset read from outside is checked
+    by its element count before its order (n^2 / 8 bytes) is built."""
+    bound(n, MAX_POSET_ELEMENTS, "invariants.poset_descent_polynomial",
+          "elements")
+
+
 def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     """Sum of t^descents over all linear extensions of an arbitrary
     naturally labeled poset (Stanley's W-polynomial), without listing them.
@@ -176,7 +184,7 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     the exact count of extensions, h(1), exceeds ``budget``.
     """
     where = "invariants.poset_descent_polynomial"
-    bound(p.n, MAX_POSET_ELEMENTS, where, "elements")
+    bound_poset_elements(p.n)
     below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
     # a value is its polynomial evaluated at t = 2^width: a coefficient
     # counts prefixes, never more than n!, so the coefficients sit in

@@ -206,7 +206,9 @@ def poset_to_text(p):
     return "\n".join(lines) + "\n"
 
 
-def poset_from_text(text):
+def parse_poset_text(text):
+    """The element count n and the cover pairs, 0-based, of a poset in the
+    text format; the order itself is not built."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("poset file must start with 'n=<count>'")
@@ -226,4 +228,8 @@ def poset_from_text(text):
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"label out of range in line: {ln!r}")
         relations.append((a - 1, b - 1))
-    return Poset(n, relations)
+    return n, relations
+
+
+def poset_from_text(text):
+    return Poset(*parse_poset_text(text))

@@ -14,9 +14,16 @@ The word is therefore used as the identity of a facet.
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
 column c is column j of matrix k; ``_layout`` is the one reader of that
-split.  ``is_face``, ``facet_from_vertices`` and ``extend_to_facet`` read
-their input through ``_read_vertices``, the one place that checks a vertex
-against the board and groups a vertex set by matrix in path order.
+split.  ``is_face``, ``facet_word`` and ``extension_word`` read their input
+through ``_read_vertices``, the one place that checks a vertex against the
+board and groups a vertex set by matrix in path order.
+
+``facet_word`` is the one encoder (vertex set to word) and
+``extension_word`` the one extender (face to the word of a facet holding
+it).  Both return a word and build no ``Facet``, so a caller holding a
+facet compares words: an equal word means an equal vertex set.
+``facet_from_vertices`` and ``extend_to_facet`` wrap them, decode the word
+and check the input's vertices against the facet's.
 """
 
 from __future__ import annotations
@@ -175,10 +182,12 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
         yield Facet(m, n, r, "".join(word))
 
 
-def facet_from_vertices(vertices, m, n, r):
-    """Reconstruct a facet from its vertex set; rejects sets that are not
-    facets (wrong block structure, broken paths, stray vertices)."""
-    verts, blocks = _read_vertices(vertices, m, n, r)
+def facet_word(vertices, m, n, r):
+    """The word of the facet with this vertex set, read off its paths: the
+    one encoder.  Rejects a set whose paths break; it does not check that
+    the word's facet has exactly these vertices (``facet_from_vertices``
+    does)."""
+    _, blocks = _read_vertices(vertices, m, n, r)
     words = []
     for k, block in enumerate(blocks, start=1):
         if not block:
@@ -195,23 +204,32 @@ def facet_from_vertices(vertices, m, n, r):
                                  f"{vertex_str(b)} are not one step apart: "
                                  "not a facet")
         words.append("".join(steps))
-    facet = Facet(m, n, r, "R".join(words))
+    return "R".join(words)
+
+
+def facet_from_vertices(vertices, m, n, r):
+    """Reconstruct a facet from its vertex set; rejects sets that are not
+    facets (wrong block structure, broken paths, stray vertices)."""
+    verts, _ = _read_vertices(vertices, m, n, r)
+    facet = Facet(m, n, r, facet_word(verts, m, n, r))
     if facet.vertices != verts:
         raise ValueError("vertex set does not match its path decomposition")
     return facet
 
 
-def extend_to_facet(face_vertices, m, n, r):
-    """Grow a face into a facet containing it.
+def extension_word(face_vertices, m, n, r):
+    """The word of a facet containing the face: the one extender.
 
     Vertices are grouped by matrix; empty matrices receive one filler point
     (the (m, n) corner before the first occupied matrix, the (1, 1) corner
     after the last, and between occupied matrices c < d the point taking
     its row from d's first vertex and its column from c's first vertex).
     Inside each matrix, consecutive anchor points are then bridged moving
-    up first, then right.  Applied to a facet this reproduces it.
+    up first, then right.  Applied to a facet this reproduces its word.
+    Rejects some non-faces on the way; it does not check that the word's
+    facet contains the face (``extend_to_facet`` does).
     """
-    verts, grouped = _read_vertices(face_vertices, m, n, r)
+    _, grouped = _read_vertices(face_vertices, m, n, r)
     # per-matrix points in path order, as (row, in-block column); 1-based
     blocks = [None] + [[(row, _layout(col, n)[1] + 1) for row, col in block]
                        for block in grouped]
@@ -244,7 +262,14 @@ def extend_to_facet(face_vertices, m, n, r):
                                  f"path ({r1},{c1})->({r2},{c2}) in matrix {k}")
             steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
         words.append("".join(steps))
-    facet = Facet(m, n, r, "R".join(words))
+    return "R".join(words)
+
+
+def extend_to_facet(face_vertices, m, n, r):
+    """Grow a face into a facet containing it (see ``extension_word``);
+    rejects every input that is not a face."""
+    verts, _ = _read_vertices(face_vertices, m, n, r)
+    facet = Facet(m, n, r, extension_word(verts, m, n, r))
     if not verts <= facet.vertices:  # a subset of a facet is a face
         raise ValueError("input is not a face of the complex")
     return facet

@@ -10,11 +10,13 @@ detail string when the closed form and its oracle agree, and otherwise
 fails by raising; ``run_checks`` maps what it raises to a status:
 
 * ``CheckFailed``: the two disagree -> ``FAIL``;
-* ``AssertionError`` or ``ArithmeticError`` raised inside the library: an
-  invariant of a library object is broken -> ``FAIL``;
 * ``SizeGuardError`` and its subclass ``BudgetExceededError``: the
   oracle's work exceeds a fixed cap or ``--budget`` -> ``skip``, so a
-  budget never ends a run; the detail names the layer and the count.
+  budget never ends a run; the detail names the layer and the count;
+* ``AssertionError``, ``ArithmeticError`` or any other ``ValueError``
+  raised inside the library: an invariant of a library object is broken,
+  or the library rejects its own output (a facet encoder that refuses a
+  facet) -> ``FAIL``, never an exit as if the input were invalid.
 
 A check never uses ``assert``, so it gives the same verdict under
 ``python -O``.
@@ -211,15 +213,48 @@ def build_checks(m, n, r, level, budget):
 
     # --- complex tier ---------------------------------------------------
 
+    # one walk over the catalog feeds the three facet-stream checks, so
+    # each facet is decoded once; a walk that raises (a budget refusal) is
+    # not cached, and each of the three reports it
+    @functools.cache
+    def facet_walk():
+        """The facet count and, per check, the detail of its first failing
+        facet.  A re-encoded word equal to the facet's word means an equal
+        vertex set, so no second ``Facet`` is built."""
+        dim = invariants.compute_invariants(m, n, r).dim
+        recoders = (
+            ("word-codec-roundtrip", simplicial.facet_word,
+             "roundtrip failed for"),
+            ("extend-fixes-facets", simplicial.extension_word,
+             "extension moves"))
+        count, failed = 0, {}
+        for facet in simplicial.facets(m, n, r, budget=budget):
+            count += 1
+            word, verts = facet.word, facet.vertices
+            if len(verts) != dim:
+                failed.setdefault("facet-count-purity", f"facet {word} has "
+                                  f"size {len(verts)}, dim {dim}")
+            for name, recode, what in recoders:
+                if name in failed:
+                    continue
+                try:  # a recoder that raises fails its own check only
+                    if recode(verts, m, n, r) != word:
+                        failed[name] = f"{what} {word}"
+                except ValueError as exc:
+                    failed[name] = f"{what} {word}: {exc}"
+        return count, failed
+
+    def walk_verdict(name):
+        """The facet count, unless the walk failed the check ``name``."""
+        count, failed = facet_walk()
+        if name in failed:
+            raise CheckFailed(failed[name])
+        return count
+
     @check("facet-count-purity", tier=1)
     def facet_catalog():
         report = invariants.compute_invariants(m, n, r)
-        count = 0
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            if len(facet.vertices) != report.dim:
-                raise CheckFailed(f"facet {facet.word} has size "
-                                  f"{len(facet.vertices)}, dim {report.dim}")
-            count += 1
+        count = walk_verdict("facet-count-purity")
         _require(count == report.multiplicity, f"{count} facets")
         return f"{count} facets, all of size {report.dim}"
 
@@ -232,17 +267,12 @@ def build_checks(m, n, r, level, budget):
 
     @check("word-codec-roundtrip", tier=1)
     def codec_roundtrip():
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            back = simplicial.facet_from_vertices(facet.vertices, m, n, r)
-            if back != facet:
-                raise CheckFailed(f"roundtrip failed for {facet.word}")
+        walk_verdict("word-codec-roundtrip")
         return "word -> vertices -> word is the identity"
 
     @check("extend-fixes-facets", tier=1)
     def extend_fixes():
-        for facet in simplicial.facets(m, n, r, budget=budget):
-            if simplicial.extend_to_facet(facet.vertices, m, n, r) != facet:
-                raise CheckFailed(f"extension moves {facet.word}")
+        walk_verdict("extend-fixes-facets")
         return "extension procedure fixes every facet"
 
     @check("initial-generator-count", tier=1)
@@ -311,10 +341,10 @@ def run_checks(checks):
             status, detail = "ok", fn()
         except CheckFailed as exc:
             status, detail = "FAIL", str(exc)
-        except (AssertionError, ArithmeticError) as exc:
+        except SizeGuardError as exc:  # a ValueError: caught first
+            status, detail = "skip", str(exc)
+        except (AssertionError, ArithmeticError, ValueError) as exc:
             status = "FAIL"
             detail = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-        except SizeGuardError as exc:
-            status, detail = "skip", str(exc)
         outcomes.append(Outcome(name, status, detail))
     return outcomes

@@ -117,7 +117,7 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_facets_holds_no_catalog(fmt):
     # 4,200 facets: a catalog held in memory peaks near 8 MiB
     tracemalloc.start()
@@ -239,11 +239,13 @@ def test_hpoly_poset_file_states_guard(tmp_path):
 
 
 @pytest.mark.parametrize("shape, n", [("antichain", 100_000),
-                                      ("chain", 20_000)])
+                                      ("chain", 20_000), ("chain", 100_000)])
 def test_hpoly_poset_file_elements_guard(tmp_path, shape, n):
     # in a child capped at 512 MB of address space: unguarded, the
     # antichain's first layer alone takes 2.7 GB and the chain's n^2
-    # steps run for minutes, both for nothing
+    # steps run for minutes, both for nothing; the 100,000-element chain's
+    # order alone (n^2 / 8 bytes) does not fit, so the count is checked
+    # before the order is built
     covers = range(1, n) if shape == "chain" else ()
     path = tmp_path / f"{shape}.poset"
     path.write_text(f"n={n}\n" + "".join(f"{a} < {a + 1}\n" for a in covers))

@@ -9,13 +9,16 @@ from doubledet.invariants import (h_poly_via_words, minimal_generator_count,
                                   multiplicity)
 from doubledet.simplicial import (Facet, all_faces, check_shelling_order,
                                   complex_h_vector, extend_to_facet,
-                                  facet_from_vertices, facets,
+                                  extension_word, facet_from_vertices,
+                                  facet_word, facets,
                                   initial_generator_count,
                                   initial_generators, is_face,
                                   maximal_faces_bruteforce, parse_vertices)
 
 SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
          for r in range(1, 4)]
+UP_TO_4 = [(m, n, r) for m in range(1, 5) for n in range(1, 5)
+           for r in range(1, 5)]
 
 # the published (4,5,3) example: word and facet vertex set
 PAPER_WORD = "MRMNNNRMN"
@@ -178,8 +181,7 @@ def reference_decode(m, n, r, word):
 
 
 def test_decoder_matches_reference():
-    for m, n, r in [(m, n, r) for m in range(1, 5) for n in range(1, 5)
-                    for r in range(1, 5)]:
+    for m, n, r in UP_TO_4:
         for facet in facets(m, n, r):
             assert (facet.g, facet.h, facet.paths, facet.vertices) == \
                 reference_decode(m, n, r, facet.word), facet
@@ -207,8 +209,9 @@ def test_single_path_staircase():
 
 
 def test_roundtrip_everywhere():
-    for m, n, r in SMALL + [(2, 2, 4), (4, 5, 3)]:
+    for m, n, r in UP_TO_4 + [(4, 5, 3)]:
         for facet in facets(m, n, r):
+            assert facet_word(facet.vertices, m, n, r) == facet.word
             assert facet_from_vertices(facet.vertices, m, n, r) == facet
             assert Facet(m, n, r, facet.word) == facet
 
@@ -239,8 +242,9 @@ def test_extend_paper_example():
 
 
 def test_extend_fixes_facets():
-    for m, n, r in [(2, 2, 3), (3, 2, 2), (2, 3, 2), (1, 1, 1), (3, 3, 1)]:
+    for m, n, r in UP_TO_4:
         for facet in facets(m, n, r):
+            assert extension_word(facet.vertices, m, n, r) == facet.word
             assert extend_to_facet(facet.vertices, m, n, r) == facet
 
 

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import doubledet
-from doubledet import verify
-from doubledet.errors import BudgetExceededError, CheckFailed, SizeGuardError
+from doubledet import simplicial, verify
+from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
+                              CheckFailed, SizeGuardError)
 
 SRC = pathlib.Path(doubledet.__file__).parent
 
@@ -22,6 +23,11 @@ DIM_PLUS_ONE = (
     "    return dataclasses.replace(rep, dim=rep.dim + 1,\n"
     "                               a_invariant=rep.a_invariant - 1)\n"
     "invariants.compute_invariants = compute_invariants\n")
+
+SWAP_M_N = (
+    "real_{name} = simplicial.{name}\n"
+    "simplicial.{name} = lambda *args: real_{name}(*args).translate(\n"
+    "    str.maketrans('MN', 'NM'))\n")
 
 #: each sabotage of a closed form or its oracle: the lowest level that
 #: catches it, the code that breaks it, and the checks that must report it
@@ -51,12 +57,18 @@ SABOTAGE = {
         "real = generators.minor_basis\n"
         "generators.minor_basis = lambda m, n, r: real(m, n, r)[1:]\n"),
         ("kernel-membership",)),
+    # the facet encoder and the extender with M and N swapped in their word
+    "word-codec-roundtrip": ("complex", SWAP_M_N.format(name="facet_word"),
+                             ("word-codec-roundtrip",)),
+    "extend-fixes-facets": ("complex",
+                            SWAP_M_N.format(name="extension_word"),
+                            ("extend-fixes-facets",)),
 }
 
 
 def run_sabotaged(sabotage, level, optimize):
     script = ("import dataclasses, sys\n"
-              "from doubledet import cli, generators, invariants\n"
+              "from doubledet import cli, generators, invariants, simplicial\n"
               + sabotage
               + "sys.exit(cli.main(['verify', '2', '2', '2', "
                 f"'--level', '{level}']))\n")
@@ -80,6 +92,10 @@ def run_sabotaged(sabotage, level, optimize):
     ("duplicated-minor", False),
     ("dropped-minor", True),
     ("dropped-minor", False),
+    ("word-codec-roundtrip", True),
+    ("word-codec-roundtrip", False),
+    ("extend-fixes-facets", True),
+    ("extend-fixes-facets", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks = SABOTAGE[sabotage]
@@ -106,16 +122,52 @@ def test_runner_maps_each_exception_to_a_status():
     def too_big():
         raise SizeGuardError("too many")
 
+    def rejects_own_output():
+        raise ValueError("vertex set does not match its path decomposition")
+
     outcomes = verify.run_checks([
         ("a", ok), ("b", disagree), ("c", broken_invariant),
-        ("d", broken_assert), ("e", too_big)])
+        ("d", broken_assert), ("e", too_big), ("f", rejects_own_output)])
     assert [tuple(o) for o in outcomes] == [
         ("a", "ok", "fine"),
         ("b", "FAIL", "3 != 4"),
         ("c", "FAIL", "ArithmeticError: h(1) != e"),
         ("d", "FAIL", "AssertionError"),
         ("e", "skip", "too many"),
+        ("f", "FAIL", "ValueError: vertex set does not match its path "
+                      "decomposition"),
     ]
+
+
+def test_complex_tier_decodes_each_facet_once(monkeypatch):
+    built = 0
+    real = simplicial.Facet.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        real(self, *args)
+
+    monkeypatch.setattr(simplicial.Facet, "__init__", counting)
+    outcomes = verify.run_checks(
+        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET))
+    assert "FAIL" not in {o.status for o in outcomes}
+    # the 4,200 facets of (4,4,5), each decoded once and re-encoded and
+    # extended as words only
+    assert built == 4200
+
+
+def test_recoder_error_fails_its_own_check_only(monkeypatch):
+    def refuses(vertices, m, n, r):
+        raise ValueError("not a facet")
+
+    monkeypatch.setattr(simplicial, "facet_word", refuses)
+    status = {o.name: (o.status, o.detail) for o in verify.run_checks(
+        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET))}
+    assert status["word-codec-roundtrip"] == (
+        "FAIL", "roundtrip failed for MNRR: not a facet")
+    assert status["facet-count-purity"][0] == "ok"
+    assert status["extend-fixes-facets"][0] == "ok"
 
 
 def test_budget_exhaustion_skips_the_check():
