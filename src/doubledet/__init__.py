@@ -33,7 +33,6 @@ from .simplicial import (Facet, check_shelling_order, complex_h_vector,
                          initial_generators, is_face,
                          maximal_faces_bruteforce, parse_vertices,
                          vertex_for_variable)
-from .sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
-                      is_sorted, phi_monomial, sort_pair)
+from .sorting import in_kernel, phi_monomial
 
 __version__ = "0.1.0"

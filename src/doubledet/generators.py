@@ -236,7 +236,7 @@ def minor_dependency_witness(m, n, r):
     check_sizes(m, n, r)
     fibers = {}
     for minor in minor_basis(m, n, r):
-        key = sorting.phi_monomial(minor.binomial.plus, m, n, r).ids
+        key = sorting.phi_monomial(minor.binomial.plus, m, n, r)
         fibers.setdefault(key, []).append(minor)
     for key in sorted(fibers):
         group = fibers[key]

@@ -6,8 +6,6 @@ Coefficients are Python ints, so everything is arbitrary precision.
 
 from __future__ import annotations
 
-from math import comb
-
 
 class IntPolynomial:
     """Immutable integer polynomial; ``coeffs[d]`` is the coefficient of t^d."""
@@ -58,8 +56,6 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -68,20 +64,6 @@ class IntPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def mul_truncated(self, other, max_degree):
-        """Product of self and other, keeping only degrees <= max_degree."""
-        out = [0] * (max_degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i > max_degree:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > max_degree:
-                    break
-                out[i + j] += a * b
-        return out  # raw list: callers may care about trailing zeros
 
     def __call__(self, x):
         acc = 0
@@ -112,8 +94,14 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def one_minus_t_power(e):
-    """(1 - t)^e as an IntPolynomial."""
+def difference(values, e):
+    """The coefficients of (1 - t)^e * sum_d values[d] t^d in the degrees
+    below len(values), by e rounds of first differences: the product is
+    built only in the degrees that are read."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    return IntPolynomial([(-1) ** i * comb(e, i) for i in range(e + 1)])
+    out = list(values)
+    for _ in range(e):
+        for d in range(len(out) - 1, 0, -1):
+            out[d] -= out[d - 1]
+    return out

@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 
 from . import grid, poset as poset_mod
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
-from .intpoly import IntPolynomial, one_minus_t_power
+from .intpoly import IntPolynomial, difference
 from .multiset import descent_polynomial, multinomial
 
 #: fixed cap on the work of the brute-force order-preserving map oracle
@@ -226,9 +226,8 @@ def h_poly_via_series(m, n, r):
     dim = m + n + r - 2
     reg = dim - max(m, n, r)
     cutoff = reg + 1
-    series = IntPolynomial([hilbert_function(m, n, r, d)
-                            for d in range(cutoff + 1)])
-    coeffs = one_minus_t_power(dim).mul_truncated(series, cutoff)
+    coeffs = difference([hilbert_function(m, n, r, d)
+                         for d in range(cutoff + 1)], dim)
     if coeffs[cutoff] != 0 or any(c < 0 for c in coeffs):
         raise ArithmeticError(
             f"truncated series product is not an h-polynomial: {coeffs}")
@@ -245,11 +244,8 @@ def macmahon_check(counts, max_degree):
     items = [letter for letter, c in enumerate(counts, start=1)
              for _ in range(c)]
     lhs = descent_polynomial(items)
-    a = sum(counts)
-    series = IntPolynomial([
-        prod(comb(ai + d, d) for ai in counts)
-        for d in range(max_degree + 1)])
-    rhs = one_minus_t_power(a + 1).mul_truncated(series, max_degree)
+    rhs = difference([prod(comb(ai + d, d) for ai in counts)
+                      for d in range(max_degree + 1)], sum(counts) + 1)
     return [lhs[d] for d in range(max_degree + 1)] == rhs
 
 

@@ -25,15 +25,22 @@ A check never uses ``assert``, so it gives the same verdict under
 from __future__ import annotations
 
 import functools
+from itertools import combinations_with_replacement
+from math import comb
 from typing import NamedTuple
 
-from . import generators, grid, groebner, invariants, poset, simplicial
+from . import (generators, grid, groebner, invariants, poset, simplicial,
+               sorting)
 from .errors import BudgetExceededError, CheckFailed, SizeGuardError, bound
 from .intpoly import IntPolynomial
 from .multiset import descents, multinomial
-from .sorting import in_kernel
+from .ring import Binomial
 
 LEVELS = ("formulas", "complex", "groebner")
+
+#: fixed cap on what one listing holds: the mu generators, the minors, the
+#: degree-2 monomials, or the board pairs ``initial_generators`` examines
+MAX_LISTED = 200_000
 
 
 class Outcome(NamedTuple):
@@ -59,10 +66,26 @@ def build_checks(m, n, r, level, budget):
             return fn
         return add
 
-    # shared by three checks; a build that raises is not cached
+    # listings shared by the checks that read them, each refused from its
+    # closed-form size before it is built; a build that raises is not cached
+    def listing(count, where, unit):
+        bound(count, MAX_LISTED, f"verify.{where}", unit)
+
     @functools.cache
     def families():
+        listing(invariants.minimal_generator_count(m, n, r), "families",
+                "generators")
         return generators.generator_families(m, n, r)
+
+    @functools.cache
+    def minors():
+        listing(generators.minor_count(m, n, r), "minors", "minors")
+        return generators.minor_basis(m, n, r)
+
+    @functools.cache
+    def conflict_pairs():
+        listing(comb(m * n * r, 2), "conflict_pairs", "board pairs")
+        return simplicial.initial_generators(m, n, r)
 
     @check("ideal-count")
     def ideal_count():
@@ -113,19 +136,31 @@ def build_checks(m, n, r, level, budget):
 
     @check("kernel-membership")
     def kernel_membership():
-        fams = families()
-        for key, val in fams.items():
-            _require(all(in_kernel(b, m, n, r) for b in val),
+        points = grid.grid_points(m, n, r)
+        listing(comb(len(points) + 1, 2), "kernel_membership", "monomials")
+        for key, val in families().items():
+            _require(all(sorting.in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")
-        minors = generators.minor_basis(m, n, r)
+        listed = minors()
         expected = generators.minor_count(m, n, r)
-        _require(len(minors) == expected,
-                 f"{len(minors)} minors, closed form {expected}")
-        binomials = {mi.binomial for mi in minors}
-        _require(len(binomials) == len(minors), "a minor is listed twice")
-        _require(all(in_kernel(b, m, n, r) for b in binomials),
+        _require(len(listed) == expected,
+                 f"{len(listed)} minors, closed form {expected}")
+        binomials = {mi.binomial for mi in listed}
+        _require(len(binomials) == len(listed), "a minor is listed twice")
+        _require(all(sorting.in_kernel(b, m, n, r) for b in binomials),
                  "a minor is not in the kernel")
-        return f"{len(minors)} minors and all generators in the kernel"
+        # phi itself: one fibre per basis monomial of (R/ker phi)_2, and
+        # the kernel test tells the fibres apart
+        fibres = {sorting.phi_monomial(term, m, n, r): term
+                  for term in combinations_with_replacement(points, 2)}
+        hf = invariants.hilbert_function(m, n, r, 2)
+        _require(len(fibres) == hf, f"{len(fibres)} degree-2 fibres of "
+                                    f"phi, Hilbert function {hf}")
+        reps = list(fibres.values())
+        _require(not any(sorting.in_kernel(Binomial.make(a, b), m, n, r)
+                         for a, b in zip(reps, reps[1:])),
+                 "a binomial joining two fibres of phi is in the kernel")
+        return f"{len(listed)} minors and all generators in the kernel"
 
     @check("minor-decomposition")
     def decompositions():
@@ -277,7 +312,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("initial-generator-count", tier=1)
     def edge_count():
-        edges = simplicial.initial_generators(m, n, r)
+        edges = conflict_pairs()
         closed = simplicial.initial_generator_count(m, n, r)
         mu = invariants.minimal_generator_count(m, n, r)
         _require(len(edges) == closed == mu, f"{len(edges)}, {closed}, {mu}")
@@ -303,28 +338,30 @@ def build_checks(m, n, r, level, budget):
 
     @check("groebner-basis", tier=2)
     def groebner_certificate():
-        minors = [mi.binomial for mi in generators.minor_basis(m, n, r)]
-        _require(groebner.verify_groebner(minors, m, n, r, budget=budget),
+        basis = [mi.binomial for mi in minors()]
+        _require(groebner.verify_groebner(basis, m, n, r, budget=budget),
                  "an S-polynomial does not reduce to zero")
-        return f"{len(minors)} minors form a Groebner basis"
+        return f"{len(basis)} minors form a Groebner basis"
 
     @check("initial-ideal-match", tier=2)
     def initial_ideal_match():
-        minors = [mi.binomial for mi in generators.minor_basis(m, n, r)]
-        lts = groebner.initial_ideal_minimal_generators(minors)
+        lts = groebner.initial_ideal_minimal_generators(
+            [mi.binomial for mi in minors()])
         as_pairs = {frozenset(simplicial.vertex_for_variable(v, n)
                               for v in mono) for mono in lts}
-        _require(as_pairs == set(simplicial.initial_generators(m, n, r)),
+        _require(as_pairs == conflict_pairs(),
                  "leading terms differ from the conflict pairs")
         return f"{len(lts)} leading terms match the conflict pairs"
 
     @check("relations-reduce-to-zero", tier=2)
     def relations_reduce():
-        minors = [groebner.SparsePoly.from_binomial(mi.binomial)
-                  for mi in generators.minor_basis(m, n, r)]
+        listing(invariants.minimal_generator_count(m, n, r),
+                "relations_reduce", "relations")
+        basis = [groebner.SparsePoly.from_binomial(mi.binomial)
+                 for mi in minors()]
         relations = generators.sorting_relations(m, n, r)
         polys = [groebner.SparsePoly.from_binomial(rel) for rel in relations]
-        for rel, rem in zip(relations, groebner.remainders(polys, minors),
+        for rel, rem in zip(relations, groebner.remainders(polys, basis),
                             strict=True):
             if rem:
                 raise CheckFailed(f"{rel} does not reduce to zero")

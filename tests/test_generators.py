@@ -223,6 +223,20 @@ def test_witness_223_exists_and_cancels():
     assert expand(witness) == {}
 
 
+def test_witness_is_none_or_cancels_everywhere():
+    found = 0
+    for m, n, r in SMALL:
+        witness = minor_dependency_witness(m, n, r)
+        if witness is None:
+            continue
+        found += 1
+        assert len(witness) == 4
+        assert len({mi for _, mi in witness}) == 4
+        assert {s for s, _ in witness} <= {1, -1}
+        assert expand(witness) == {}
+    assert found == 8
+
+
 # ----------------------------------------------------------------------
 # serialization
 

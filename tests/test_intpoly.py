@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from doubledet.intpoly import IntPolynomial, one_minus_t_power
+from doubledet.intpoly import IntPolynomial, difference
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8)
 
@@ -62,17 +63,26 @@ def test_add_sub_roundtrip(a, b):
     assert (pa + pb) - pb == pa
 
 
-@given(small_polys, small_polys, st.integers(0, 10))
-def test_mul_truncated_matches_full_product(a, b, cutoff):
-    pa, pb = IntPolynomial(a), IntPolynomial(b)
-    full = pa * pb
-    truncated = pa.mul_truncated(pb, cutoff)
-    assert truncated == [full[d] for d in range(cutoff + 1)]
+def one_minus_t(e):
+    """(1 - t)^e by the full product, as the reference."""
+    p = IntPolynomial([1])
+    for _ in range(e):
+        p = p * IntPolynomial([1, -1])
+    return p
+
+
+@given(small_polys, st.integers(0, 12), st.integers(0, 10))
+def test_difference_matches_full_product(a, e, cutoff):
+    values = [IntPolynomial(a)[d] for d in range(cutoff + 1)]
+    full = one_minus_t(e) * IntPolynomial(a)
+    assert difference(values, e) == [full[d] for d in range(cutoff + 1)]
 
 
 def test_one_minus_t_power():
-    assert one_minus_t_power(0).coeffs == (1,)
-    assert one_minus_t_power(2).coeffs == (1, -2, 1)
-    assert one_minus_t_power(4).coeffs == (1, -4, 6, -4, 1)
-    p = one_minus_t_power(7)
-    assert p(1) == 0
+    # differencing the series 1 gives the coefficients of (1 - t)^e
+    assert difference([1], 0) == [1]
+    assert difference([1, 0, 0], 2) == [1, -2, 1]
+    assert difference([1, 0, 0, 0, 0, 0], 4) == [1, -4, 6, -4, 1, 0]
+    assert sum(difference([1] + [0] * 7, 7)) == 0
+    with pytest.raises(ValueError):
+        difference([1], -1)

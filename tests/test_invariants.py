@@ -161,6 +161,14 @@ def test_h_poly_methods_agree_up_to_4():
         assert words(1) == report.multiplicity == multiplicity(m, n, r)
 
 
+def test_h_poly_via_series_long_chain():
+    # (m, 2, 2): the words with m - 1 ones, one 2 and one 3 give
+    # h = 1 + (3m - 2) t + (m - 1)^2 t^2; dim = m + 2 rounds of differences
+    # over four series values, never all of (1 - t)^dim
+    m = 20000
+    assert h_poly_via_series(m, 2, 2).coeffs == (1, 3 * m - 2, (m - 1) ** 2)
+
+
 def test_h_poly_budget():
     with pytest.raises(BudgetExceededError):
         h_poly_via_linear_extensions(5, 5, 5, budget=10)

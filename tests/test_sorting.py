@@ -1,128 +1,127 @@
-from itertools import combinations, product
+"""The monomial map phi and the sorting facts behind it.
+
+The sorting map acts on pairs of equal-degree monomials over an ordered
+alphabet: merge the two sorted variable-id sequences and deal the merged
+sequence out alternately.  Under phi the images of the ring variables form
+a sortable set (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 14;
+Hibi 1987).  The sort here works on flat id tuples, with the x, y and z
+blocks laid out one after another, and serves as the reference for
+``phi_monomial`` and ``in_kernel``.
+"""
+
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet.grid import comparable
+from doubledet.grid import comparable, grid_points, join, meet
 from doubledet.ring import Binomial
-from doubledet.sorting import (BlockAlphabet, BlockMonomial, a_mnr, in_kernel,
-                               is_sorted, phi_monomial, sort_pair)
+from doubledet.sorting import in_kernel, phi_monomial
+
+BOARDS = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
+          for r in range(1, 4)]
 
 
-def xyz_monomial(m, n, r, i, j, k):
-    return phi_monomial(((i, j, k),), m, n, r)
+def flat_phi(variables, m, n, r):
+    """Reference phi: the image as one sorted tuple of flat ids, x_i as
+    i - 1, y_j as m + j - 1 and z_k as m + n + k - 1."""
+    return tuple(sorted(id_ for i, j, k in variables
+                        for id_ in (i - 1, m + j - 1, m + n + k - 1)))
 
 
-def test_alphabet_layout():
-    alpha = BlockAlphabet.xyz(3, 2, 4)
-    assert alpha.size == 9
-    assert alpha.var_id(0, 1) == 0 and alpha.var_id(0, 3) == 2
-    assert alpha.var_id(1, 1) == 3 and alpha.var_id(2, 4) == 8
-    assert alpha.var_label(0) == "x1"
-    assert alpha.var_label(3) == "y1"
-    assert alpha.var_label(8) == "z4"
-    with pytest.raises(ValueError):
-        alpha.var_id(0, 4)
-    with pytest.raises(ValueError):
-        alpha.var_id(3, 1)
+def sort_ids(u, v):
+    """The sorting of two equal-degree flat id tuples."""
+    merged = sorted(u + v)
+    return tuple(merged[0::2]), tuple(merged[1::2])
+
+
+def fixed_by_sorting(u, v):
+    """True iff the unordered pair {u, v} is fixed by the sorting map."""
+    return set(sort_ids(u, v)) == {u, v}
+
+
+def variable_images(m, n, r):
+    """The images x_i*y_j*z_k of the ring variables, as flat id tuples."""
+    return [flat_phi((p,), m, n, r) for p in grid_points(m, n, r)]
 
 
 def test_sort_pair_block_example():
     # sorting x2*y1*z2 with x1*y2*z1 gives the meet/join monomials
-    u1 = xyz_monomial(2, 2, 2, 2, 1, 2)
-    u2 = xyz_monomial(2, 2, 2, 1, 2, 1)
-    u3, u4 = sort_pair(u1, u2)
-    assert u3 == xyz_monomial(2, 2, 2, 1, 1, 1)
-    assert u4 == xyz_monomial(2, 2, 2, 2, 2, 2)
+    u3, u4 = sort_ids(flat_phi(((2, 1, 2),), 2, 2, 2),
+                      flat_phi(((1, 2, 1),), 2, 2, 2))
+    assert u3 == flat_phi(((1, 1, 1),), 2, 2, 2)
+    assert u4 == flat_phi(((2, 2, 2),), 2, 2, 2)
 
 
 def test_sort_pair_identity_on_sorted():
-    u = xyz_monomial(2, 2, 2, 1, 1, 1)
-    assert sort_pair(u, u) == (u, u)
-    assert is_sorted(u, u)
+    u = flat_phi(((1, 1, 1),), 2, 2, 2)
+    assert sort_ids(u, u) == (u, u)
+    assert fixed_by_sorting(u, u)
 
 
 def test_sort_pair_general_degree():
-    # general alphabet, degree 2: t1*t3 and t2*t2 merge to t1*t2, t2*t3
-    alpha = BlockAlphabet(("t",), (3,))
-    u1 = BlockMonomial.make(alpha, (0, 2))
-    u2 = BlockMonomial.make(alpha, (1, 1))
-    u3, u4 = sort_pair(u1, u2)
-    assert u3.ids == (0, 1) and u4.ids == (1, 2)
-    assert not is_sorted(u1, u2)
-
-
-def test_sort_pair_errors():
-    alpha = BlockAlphabet(("t",), (3,))
-    with pytest.raises(ValueError):
-        sort_pair(BlockMonomial.make(alpha, (0,)),
-                  BlockMonomial.make(alpha, (0, 1)))
-    other = BlockAlphabet(("s",), (3,))
-    with pytest.raises(ValueError):
-        sort_pair(BlockMonomial.make(alpha, (0,)),
-                  BlockMonomial.make(other, (0,)))
+    # one block t1, t2, t3, degree 2: t1*t3 and t2*t2 merge to t1*t2, t2*t3
+    assert sort_ids((0, 2), (1, 1)) == ((0, 1), (1, 2))
+    assert not fixed_by_sorting((0, 2), (1, 1))
 
 
 @given(st.integers(1, 6), st.data())
 def test_sort_pair_properties(width, data):
-    alpha = BlockAlphabet(("t",), (width,))
     degree = data.draw(st.integers(0, 5))
-    ids = st.tuples(*[st.integers(0, width - 1)] * degree)
-    u1 = BlockMonomial.make(alpha, data.draw(ids))
-    u2 = BlockMonomial.make(alpha, data.draw(ids))
-    u3, u4 = sort_pair(u1, u2)
+    ids = st.lists(st.integers(0, width - 1), min_size=degree,
+                   max_size=degree).map(lambda xs: tuple(sorted(xs)))
+    u1, u2 = data.draw(ids), data.draw(ids)
+    u3, u4 = sort_ids(u1, u2)
     # conserves the product, is symmetric, and is idempotent
-    assert sorted(u3.ids + u4.ids) == sorted(u1.ids + u2.ids)
-    assert sort_pair(u2, u1) == (u3, u4)
-    assert sort_pair(u3, u4) == (u3, u4)
-    assert is_sorted(u3, u4)
+    assert sorted(u3 + u4) == sorted(u1 + u2)
+    assert sort_ids(u2, u1) == (u3, u4)
+    assert sort_ids(u3, u4) == (u3, u4)
+    assert fixed_by_sorting(u3, u4)
 
 
 def test_a_mnr_counts_and_order():
-    assert [str(u) for u in a_mnr(1, 1, 1)] == ["x1*y1*z1"]
-    assert len(a_mnr(2, 2, 2)) == 8
-    mons = a_mnr(3, 2, 4)
-    assert len(mons) == 24
-    assert len(set(mons)) == 24
-    assert mons == sorted(mons, key=lambda u: u.ids)
+    # phi is injective on the variables, and its images in lexicographic
+    # (i, j, k) order are increasing, under either form of the image
+    for m, n, r in [(1, 1, 1), (2, 2, 2), (3, 2, 4)]:
+        points = grid_points(m, n, r)
+        images = [phi_monomial((p,), m, n, r) for p in points]
+        assert len(set(images)) == len(points) == m * n * r
+        assert images == sorted(images)
+        assert variable_images(m, n, r) == sorted(variable_images(m, n, r))
     with pytest.raises(ValueError):
-        a_mnr(0, 1, 1)
+        variable_images(0, 1, 1)
 
 
 def test_a_mnr_sortable_closure():
     for m, n, r in [(2, 2, 2), (3, 3, 3), (1, 2, 3)]:
-        mons = set(a_mnr(m, n, r))
+        mons = set(variable_images(m, n, r))
         for u1, u2 in product(mons, repeat=2):
-            u3, u4 = sort_pair(u1, u2)
+            u3, u4 = sort_ids(u1, u2)
             assert u3 in mons and u4 in mons
 
 
 def test_unsorted_iff_incomparable():
     for m, n, r in [(2, 2, 2), (3, 2, 3), (3, 3, 3)]:
-        triples = list(product(range(1, m + 1), range(1, n + 1),
-                               range(1, r + 1)))
-        for a, b in combinations(triples, 2):
-            ua = xyz_monomial(m, n, r, *a)
-            ub = xyz_monomial(m, n, r, *b)
-            assert is_sorted(ua, ub) == comparable(a, b)
+        for a, b in combinations(grid_points(m, n, r), 2):
+            sorted_pair = fixed_by_sorting(flat_phi((a,), m, n, r),
+                                           flat_phi((b,), m, n, r))
+            assert sorted_pair == comparable(a, b)
 
 
 def test_sort_matches_meet_join_on_grid():
-    for a, b in product(product((1, 2), repeat=3), repeat=2):
-        ua = xyz_monomial(2, 2, 2, *a)
-        ub = xyz_monomial(2, 2, 2, *b)
-        lo = tuple(map(min, a, b))
-        hi = tuple(map(max, a, b))
-        assert sort_pair(ua, ub) == (xyz_monomial(2, 2, 2, *lo),
-                                     xyz_monomial(2, 2, 2, *hi))
+    for a, b in product(grid_points(2, 2, 2), repeat=2):
+        assert sort_ids(flat_phi((a,), 2, 2, 2), flat_phi((b,), 2, 2, 2)) == (
+            flat_phi((meet(a, b),), 2, 2, 2), flat_phi((join(a, b),), 2, 2, 2))
 
 
 def test_phi_examples():
-    assert str(phi_monomial(((1, 2, 3),), 2, 2, 3)) == "x1*y2*z3"
-    u = phi_monomial(((1, 1, 1), (2, 2, 2)), 2, 2, 2)
-    assert str(u) == "x1*x2*y1*y2*z1*z2"
-    with pytest.raises(ValueError):
-        phi_monomial(((3, 1, 1),), 2, 2, 2)
+    assert phi_monomial(((1, 2, 3),), 2, 2, 3) == ((1,), (2,), (3,))
+    assert phi_monomial(((2, 1, 1), (1, 2, 2)), 2, 2, 2) == (
+        (1, 2), (1, 2), (1, 2))
+    assert phi_monomial((), 2, 2, 2) == ((), (), ())
+    for off in ((3, 1, 1), (1, 0, 1), (1, 1, 3)):
+        with pytest.raises(ValueError):
+            phi_monomial(((1, 1, 1), off), 2, 2, 2)
 
 
 def test_in_kernel_examples():
@@ -138,3 +137,14 @@ def test_in_kernel_examples():
     assert phi_monomial(t, 2, 2, 2) == phi_monomial(t, 2, 2, 2)
     with pytest.raises(ValueError):
         Binomial.make(t, t)
+
+
+def test_in_kernel_matches_flat_phi_on_every_quadric():
+    # every binomial of two distinct degree-2 monomials on every board
+    # up to (3,3,3)
+    for m, n, r in BOARDS:
+        terms = list(combinations_with_replacement(grid_points(m, n, r), 2))
+        flat = {t: flat_phi(t, m, n, r) for t in terms}
+        for a, b in combinations(terms, 2):
+            assert in_kernel(Binomial.make(a, b), m, n, r) == (
+                flat[a] == flat[b])

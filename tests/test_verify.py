@@ -57,6 +57,16 @@ SABOTAGE = {
         "real = generators.minor_basis\n"
         "generators.minor_basis = lambda m, n, r: real(m, n, r)[1:]\n"),
         ("kernel-membership",)),
+    # phi itself: a kernel test that accepts everything, and a map that
+    # forgets the matrix index; every known generator is still accepted
+    "kernel-accepts-all": ("formulas",
+                           "sorting.in_kernel = lambda b, m, n, r: True\n",
+                           ("kernel-membership",)),
+    "phi-drops-matrix": ("formulas", (
+        "real = sorting.phi_monomial\n"
+        "sorting.phi_monomial = lambda variables, m, n, r: (\n"
+        "    real(variables, m, n, r)[:2])\n"),
+        ("kernel-membership",)),
     # the facet encoder and the extender with M and N swapped in their word
     "word-codec-roundtrip": ("complex", SWAP_M_N.format(name="facet_word"),
                              ("word-codec-roundtrip",)),
@@ -68,7 +78,8 @@ SABOTAGE = {
 
 def run_sabotaged(sabotage, level, optimize):
     script = ("import dataclasses, sys\n"
-              "from doubledet import cli, generators, invariants, simplicial\n"
+              "from doubledet import (cli, generators, invariants,\n"
+              "                       simplicial, sorting)\n"
               + sabotage
               + "sys.exit(cli.main(['verify', '2', '2', '2', "
                 f"'--level', '{level}']))\n")
@@ -92,6 +103,10 @@ def run_sabotaged(sabotage, level, optimize):
     ("duplicated-minor", False),
     ("dropped-minor", True),
     ("dropped-minor", False),
+    ("kernel-accepts-all", True),
+    ("kernel-accepts-all", False),
+    ("phi-drops-matrix", True),
+    ("phi-drops-matrix", False),
     ("word-codec-roundtrip", True),
     ("word-codec-roundtrip", False),
     ("extend-fixes-facets", True),
