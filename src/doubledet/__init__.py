@@ -20,17 +20,16 @@ from .invariants import (InvariantReport, check_symmetry, compute_invariants,
                          h_poly_via_linear_extensions, h_poly_via_series,
                          h_poly_via_words, hilbert_function, is_gorenstein,
                          macmahon_check, minimal_generator_count,
-                         multiplicity, order_preserving_map_count,
+                         multiplicity, order_preserving_map_counts,
                          poset_descent_polynomial)
 from .multiset import (descent_polynomial, descents, multinomial,
                        multiset_permutations)
-from .poset import (Poset, make_pmnr, pmnr_chain_ranges, poset_from_text,
-                    poset_to_text)
-from .ring import Binomial, parse_binomial
+from .poset import Poset, make_pmnr, pmnr_chain_ranges
+from .ring import Binomial
 from .simplicial import (Facet, check_shelling_order, complex_h_vector,
                          extend_to_facet, extension_word,
                          facet_from_vertices, facet_word, facets,
-                         initial_generators, is_face,
+                         initial_generators,
                          maximal_faces_bruteforce, parse_vertices,
                          vertex_for_variable)
 from .sorting import in_kernel, phi_monomial

@@ -5,9 +5,10 @@ harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
 as it is decoded and holds no catalog, in every format.  Exit status:
-0 success, 1 failed verification, 2 invalid input or exhausted budget,
-141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
-reader closes stdout before the output ends.
+0 success, 1 failed verification, 2 invalid input, exhausted budget or a
+listing over its fixed cap, 141 (128 + SIGPIPE, as a shell reports a
+process killed by it) when the reader closes stdout before the output
+ends.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import itertools
 import json
 import os
 import sys
+from math import comb
 
 from . import generators, invariants, poset, simplicial, verify
-from .errors import DEFAULT_BUDGET, BudgetExceededError, check_sizes
+from .errors import (DEFAULT_BUDGET, MAX_LISTED, BudgetExceededError, bound,
+                     check_sizes)
 
 
 def build_parser():
@@ -36,7 +39,7 @@ def build_parser():
             p.add_argument(size, type=int)
         p.add_argument("-f", "--format", choices=("text", "json", "csv"),
                        default="text")
-        if name in ("hpoly", "facets", "verify"):
+        if name in ("facets", "verify"):
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="max number of facets/extensions/S-pairs "
                                 "to visit")
@@ -55,7 +58,10 @@ def build_parser():
     # no default, so cmd_hpoly can refuse an explicit --method with
     # --poset-file; None means series
     p.add_argument("--method", choices=("series", "words", "extensions",
-                                        "all"))
+                                        "all"),
+                   help="route (default series); no route lists words or "
+                        "extensions, so no budget applies: fixed caps "
+                        "bound each recursion's work")
     p.add_argument("--poset-file", metavar="FILE",
                    help="descent polynomial over the linear extensions of "
                         "the poset in FILE instead of the three-chain poset")
@@ -181,6 +187,12 @@ def cmd_invariants(args):
 
 def cmd_generators(args):
     m, n, r = args.m, args.n, args.r
+    if args.show in ("families", "sorting-relations"):
+        count, unit = invariants.minimal_generator_count(m, n, r), "generators"
+    else:  # the minors of H and V, or the witness searched among them
+        count = comb(m, 2) * comb(n * r, 2) + comb(m * r, 2) * comb(n, 2)
+        unit = "minors"
+    bound(count, MAX_LISTED, "cli.generators", unit)
     if args.show == "families":
         fams = generators.generator_families(m, n, r)
         total = sum(len(v) for v in fams.values())
@@ -224,6 +236,7 @@ def cmd_generators(args):
 def cmd_hilbert(args):
     if args.max_degree < 0:
         raise ValueError("max degree must be nonnegative")
+    bound(args.max_degree + 1, MAX_LISTED, "cli.hilbert", "degrees")
     values = [invariants.hilbert_function(args.m, args.n, args.r, d)
               for d in range(args.max_degree + 1)]
     _emit(args, lambda: {"values": values}, ("d", "value"),
@@ -243,8 +256,7 @@ def cmd_hpoly(args):
         with open(args.poset_file, encoding="utf-8") as handle:
             size, relations = poset.parse_poset_text(handle.read())
         invariants.bound_poset_elements(size)
-        h = invariants.poset_descent_polynomial(poset.Poset(size, relations),
-                                                budget=args.budget)
+        h = invariants.poset_descent_polynomial(poset.Poset(size, relations))
     else:
         if len(args.sizes) != 3:
             raise ValueError("expected three sizes: m n r")
@@ -254,7 +266,7 @@ def cmd_hpoly(args):
             "series": lambda: invariants.h_poly_via_series(m, n, r),
             "words": lambda: invariants.h_poly_via_words(m, n, r),
             "extensions": lambda: invariants.h_poly_via_linear_extensions(
-                m, n, r, budget=args.budget),
+                m, n, r),
         }
         if args.method != "all":
             h = methods[args.method or "series"]()

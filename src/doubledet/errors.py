@@ -18,6 +18,11 @@ class CheckFailed(Exception):
 #: default cap on the facets/extensions/S-pairs an enumeration may visit
 DEFAULT_BUDGET = 10 ** 7
 
+#: fixed cap on what one listing holds: the generators, minors, degree-2
+#: monomials and board pairs ``verify`` lists, and the rows that the
+#: ``hilbert`` and ``generators`` commands print
+MAX_LISTED = 200_000
+
 
 def bound(count, limit, where, unit, error=SizeGuardError):
     """Refuse an enumeration of ``count`` units of work above ``limit``.

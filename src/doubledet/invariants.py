@@ -20,12 +20,12 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from . import grid, poset as poset_mod
-from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
+from .errors import bound, check_sizes
 from .intpoly import IntPolynomial, difference
 from .multiset import descent_polynomial, multinomial
 
-#: fixed cap on the work of the brute-force order-preserving map oracle
-MAX_MAP_ELEMENTS = 12
+#: fixed cap on order_preserving_map_counts: ideals x |P| x degrees
+MAX_MULTICHAIN_STEPS = 10 ** 7
 #: fixed caps on poset_descent_polynomial: its elements, its states in one
 #: layer, and its steps (|layer| x n, summed over the layers expanded)
 MAX_POSET_ELEMENTS = 2_000
@@ -110,29 +110,39 @@ def hilbert_function(m, n, r, d):
     return comb(m - 1 + d, d) * comb(n - 1 + d, d) * comb(r - 1 + d, d)
 
 
-def order_preserving_map_count(p, d):
-    """Oracle: count maps p -> {0..d} with f(a) <= f(b) whenever a precedes
-    b, by exhaustive assignment in natural-label order."""
-    if d < 0:
+def order_preserving_map_counts(p, top):
+    """Oracle: for d = 0..top, the number of maps f: p -> {0..d} with
+    f(a) <= f(b) whenever a precedes b.
+
+    Such a map is the multichain of order ideals I_1 <= ... <= I_d, with
+    I_k the elements f sends below k (Stanley, EC1 3.12).  So the count
+    for d is Z_d(P), where Z_0 is 1 on every ideal and Z_d(I) sums
+    Z_{d-1} over the ideals J <= I.  Each sum is taken one element at a
+    time, in increasing label order: once e is done, an ideal's value sums
+    over the ideals below it that agree with it above e, and an ideal I
+    holding e gains the value of I - {e} when that is an ideal.  The
+    ideals are bitmasks, listed by the sweep of ``Poset.order_ideals``.
+    The work is ideals x |P| x (top + 1): SizeGuardError past
+    MAX_MULTICHAIN_STEPS, checked as the ideals are listed, before any sum.
+    """
+    if top < 0:
         raise ValueError("degree must be nonnegative")
-    bound(p.n, MAX_MAP_ELEMENTS, "invariants.order_preserving_map_count",
-          "elements")
-    values = [0] * p.n
-    # the predecessors of e are already assigned, monotonically, so their
-    # largest value is that of one of e's lower covers
-    below = [p.lower_covers(e) for e in range(p.n)]
-
-    def count_from(e):
-        if e == p.n:
-            return 1
-        lower = max((values[q] for q in below[e]), default=0)
-        total = 0
-        for v in range(lower, d + 1):
-            values[e] = v
-            total += count_from(e + 1)
-        return total
-
-    return count_from(0)
+    below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
+    ideals = [0]
+    for e, need in enumerate(below):
+        ideals += [i | 1 << e for i in ideals if i & need == need]
+        bound(len(ideals) * p.n * (top + 1), MAX_MULTICHAIN_STEPS,
+              "invariants.order_preserving_map_counts", "steps")
+    z = dict.fromkeys(ideals, 1)
+    counts = [1]
+    for _ in range(top):
+        for e in range(p.n):
+            bit = 1 << e
+            for i in ideals:
+                if i & bit and i ^ bit in z:
+                    z[i] += z[i ^ bit]
+        counts.append(z[(1 << p.n) - 1])
+    return counts
 
 
 def h_poly_via_words(m, n, r):
@@ -142,16 +152,11 @@ def h_poly_via_words(m, n, r):
     return descent_polynomial([1] * (m - 1) + [2] * (n - 1) + [3] * (r - 1))
 
 
-def h_poly_via_linear_extensions(m, n, r, budget=DEFAULT_BUDGET):
+def h_poly_via_linear_extensions(m, n, r):
     """Descent generating polynomial over linear extensions of the
     three-chain poset, by poset_descent_polynomial's recursion; agrees with
     the word count via the label-to-letter bijection."""
-    check_sizes(m, n, r)
-    bound(multiplicity(m, n, r), budget,
-          "invariants.h_poly_via_linear_extensions", "extensions",
-          BudgetExceededError)
-    return poset_descent_polynomial(poset_mod.make_pmnr(m, n, r),
-                                    budget=budget)
+    return poset_descent_polynomial(poset_mod.make_pmnr(m, n, r))
 
 
 def bound_poset_elements(n):
@@ -162,7 +167,7 @@ def bound_poset_elements(n):
           "elements")
 
 
-def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
+def poset_descent_polynomial(p):
     """Sum of t^descents over all linear extensions of an arbitrary
     naturally labeled poset (Stanley's W-polynomial), without listing them.
 
@@ -180,8 +185,8 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
     than MAX_POSET_ELEMENTS elements, for a layer whose expansion would
     take the steps so far past MAX_POSET_STEPS, and once a layer passes
     MAX_POSET_STATES states (it stops building that layer there; no layer
-    holds more states than P has extensions).  BudgetExceededError when
-    the exact count of extensions, h(1), exceeds ``budget``.
+    holds more states than P has extensions).  These caps are its only
+    bound: it lists no extension, so h(1) itself is never capped.
     """
     where = "invariants.poset_descent_polynomial"
     bound_poset_elements(p.n)
@@ -209,10 +214,8 @@ def poset_descent_polynomial(p, budget=DEFAULT_BUDGET):
         layer = nxt
     total = sum(layer.values())
     mask = (1 << width) - 1
-    h = IntPolynomial([total >> (width * d) & mask
-                       for d in range(max(1, p.n))])
-    bound(h(1), budget, where, "extensions", BudgetExceededError)
-    return h
+    return IntPolynomial([total >> (width * d) & mask
+                          for d in range(max(1, p.n))])
 
 
 def h_poly_via_series(m, n, r):

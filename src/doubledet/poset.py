@@ -57,11 +57,6 @@ class Poset:
         self._covers = tuple(sorted(covers))
         self._lower = tuple(frozenset(s) for s in lower)
 
-    def comparable(self, a, b):
-        # natural labeling: only the smaller label can precede the other
-        lo, hi = sorted((a, b))
-        return lo == hi or self._up[lo] >> hi & 1 == 1
-
     def lower_covers(self, a):
         """The elements a covers: its predecessors with nothing between."""
         return self._lower[a]
@@ -197,14 +192,8 @@ def pmnr_chain_ranges(m, n, r):
 
 
 # ----------------------------------------------------------------------
-# text serialization: first line "n=<count>", then one "a < b" cover
-# relation per line, in natural (1-based) labels
-
-def poset_to_text(p):
-    lines = [f"n={p.n}"]
-    lines.extend(f"{a + 1} < {b + 1}" for a, b in p.covers())
-    return "\n".join(lines) + "\n"
-
+# text format: first line "n=<count>", then one "a < b" cover relation per
+# line, in natural (1-based) labels
 
 def parse_poset_text(text):
     """The element count n and the cover pairs, 0-based, of a poset in the
@@ -229,7 +218,3 @@ def parse_poset_text(text):
             raise ValueError(f"label out of range in line: {ln!r}")
         relations.append((a - 1, b - 1))
     return n, relations
-
-
-def poset_from_text(text):
-    return Poset(*parse_poset_text(text))

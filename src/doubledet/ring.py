@@ -22,7 +22,6 @@ printed term order) read it from here.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -90,23 +89,3 @@ class Binomial:
     def __str__(self):
         return f"{monomial_str(self.plus)} - {monomial_str(self.minus)}"
 
-
-_VAR_RE = re.compile(r"x\[(\d+),(\d+),(\d+)\]")
-
-
-def parse_binomial(text):
-    """Inverse of str(Binomial): 'x[...]*x[...] - x[...]*x[...]'."""
-    sides = text.split("-")
-    if len(sides) != 2:
-        raise ValueError(f"expected exactly one '-' in binomial: {text!r}")
-    terms = []
-    for side in sides:
-        found = _VAR_RE.findall(side)
-        if len(found) != 2 or _VAR_RE.sub("", side).replace("*", "").strip():
-            raise ValueError(f"bad binomial term: {side.strip()!r}")
-        term = tuple(tuple(map(int, v)) for v in found)
-        if any(index < 1 for v in term for index in v):
-            raise ValueError(
-                f"variable indices must be positive: {side.strip()!r}")
-        terms.append(term)
-    return Binomial.make(*terms)

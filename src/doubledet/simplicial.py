@@ -14,9 +14,9 @@ The word is therefore used as the identity of a facet.
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
 column c is column j of matrix k; ``_layout`` is the one reader of that
-split.  ``is_face``, ``facet_word`` and ``extension_word`` read their input
-through ``_read_vertices``, the one place that checks a vertex against the
-board and groups a vertex set by matrix in path order.
+split.  ``facet_word`` and ``extension_word`` read their input through
+``_read_vertices``, the one place that checks a vertex against the board
+and groups a vertex set by matrix in path order.
 
 ``facet_word`` is the one encoder (vertex set to word) and
 ``extension_word`` the one extender (face to the word of a facet holding
@@ -29,7 +29,6 @@ and check the input's vertices against the facet's.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from math import comb
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
@@ -110,13 +109,6 @@ def board(m, n, r):
     """All board positions, row-major."""
     check_sizes(m, n, r)
     return [(i, c) for i in range(1, m + 1) for c in range(1, n * r + 1)]
-
-
-def is_face(vertices, m, n, r):
-    """True iff no pair of the given vertices conflicts."""
-    verts, _ = _read_vertices(vertices, m, n, r)
-    return not any(conflicts(a, b, n)
-                   for a, b in combinations(verts, 2))
 
 
 class Facet:

@@ -13,6 +13,7 @@ import pytest
 
 import doubledet
 from doubledet import cli, invariants, poset
+from doubledet.errors import DEFAULT_BUDGET, MAX_LISTED
 from doubledet.intpoly import IntPolynomial
 
 PAPER_VERTICES = ("(4,5),(3,5),(3,7),(2,7),(2,8),(2,9),(2,10),(2,11),"
@@ -202,7 +203,7 @@ def test_hpoly_poset_file_with_method_rejected(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
-def test_hpoly_poset_file_refuses_over_budget_without_listing(
+def test_hpoly_poset_file_counts_past_the_budget_without_listing(
         capsys, tmp_path, monkeypatch):
     def no_listing(self):
         raise AssertionError("linear extensions listed")
@@ -211,11 +212,13 @@ def test_hpoly_poset_file_refuses_over_budget_without_listing(
     path = tmp_path / "antichain.poset"
     path.write_text("n=12\n")
     code, out, err = run(capsys, "hpoly", "--poset-file", str(path),
-                         "--budget", "1000000")
-    assert code == 2
-    assert out == ""
-    assert err == ("error: budget exceeded: invariants.poset_descent_"
-                   "polynomial: 479001600 extensions exceed budget 1000000\n")
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    # the Eulerian polynomial: 12! = 479001600 extensions, none listed
+    eulerian = [1, 4083, 478271, 10187685, 66318474, 162512286]
+    h = json.loads(out)["h_polynomial"]
+    assert h == eulerian + eulerian[::-1]
+    assert sum(h) == 479001600 > DEFAULT_BUDGET
 
 
 def test_hpoly_poset_file_states_guard(tmp_path):
@@ -261,6 +264,28 @@ def test_hpoly_poset_file_elements_guard(tmp_path, shape, n):
     assert proc.stderr == (
         f"error: invariants.poset_descent_polynomial: {n} elements exceed "
         f"guard {invariants.MAX_POSET_ELEMENTS}\n")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (("hilbert", "2", "2", "2", "--max-degree", "30000000"),
+     "cli.hilbert: 30000001 degrees"),
+    (("generators", "14", "14", "14", "--show", "minors"),
+     "cli.generators: 3478020 minors"),
+    (("generators", "14", "14", "14"), "cli.generators: 2608515 generators"),
+])
+def test_listing_over_the_cap_exits_2(argv, refused):
+    # in a child capped at 512 MB of address space: unguarded, each listing
+    # dies there with a MemoryError traceback and exit 1, the status of a
+    # failed verification
+    limit = 512 * 2 ** 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "doubledet", *argv],
+        env=fresh_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {refused} exceed guard {MAX_LISTED}\n"
 
 
 def test_hpoly_missing_sizes(capsys):
@@ -341,7 +366,7 @@ def test_python_m_doubledet_is_the_cli():
 
 def test_bad_sizes_exit_2(capsys):
     for argv in (("invariants", "0", "2", "2"),
-                 ("hpoly", "2", "2", "2", "--budget", "0")):
+                 ("facets", "2", "2", "2", "--budget", "0")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "positive" in err, argv

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import comb
 
@@ -7,7 +8,7 @@ from doubledet.generators import (decompose_into_minors, family_sizes,
                                   generator_families, minor_basis,
                                   minor_count, minor_dependency_witness,
                                   minors_H, minors_V, sorting_relations)
-from doubledet.ring import Binomial, parse_binomial
+from doubledet.ring import Binomial
 from doubledet.sorting import in_kernel
 
 SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
@@ -239,6 +240,27 @@ def test_witness_is_none_or_cancels_everywhere():
 
 # ----------------------------------------------------------------------
 # serialization
+
+_VAR_RE = re.compile(r"x\[(\d+),(\d+),(\d+)\]")
+
+
+def parse_binomial(text):
+    """Inverse of str(Binomial): 'x[...]*x[...] - x[...]*x[...]'."""
+    sides = text.split("-")
+    if len(sides) != 2:
+        raise ValueError(f"expected exactly one '-' in binomial: {text!r}")
+    terms = []
+    for side in sides:
+        found = _VAR_RE.findall(side)
+        if len(found) != 2 or _VAR_RE.sub("", side).replace("*", "").strip():
+            raise ValueError(f"bad binomial term: {side.strip()!r}")
+        term = tuple(tuple(map(int, v)) for v in found)
+        if any(index < 1 for v in term for index in v):
+            raise ValueError(
+                f"variable indices must be positive: {side.strip()!r}")
+        terms.append(term)
+    return Binomial.make(*terms)
+
 
 def test_binomial_text_roundtrip():
     for m, n, r in [(2, 2, 2), (3, 2, 2)]:

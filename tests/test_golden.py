@@ -64,7 +64,8 @@ def _cases():
         cases += [["verify", *sizes, "--level", level, *f]
                   for sizes in (("2", "2", "3"), ("1", "3", "2"))
                   for level in ("formulas", "complex", "groebner")]
-        # a size guard turns hilbert-oracle into a skip
+        # a 13-element chain: hilbert-oracle checks d = 0..13 by ideal
+        # multichains
         cases.append(["verify", "1", "1", "14", "--level", "formulas", *f])
         # a budget below the oracles' work
         cases.append(["verify", "2", "2", "2", "--level", "complex",

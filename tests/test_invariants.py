@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doubledet import invariants
-from doubledet.errors import BudgetExceededError, SizeGuardError, bound
+from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
+                              SizeGuardError, bound)
 from doubledet.grid import comparable, grid_points
 from doubledet.invariants import (check_symmetry, compute_invariants,
                                   h_poly_via_linear_extensions,
                                   h_poly_via_series, h_poly_via_words,
                                   hilbert_function, is_gorenstein,
                                   macmahon_check, minimal_generator_count,
-                                  multiplicity, order_preserving_map_count,
+                                  multiplicity, order_preserving_map_counts,
                                   poset_descent_polynomial)
 from doubledet.intpoly import IntPolynomial
 from doubledet.multiset import descents
@@ -121,14 +122,22 @@ def test_hilbert_function_bruteforce_agrees():
                     == hilbert_function_bruteforce(m, n, r, d))
 
 
-def test_order_preserving_maps():
-    assert order_preserving_map_count(Poset(0), 7) == 1
-    assert order_preserving_map_count(make_pmnr(2, 2, 2), 1) == 8
-    assert order_preserving_map_count(make_pmnr(3, 2, 4), 2) == 180
-    with pytest.raises(SizeGuardError):
-        order_preserving_map_count(Poset(13), 1)
+def test_order_preserving_maps(monkeypatch):
+    assert order_preserving_map_counts(Poset(0), 7) == [1] * 8
+    assert order_preserving_map_counts(make_pmnr(2, 2, 2), 1) == [1, 8]
+    assert order_preserving_map_counts(make_pmnr(3, 2, 4), 2)[2] == 180
+    # refused while its ideals are listed: the 2^40 of an antichain never are
+    with pytest.raises(SizeGuardError, match="invariants.order_preserving_"
+                       r"map_counts: \d+ steps exceed guard 10000000"):
+        order_preserving_map_counts(Poset(40), 1)
     with pytest.raises(ValueError):
-        order_preserving_map_count(Poset(2), -1)
+        order_preserving_map_counts(Poset(2), -1)
+    # the cap is on ideals x |P| x degrees: 8 x 3 x 2 for (2, 2, 2), d <= 1
+    monkeypatch.setattr(invariants, "MAX_MULTICHAIN_STEPS", 48)
+    assert order_preserving_map_counts(make_pmnr(2, 2, 2), 1) == [1, 8]
+    monkeypatch.setattr(invariants, "MAX_MULTICHAIN_STEPS", 47)
+    with pytest.raises(SizeGuardError, match="48 steps exceed guard 47"):
+        order_preserving_map_counts(make_pmnr(2, 2, 2), 1)
 
 
 def test_hilbert_equals_order_preserving_maps():
@@ -136,9 +145,13 @@ def test_hilbert_equals_order_preserving_maps():
         for n in range(1, 4):
             for r in range(1, 4):
                 p = make_pmnr(m, n, r)
-                for d in range(5):
-                    assert (hilbert_function(m, n, r, d)
-                            == order_preserving_map_count(p, d))
+                assert (order_preserving_map_counts(p, 4)
+                        == [hilbert_function(m, n, r, d) for d in range(5)])
+    # every d < dim, where the two polynomials of degree dim - 1 meet
+    for m, n, r in [(1, 1, 14), (4, 4, 5), (8, 8, 8), (10, 10, 10)]:
+        p = make_pmnr(m, n, r)
+        assert (order_preserving_map_counts(p, p.n)
+                == [hilbert_function(m, n, r, d) for d in range(p.n + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -169,12 +182,16 @@ def test_h_poly_via_series_long_chain():
     assert h_poly_via_series(m, 2, 2).coeffs == (1, 3 * m - 2, (m - 1) ** 2)
 
 
-def test_h_poly_budget():
-    with pytest.raises(BudgetExceededError):
-        h_poly_via_linear_extensions(5, 5, 5, budget=10)
-    with pytest.raises(BudgetExceededError, match="invariants.poset_descent_"
-                       "polynomial: 6 extensions exceed budget 5"):
-        poset_descent_polynomial(Poset(3), budget=5)
+def test_h_poly_recursions_take_no_budget():
+    # no extension is listed, so an h(1) far past the enumeration budget
+    # is computed, not refused
+    h = h_poly_via_linear_extensions(8, 8, 8)
+    assert h == h_poly_via_words(8, 8, 8) == h_poly_via_series(8, 8, 8)
+    assert h(1) == multiplicity(8, 8, 8) > DEFAULT_BUDGET
+    # the 12-element antichain: the Eulerian numbers, 12! > DEFAULT_BUDGET
+    eulerian = [1, 4083, 478271, 10187685, 66318474, 162512286]
+    assert list(poset_descent_polynomial(Poset(12)).coeffs) == (
+        eulerian + eulerian[::-1])
 
 
 def test_poset_descent_polynomial_general():

@@ -4,15 +4,16 @@ from math import comb
 
 import pytest
 
+from doubledet import simplicial
 from doubledet.errors import BudgetExceededError, SizeGuardError
 from doubledet.invariants import (h_poly_via_words, minimal_generator_count,
                                   multiplicity)
 from doubledet.simplicial import (Facet, all_faces, check_shelling_order,
-                                  complex_h_vector, extend_to_facet,
-                                  extension_word, facet_from_vertices,
-                                  facet_word, facets,
+                                  complex_h_vector, conflicts,
+                                  extend_to_facet, extension_word,
+                                  facet_from_vertices, facet_word, facets,
                                   initial_generator_count,
-                                  initial_generators, is_face,
+                                  initial_generators,
                                   maximal_faces_bruteforce, parse_vertices)
 
 SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
@@ -47,6 +48,13 @@ PAPER_223_ORDER = [
 def path_endpoints(facet):
     """The first and last vertex of each of the facet's paths."""
     return tuple((path[0], path[-1]) for path in facet.paths)
+
+
+def is_face(vertices, m, n, r):
+    """True iff no pair of the given vertices conflicts; the vertices are
+    read, and checked against the board, by the library's one reader."""
+    verts, _ = simplicial._read_vertices(vertices, m, n, r)
+    return not any(conflicts(a, b, n) for a, b in combinations(verts, 2))
 
 
 # ----------------------------------------------------------------------

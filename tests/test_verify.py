@@ -30,7 +30,8 @@ SWAP_M_N = (
     "    str.maketrans('MN', 'NM'))\n")
 
 #: each sabotage of a closed form or its oracle: the lowest level that
-#: catches it, the code that breaks it, and the checks that must report it
+#: catches it, the code that breaks it, the checks that must report it,
+#: and the size to verify if not (2, 2, 2)
 SABOTAGE = {
     "multiplicity-extensions": ("formulas", (
         "real = invariants.multiplicity\n"
@@ -73,15 +74,31 @@ SABOTAGE = {
     "extend-fixes-facets": ("complex",
                             SWAP_M_N.format(name="extension_word"),
                             ("extend-fixes-facets",)),
+    # the Hilbert function off by one at d = dim - 1 = 6 only, past every
+    # degree the series route reads
+    "hilbert-last-degree": ("formulas", (
+        "real = invariants.hilbert_function\n"
+        "invariants.hilbert_function = lambda m, n, r, d: (\n"
+        "    real(m, n, r, d) + (d == m + n + r - 3))\n"),
+        ("hilbert-oracle",), (3, 3, 3)),
+    # the ideal multichain count off by one in its last degree only
+    "multichain-count": ("formulas", (
+        "real = invariants.order_preserving_map_counts\n"
+        "def counts(p, top):\n"
+        "    out = real(p, top)\n"
+        "    out[-1] += 1\n"
+        "    return out\n"
+        "invariants.order_preserving_map_counts = counts\n"),
+        ("hilbert-oracle",), (3, 3, 3)),
 }
 
 
-def run_sabotaged(sabotage, level, optimize):
+def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     script = ("import dataclasses, sys\n"
               "from doubledet import (cli, generators, invariants,\n"
               "                       simplicial, sorting)\n"
               + sabotage
-              + "sys.exit(cli.main(['verify', '2', '2', '2', "
+              + f"sys.exit(cli.main(['verify', *map(str, {size}), "
                 f"'--level', '{level}']))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
@@ -111,10 +128,14 @@ def run_sabotaged(sabotage, level, optimize):
     ("word-codec-roundtrip", False),
     ("extend-fixes-facets", True),
     ("extend-fixes-facets", False),
+    ("hilbert-last-degree", True),
+    ("hilbert-last-degree", False),
+    ("multichain-count", True),
+    ("multichain-count", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
-    level, code, checks = SABOTAGE[sabotage]
-    proc = run_sabotaged(code, level, optimize)
+    level, code, checks, *size = SABOTAGE[sabotage]
+    proc = run_sabotaged(code, level, optimize, *size)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     for name in checks:
         assert f"\nFAIL {name} (" in proc.stdout
