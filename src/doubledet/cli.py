@@ -33,13 +33,13 @@ def build_parser():
                     "ideal of r concatenated generic m x n matrices.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, help, sizes=True):
+    def sub(name, func, help, sizes=True, budget=False):
         p = subs.add_parser(name, help=help)
         for size in ("m", "n", "r") if sizes else ():
             p.add_argument(size, type=int)
         p.add_argument("-f", "--format", choices=("text", "json", "csv"),
                        default="text")
-        if name in ("facets", "verify"):
+        if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="max number of facets/extensions/S-pairs "
                                 "to visit")
@@ -65,7 +65,8 @@ def build_parser():
     p.add_argument("--poset-file", metavar="FILE",
                    help="descent polynomial over the linear extensions of "
                         "the poset in FILE instead of the three-chain poset")
-    p = sub("facets", cmd_facets, "facet catalog of the initial complex")
+    p = sub("facets", cmd_facets, "facet catalog of the initial complex",
+            budget=True)
     p.add_argument("--style", choices=("words", "paths"), default="words",
                    help="text layout (ignored for json/csv)")
     p = sub("word2facet", cmd_word2facet, "decode a facet word")
@@ -76,7 +77,8 @@ def build_parser():
     p = sub("extend", cmd_extend, "extend a face to a facet")
     p.add_argument("--vertices", required=True,
                    help="face vertex list; may be empty: ''")
-    p = sub("verify", cmd_verify, "run the cross-verification harness")
+    p = sub("verify", cmd_verify, "run the cross-verification harness",
+            budget=True)
     p.add_argument("--level", choices=verify.LEVELS, default="groebner",
                    help="formulas < complex < groebner (cumulative)")
     return parser

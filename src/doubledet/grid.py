@@ -16,9 +16,6 @@ from math import comb
 from . import poset as poset_mod
 from .errors import bound, check_sizes
 
-#: fixed cap on the ideals an ideal-lattice oracle lists
-MAX_IDEALS = 10_000
-
 
 def grid_points(m, n, r):
     """All grid points in lexicographic (i, j, k) order."""
@@ -64,19 +61,20 @@ def lattice_isomorphic_to_ideals(m, n, r):
     covers of its image, hence (order being the transitive closure of the
     covers) preserving order both ways."""
     check_sizes(m, n, r)
-    bound(m * n * r, MAX_IDEALS, "grid.lattice_isomorphic_to_ideals",
-          "ideals")
+    bound(m * n * r, poset_mod.MAX_IDEALS,
+          "grid.lattice_isomorphic_to_ideals", "ideals")
     p = poset_mod.make_pmnr(m, n, r)
-    chains = poset_mod.pmnr_chain_ranges(m, n, r)
+    chains = [sum(1 << e for e in chain)
+              for chain in poset_mod.pmnr_chain_ranges(m, n, r)]
     ideals = p.order_ideals()
-    images = {ideal: tuple(sum(1 for e in chain if e in ideal) + 1
+    images = {ideal: tuple((ideal & chain).bit_count() + 1
                            for chain in chains) for ideal in ideals}
     points = set(grid_points(m, n, r))
     if set(images.values()) != points or len(ideals) != len(points):
         return False
     for ideal, (i, j, k) in images.items():
-        up = {images.get(ideal | {e}) for e in range(p.n)
-              if e not in ideal and p.lower_covers(e) <= ideal}
+        up = {images.get(ideal | 1 << e) for e, need in enumerate(p.below)
+              if not ideal >> e & 1 and ideal & need == need}
         if up != {(i + 1, j, k), (i, j + 1, k), (i, j, k + 1)} & points:
             return False
     return True

@@ -49,22 +49,6 @@ class IntPolynomial:
         return IntPolynomial(
             [x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

@@ -121,18 +121,16 @@ def order_preserving_map_counts(p, top):
     time, in increasing label order: once e is done, an ideal's value sums
     over the ideals below it that agree with it above e, and an ideal I
     holding e gains the value of I - {e} when that is an ideal.  The
-    ideals are bitmasks, listed by the sweep of ``Poset.order_ideals``.
-    The work is ideals x |P| x (top + 1): SizeGuardError past
-    MAX_MULTICHAIN_STEPS, checked as the ideals are listed, before any sum.
+    ideals are the bitmasks of ``Poset.order_ideals``, which refuses past
+    its own cap.  The work is ideals x |P| x (top + 1): SizeGuardError
+    past MAX_MULTICHAIN_STEPS, checked once the ideals are listed, before
+    any sum.
     """
     if top < 0:
         raise ValueError("degree must be nonnegative")
-    below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
-    ideals = [0]
-    for e, need in enumerate(below):
-        ideals += [i | 1 << e for i in ideals if i & need == need]
-        bound(len(ideals) * p.n * (top + 1), MAX_MULTICHAIN_STEPS,
-              "invariants.order_preserving_map_counts", "steps")
+    ideals = p.order_ideals()
+    bound(len(ideals) * p.n * (top + 1), MAX_MULTICHAIN_STEPS,
+          "invariants.order_preserving_map_counts", "steps")
     z = dict.fromkeys(ideals, 1)
     counts = [1]
     for _ in range(top):
@@ -190,7 +188,6 @@ def poset_descent_polynomial(p):
     """
     where = "invariants.poset_descent_polynomial"
     bound_poset_elements(p.n)
-    below = [sum(1 << a for a in p.lower_covers(e)) for e in range(p.n)]
     # a value is its polynomial evaluated at t = 2^width: a coefficient
     # counts prefixes, never more than n!, so the coefficients sit in
     # disjoint width-bit slots, adding values adds the polynomials and
@@ -203,7 +200,7 @@ def poset_descent_polynomial(p):
         bound(steps, MAX_POSET_STEPS, where, "steps")
         nxt = {}
         for (placed, last), value in layer.items():
-            for e, need in enumerate(below):
+            for e, need in enumerate(p.below):
                 if not placed >> e & 1 and need & placed == need:
                     key = (placed | 1 << e, e)
                     nxt[key] = nxt.get(key, 0) + (
@@ -258,7 +255,7 @@ def check_symmetry(m, n, r):
     check_sizes(m, n, r)
     base_report = compute_invariants(m, n, r)
     base_words = h_poly_via_words(m, n, r)
-    for pm, pn, pr in set(permutations((m, n, r))):
+    for pm, pn, pr in set(permutations((m, n, r))) - {(m, n, r)}:
         if compute_invariants(pm, pn, pr) != base_report:
             return False
         if h_poly_via_words(pm, pn, pr) != base_words:

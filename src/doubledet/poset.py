@@ -4,16 +4,20 @@ Elements are the integers 0..n-1; the natural label of element ``e`` is
 ``e + 1``, and every stored order must satisfy ``a`` < ``b`` (as ints)
 whenever ``a`` precedes ``b``.  The order is stored as its transitive
 closure, one bitmask of strict successors per element (n^2 / 8 bytes in
-all), plus its cover relation, both derived once at construction.
-Order ideals are frozensets of elements, linear extensions are tuples of
-elements (the sequence in which the elements are listed), and all
-iteration orders are lexicographic in the labels, so repeated runs
-produce identical output.
+all), plus its cover relation, both derived once at construction.  A set
+of elements is a bitmask (bit e for element e): ``below`` holds each
+element's lower covers, the one form of the covers that the readers of
+the order use, and order ideals are bitmasks too.  Linear extensions are
+tuples of elements (the sequence in which the elements are listed),
+listed lexicographically, so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
-from .errors import check_sizes
+from .errors import bound, check_sizes
+
+#: fixed cap on the ideals ``Poset.order_ideals`` lists
+MAX_IDEALS = 10_000
 
 
 class Poset:
@@ -43,23 +47,20 @@ class Poset:
         # cover unless it lies above a smaller given successor; anything
         # strictly between a and b has a smaller label than b.  Bit b of
         # closure[a] is set iff a strictly precedes b.
-        covers, lower = [], [set() for _ in range(n)]
+        covers, below = [], [0] * n
         closure = [0] * n
         for a in range(n - 1, -1, -1):
             acc = 0
             for b in sorted(up[a]):
                 if not acc >> b & 1:
                     covers.append((a, b))
-                    lower[b].add(a)
+                    below[b] |= 1 << a
                     acc |= 1 << b | closure[b]
             closure[a] = acc
         self._up = tuple(closure)
         self._covers = tuple(sorted(covers))
-        self._lower = tuple(frozenset(s) for s in lower)
-
-    def lower_covers(self, a):
-        """The elements a covers: its predecessors with nothing between."""
-        return self._lower[a]
+        #: bit a of below[b] is set iff b covers a
+        self.below = tuple(below)
 
     def __eq__(self, other):
         if isinstance(other, Poset):
@@ -80,19 +81,19 @@ class Poset:
     # ideals, extensions, chain statistics
 
     def order_ideals(self):
-        """All downward closed subsets, in lexicographic order of their
-        sorted label tuples (the empty ideal first).
+        """All downward closed subsets, as bitmasks, the empty ideal first.
 
         Under inclusion these form a distributive lattice: the union and
-        the intersection of ideals are again ideals.
+        the intersection of ideals are again ideals.  SizeGuardError once
+        the list passes MAX_IDEALS, so at most twice that are listed.
         """
-        ideals = {frozenset()}
+        ideals = [0]
         # after step e, every ideal inside {0..e}: e is maximal in those
         # holding it (labels are natural), so they come from step e-1
-        for e in range(self.n):
-            ideals |= {ideal | {e} for ideal in ideals
-                       if self._lower[e] <= ideal}
-        return sorted(ideals, key=sorted)
+        for e, need in enumerate(self.below):
+            ideals += [i | 1 << e for i in ideals if i & need == need]
+            bound(len(ideals), MAX_IDEALS, "poset.order_ideals", "ideals")
+        return ideals
 
     def linear_extensions(self):
         """Yield every linear extension once, lexicographically.
@@ -103,22 +104,22 @@ class Poset:
         are placed.  This listing is the brute-force oracle for
         ``invariants.poset_descent_polynomial``, which never calls it.
         """
-        below = self._lower
-        placed, seq = set(), []  # seq: placed in the order placed
+        below = self.below
+        placed, seq = 0, []  # seq: placed in the order placed
         stack = [iter(range(self.n))]  # per depth: the elements left to try
         while stack:
             if len(seq) == self.n:
                 yield tuple(seq)
             for e in stack[-1]:
-                if e not in placed and below[e] <= placed:
-                    placed.add(e)
+                if not placed >> e & 1 and below[e] & placed == below[e]:
+                    placed |= 1 << e
                     seq.append(e)
                     stack.append(iter(range(self.n)))
                     break
             else:
                 stack.pop()
                 if seq:
-                    placed.discard(seq.pop())
+                    placed ^= 1 << seq.pop()
 
     def width(self):
         """Largest antichain, via Dilworth: n minus a maximum matching of
@@ -143,9 +144,9 @@ class Poset:
     def rank(self):
         """Length (edge count) of the longest chain; -1 for the empty poset."""
         height = [0] * self.n
-        for b in range(self.n):
-            for a in self._lower[b]:
-                height[b] = max(height[b], height[a] + 1)
+        # sorted by lower end, so a's height is final before (a, b)
+        for a, b in self._covers:
+            height[b] = max(height[b], height[a] + 1)
         return max(height, default=-1)
 
     def is_pure(self):
@@ -156,10 +157,9 @@ class Poset:
         poset counts as pure.
         """
         # bit k of lengths[e]: a saturated chain of length k ends at e
-        lengths = [int(not below) for below in self._lower]
-        for e in range(self.n):
-            for a in self._lower[e]:
-                lengths[e] |= lengths[a] << 1
+        lengths = [int(not need) for need in self.below]
+        for a, b in self._covers:
+            lengths[b] |= lengths[a] << 1
         top = 0
         for e in range(self.n):
             if not self._up[e]:  # maximal element

@@ -226,22 +226,19 @@ def extension_word(face_vertices, m, n, r):
     blocks = [None] + [[(row, _layout(col, n)[1] + 1) for row, col in block]
                        for block in grouped]
     occupied = [k for k in range(1, r + 1) if blocks[k]]
-    if not occupied:
-        for k in range(1, r + 1):
+    # with no occupied matrix every k lies before first = r + 1
+    first, last = min(occupied, default=r + 1), max(occupied, default=r)
+    for k in range(1, r + 1):
+        if blocks[k]:
+            continue
+        if k < first:
             blocks[k] = [(m, n)]
-    else:
-        first, last = occupied[0], occupied[-1]
-        for k in range(1, r + 1):
-            if blocks[k]:
-                continue
-            if k < first:
-                blocks[k] = [(m, n)]
-            elif k > last:
-                blocks[k] = [(1, 1)]
-            else:
-                c = max(q for q in occupied if q < k)
-                d = min(q for q in occupied if q > k)
-                blocks[k] = [(blocks[d][0][0], blocks[c][0][1])]
+        elif k > last:
+            blocks[k] = [(1, 1)]
+        else:
+            c = max(q for q in occupied if q < k)
+            d = min(q for q in occupied if q > k)
+            blocks[k] = [(blocks[d][0][0], blocks[c][0][1])]
     g = [m] + [blocks[k + 1][0][0] for k in range(1, r)] + [1]
     h = [n] + [blocks[k][0][1] for k in range(1, r)] + [1]
     words = []

@@ -91,7 +91,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("ideal-count")
     def ideal_count():
-        bound(m * n * r, grid.MAX_IDEALS, "verify.ideal_count", "ideals")
+        bound(m * n * r, poset.MAX_IDEALS, "verify.ideal_count", "ideals")
         count = len(poset.make_pmnr(m, n, r).order_ideals())
         _require(count == m * n * r, f"{count} != {m * n * r}")
         return f"{count} ideals"

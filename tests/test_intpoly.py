@@ -16,6 +16,28 @@ def naive_convolution(a, b):
     return out
 
 
+# the library adds polynomials only; negation, difference and the full
+# product are the tests' own, the product as the oracle for difference()
+
+def neg(p):
+    return IntPolynomial([-c for c in p.coeffs])
+
+
+def sub(p, q):
+    return p + neg(q)
+
+
+def mul(p, q):
+    if not p.coeffs or not q.coeffs:
+        return IntPolynomial()
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a:
+            for j, b in enumerate(q.coeffs):
+                out[i + j] += a * b
+    return IntPolynomial(out)
+
+
 def test_trailing_zeros_stripped():
     assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPolynomial([0, 0]).coeffs == ()
@@ -53,28 +75,28 @@ def test_str():
 
 @given(small_polys, small_polys)
 def test_mul_matches_naive_convolution(a, b):
-    assert (IntPolynomial(a) * IntPolynomial(b)).coeffs == tuple(
+    assert mul(IntPolynomial(a), IntPolynomial(b)).coeffs == tuple(
         IntPolynomial(naive_convolution(a, b)).coeffs)
 
 
 @given(small_polys, small_polys)
 def test_add_sub_roundtrip(a, b):
     pa, pb = IntPolynomial(a), IntPolynomial(b)
-    assert (pa + pb) - pb == pa
+    assert sub(pa + pb, pb) == pa
 
 
 def one_minus_t(e):
     """(1 - t)^e by the full product, as the reference."""
     p = IntPolynomial([1])
     for _ in range(e):
-        p = p * IntPolynomial([1, -1])
+        p = mul(p, IntPolynomial([1, -1]))
     return p
 
 
 @given(small_polys, st.integers(0, 12), st.integers(0, 10))
 def test_difference_matches_full_product(a, e, cutoff):
     values = [IntPolynomial(a)[d] for d in range(cutoff + 1)]
-    full = one_minus_t(e) * IntPolynomial(a)
+    full = mul(one_minus_t(e), IntPolynomial(a))
     assert difference(values, e) == [full[d] for d in range(cutoff + 1)]
 
 

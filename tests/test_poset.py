@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet.errors import bound
+from doubledet import poset
+from doubledet.errors import SizeGuardError, bound
 from doubledet.invariants import order_preserving_map_counts
 from doubledet.multiset import descents
 from doubledet.poset import (Poset, make_pmnr, parse_poset_text,
@@ -39,6 +40,11 @@ def strict_upset(p, a):
 
 def strict_downset(p, a):
     return frozenset(b for b in range(a) if comparable(p, a, b))
+
+
+def mask(elements):
+    """The bitmask of a set of elements, as the poset holds one."""
+    return sum(1 << e for e in elements)
 
 
 def is_linear_extension(p, seq):
@@ -203,7 +209,7 @@ def test_covers_and_lower_covers_against_bruteforce():
         covers = covers_bruteforce(p)
         assert p.covers() == covers, name
         for b in range(p.n):
-            assert p.lower_covers(b) == {a for a, c in covers if c == b}, name
+            assert p.below[b] == mask(a for a, c in covers if c == b), name
 
 
 @given(posets(9))
@@ -221,7 +227,7 @@ def test_order_preserving_map_count_against_bruteforce(p, d):
 # order ideals
 
 def test_order_ideals_counts():
-    assert make_pmnr(1, 1, 1).order_ideals() == [frozenset()]
+    assert make_pmnr(1, 1, 1).order_ideals() == [0]
     assert len(make_pmnr(2, 2, 2).order_ideals()) == 8
     assert len(make_pmnr(3, 2, 4).order_ideals()) == 24
 
@@ -235,15 +241,24 @@ def test_order_ideals_against_bruteforce_and_lattice_laws():
     for name, p in CORPUS.items():
         ideals = p.order_ideals()
         assert len(set(ideals)) == len(ideals), name
-        assert set(ideals) == ideals_bruteforce(p), name
-        # lexicographic order in the sorted label tuples
-        keys = [tuple(sorted(i)) for i in ideals]
-        assert keys == sorted(keys), name
+        assert set(ideals) == set(map(mask, ideals_bruteforce(p))), name
         # union is join, intersection is meet
         for a in ideals[:12]:
             for b in ideals[:12]:
                 assert (a | b) in set(ideals)
                 assert (a & b) in set(ideals)
+
+
+def test_order_ideals_cap(monkeypatch):
+    # 24 ideals, the most in the corpus, are listed under a cap of 24
+    monkeypatch.setattr(poset, "MAX_IDEALS", 24)
+    for name, p in CORPUS.items():
+        assert sorted(p.order_ideals()) == sorted(
+            map(mask, ideals_bruteforce(p))), name
+    monkeypatch.setattr(poset, "MAX_IDEALS", 23)
+    with pytest.raises(SizeGuardError, match=r"^poset\.order_ideals: 24 "
+                       "ideals exceed guard 23$"):
+        CORPUS["p324"].order_ideals()
 
 
 # ----------------------------------------------------------------------
