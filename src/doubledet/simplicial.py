@@ -227,7 +227,7 @@ def extension_word(face_vertices, m, n, r):
                        for block in grouped]
     occupied = [k for k in range(1, r + 1) if blocks[k]]
     # with no occupied matrix every k lies before first = r + 1
-    first, last = min(occupied, default=r + 1), max(occupied, default=r)
+    first, last = (occupied[0], occupied[-1]) if occupied else (r + 1, r)
     for k in range(1, r + 1):
         if blocks[k]:
             continue

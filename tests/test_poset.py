@@ -250,11 +250,9 @@ def test_order_ideals_against_bruteforce_and_lattice_laws():
 
 
 def test_order_ideals_cap(monkeypatch):
-    # 24 ideals, the most in the corpus, are listed under a cap of 24
+    # a cap equal to the count lists every ideal; one less refuses
     monkeypatch.setattr(poset, "MAX_IDEALS", 24)
-    for name, p in CORPUS.items():
-        assert sorted(p.order_ideals()) == sorted(
-            map(mask, ideals_bruteforce(p))), name
+    assert len(CORPUS["p324"].order_ideals()) == 24
     monkeypatch.setattr(poset, "MAX_IDEALS", 23)
     with pytest.raises(SizeGuardError, match=r"^poset\.order_ideals: 24 "
                        "ideals exceed guard 23$"):
