@@ -4,7 +4,10 @@ One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
-as it is decoded and holds no catalog, in every format.  Exit status:
+as it is decoded and holds no catalog, in every format.  Each subcommand
+imports the library modules it runs on first use, and `csv` only for
+--format csv, so importing this module loads `doubledet.errors` alone
+and `hpoly` never loads the checks of `verify`.  Exit status:
 0 success, 1 failed verification, 2 invalid input, exhausted budget or a
 listing over its fixed cap, 141 (128 + SIGPIPE, as a shell reports a
 process killed by it) when the reader closes stdout before the output
@@ -14,16 +17,14 @@ ends.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
 import sys
 from math import comb
 
-from . import generators, invariants, poset, simplicial, verify
-from .errors import (DEFAULT_BUDGET, MAX_LISTED, BudgetExceededError, bound,
-                     check_sizes)
+from .errors import (DEFAULT_BUDGET, LEVELS, MAX_LISTED, BudgetExceededError,
+                     bound, check_sizes)
 
 
 def build_parser():
@@ -79,7 +80,7 @@ def build_parser():
                    help="face vertex list; may be empty: ''")
     p = sub("verify", cmd_verify, "run the cross-verification harness",
             budget=True)
-    p.add_argument("--level", choices=verify.LEVELS, default="groebner",
+    p.add_argument("--level", choices=LEVELS, default="groebner",
                    help="formulas < complex < groebner (cumulative)")
     return parser
 
@@ -94,6 +95,7 @@ def _emit(args, payload, header, rows, lines):
     if args.format == "json":
         _dump_json(payload())
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows())
@@ -132,6 +134,7 @@ def _join(values):
 
 
 def _vertex_list(vertices):
+    from . import simplicial
     return " ".join(map(simplicial.vertex_str, sorted(vertices)))
 
 
@@ -160,6 +163,7 @@ def _facet_json(facet):
 
 
 def _facet_paths_text(facet):
+    from . import simplicial
     text = simplicial.vertex_str
     return " | ".join(
         f"{text(path[0])}->{text(path[-1])}: " + " ".join(map(text, path))
@@ -170,6 +174,7 @@ def _facet_paths_text(facet):
 # subcommands
 
 def cmd_invariants(args):
+    from . import invariants
     report = invariants.compute_invariants(args.m, args.n, args.r)
     data = report.to_dict()
 
@@ -188,6 +193,7 @@ def cmd_invariants(args):
 
 
 def cmd_generators(args):
+    from . import generators, invariants
     m, n, r = args.m, args.n, args.r
     if args.show in ("families", "sorting-relations"):
         count, unit = invariants.minimal_generator_count(m, n, r), "generators"
@@ -236,6 +242,7 @@ def cmd_generators(args):
 
 
 def cmd_hilbert(args):
+    from . import invariants
     if args.max_degree < 0:
         raise ValueError("max degree must be nonnegative")
     bound(args.max_degree + 1, MAX_LISTED, "cli.hilbert", "degrees")
@@ -248,6 +255,7 @@ def cmd_hilbert(args):
 
 
 def cmd_hpoly(args):
+    from . import invariants, poset
     agreement = {}
     if args.poset_file:
         if args.sizes:
@@ -288,6 +296,7 @@ def cmd_hpoly(args):
 
 
 def cmd_facets(args):
+    from . import simplicial
     stream = simplicial.facets(args.m, args.n, args.r, budget=args.budget)
     # the first facet runs the budget check, so a refusal precedes the
     # CSV header; every catalog has at least one facet
@@ -300,6 +309,7 @@ def cmd_facets(args):
 
 
 def cmd_word2facet(args):
+    from . import simplicial
     facet = simplicial.Facet(args.m, args.n, args.r, args.word)
     _emit(args, lambda: _facet_json(facet), FACET_HEADER,
           lambda: [_facet_row(1, facet)],
@@ -311,6 +321,7 @@ def cmd_word2facet(args):
 
 
 def cmd_facet2word(args):
+    from . import simplicial
     verts = simplicial.parse_vertices(args.vertices)
     facet = simplicial.facet_from_vertices(verts, args.m, args.n, args.r)
     _emit(args, lambda: {"word": facet.word}, ("word",),
@@ -319,6 +330,7 @@ def cmd_facet2word(args):
 
 
 def cmd_extend(args):
+    from . import simplicial
     verts = (simplicial.parse_vertices(args.vertices)
              if args.vertices.strip() else [])
     facet = simplicial.extend_to_facet(verts, args.m, args.n, args.r)
@@ -335,6 +347,7 @@ def cmd_extend(args):
 
 
 def cmd_verify(args):
+    from . import verify
     m, n, r = args.m, args.n, args.r
     outcomes = verify.run_checks(
         verify.build_checks(m, n, r, args.level, args.budget))

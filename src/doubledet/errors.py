@@ -1,4 +1,5 @@
-"""Shared exception types, the one work guard and the one size check."""
+"""Shared exception types and constants, the one work guard and the one
+size check."""
 
 
 class SizeGuardError(ValueError):
@@ -17,6 +18,11 @@ class CheckFailed(Exception):
 
 #: default cap on the facets/extensions/S-pairs an enumeration may visit
 DEFAULT_BUDGET = 10 ** 7
+
+#: the cumulative levels of ``doubledet.verify``, lowest first.  ``verify``
+#: re-exports them as ``verify.LEVELS``; they live here so that the command
+#: line's parser reads them without loading the checks
+LEVELS = ("formulas", "complex", "groebner")
 
 #: fixed cap on what one listing holds: the generators, minors, degree-2
 #: monomials and board pairs ``verify`` lists, and the rows that the

@@ -14,7 +14,7 @@ are built from ``grid.meet`` and ``grid.join`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import comb
 
@@ -25,19 +25,15 @@ from .ring import Binomial, monomial, var_str
 FAMILY_KEYS = ("same_row", "same_column", "same_block", "mixed")
 
 
-@dataclass(frozen=True)
-class Minor:
+class Minor(namedtuple("Minor", "source rows cols entries")):
     """A 2x2 minor of H or V, with positions in the concatenated matrix.
 
-    ``entries`` is the (a11, a12, a21, a22) layout; the minor as a binomial
-    is a11*a22 - a12*a21, whose leading term under the diagonal order is
-    the diagonal product a11*a22.
+    ``source`` is "H" or "V".  ``entries`` is the (a11, a12, a21, a22)
+    layout; the minor as a binomial is a11*a22 - a12*a21, whose leading
+    term under the diagonal order is the diagonal product a11*a22.
     """
 
-    source: str  # "H" or "V"
-    rows: tuple
-    cols: tuple
-    entries: tuple
+    __slots__ = ()
 
     @property
     def binomial(self):

@@ -202,14 +202,15 @@ def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):
     terms have the same image under the monomial map); every S-polynomial
     of a basis pair reduces to zero (pairs with coprime leading terms are
     skipped); and every 2x2 minor of H and V reduces to zero, so the basis
-    generates at least the whole ideal.
+    generates at least the whole ideal.  The S-pairs are counted against
+    ``budget`` first, from the size of the basis alone, so a refusal
+    tests no element and builds no polynomial.
     """
+    bound(len(basis) * (len(basis) - 1) // 2, budget,
+          "groebner.verify_groebner", "S-pairs", BudgetExceededError)
     if not all(in_kernel(b, m, n, r) for b in basis):
         return False
     polys = [SparsePoly.from_binomial(b) for b in basis]
-    pair_count = len(polys) * (len(polys) - 1) // 2
-    bound(pair_count, budget, "groebner.verify_groebner", "S-pairs",
-          BudgetExceededError)
     lt_vars = [set(leading_term(p)) for p in polys]
     # pairs with coprime leading terms reduce to zero automatically
     s_polys = (s_polynomial(polys[a], polys[b])

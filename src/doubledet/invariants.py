@@ -15,7 +15,7 @@ brute-force oracle of ``verify``'s ``multiplicity-extensions`` check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import permutations
 from math import comb, factorial, prod
 
@@ -37,23 +37,20 @@ MAX_POSET_STEPS = 10 ** 7
 # and symmetry in (m, n, r) forces the same form in each factor
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(namedtuple("InvariantReport", (
+        "mu", "dim", "multiplicity", "regularity", "a_invariant",
+        "gorenstein", "h_polynomial"))):
     """Invariants of the quotient ring for one (m, n, r).
 
     Always satisfies regularity = dim + a_invariant, multiplicity = h(1)
-    and regularity = deg h; construction raises ArithmeticError otherwise.
+    and regularity = deg h; construction raises ArithmeticError otherwise,
+    on every route: the constructor, ``_make`` and ``_replace``.
     """
 
-    mu: int
-    dim: int
-    multiplicity: int
-    regularity: int
-    a_invariant: int
-    gorenstein: bool
-    h_polynomial: IntPolynomial
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         h = self.h_polynomial
         if self.regularity != self.dim + self.a_invariant:
             raise ArithmeticError(f"regularity {self.regularity} != dim + a "
@@ -64,11 +61,17 @@ class InvariantReport:
         if self.regularity != h.degree:
             raise ArithmeticError(
                 f"regularity {self.regularity} != deg h = {h.degree}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def to_dict(self):
         """The fields in declaration order (a stable key order for JSON
         output), with the h-polynomial as its coefficient list."""
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+        return self._asdict() | {
             "h_polynomial": list(self.h_polynomial.coeffs)}
 
 

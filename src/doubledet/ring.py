@@ -15,14 +15,15 @@ A monomial is stored as a tuple of variables sorted with the largest
 variable first.
 
 This module is the only definition of the order: ``_monomial_key`` sorts
-monomials from the largest down, and ``lex_greater``, ``Binomial.make`` and
-everything in ``groebner`` (leading terms, the reduction strategy, the
-printed term order) read it from here.
+monomials from the largest down, ``_quadric`` is its degree-2 form that
+``Binomial.make`` reads, and ``lex_greater`` and everything in
+``groebner`` (leading terms, the reduction strategy, the printed term
+order) read it from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 #: sort key (k, i, j) of a variable: a smaller key is a larger variable
@@ -60,26 +61,36 @@ def monomial_str(mono):
     return "*".join(map(var_str, mono))
 
 
-@dataclass(frozen=True)
-class Binomial:
+def _quadric(term):
+    """The canonical form of the degree-2 monomial ``term`` and its sort
+    key (a smaller key is a larger monomial): ``monomial(term)`` and
+    ``_monomial_key`` without the end marker, which two monomials of one
+    degree never reach."""
+    try:
+        u, v = term
+    except ValueError:
+        raise ValueError("binomial terms must have degree 2") from None
+    ku, kv = _order_key(u), _order_key(v)
+    return ((u, v), (ku, kv)) if ku <= kv else ((v, u), (kv, ku))
+
+
+class Binomial(namedtuple("Binomial", "plus minus")):
     """Difference of two distinct squarefree degree-2 monomials.
 
     Canonical form: ``plus`` is the term that is larger under the diagonal
     order, so ``plus`` is always the leading term.  Equal generating sets of
-    binomials are then equal as Python sets.
+    binomials are then equal as Python sets.  A binomial is the tuple
+    ``(plus, minus)``, so it hashes and compares as one.
     """
 
-    plus: tuple
-    minus: tuple
+    __slots__ = ()
 
     @classmethod
     def make(cls, term_a, term_b):
-        a, b = monomial(term_a), monomial(term_b)
-        if len(a) != 2 or len(b) != 2:
-            raise ValueError("binomial terms must have degree 2")
+        (a, ka), (b, kb) = _quadric(term_a), _quadric(term_b)
         if a == b:
             raise ValueError("binomial terms must differ")
-        if lex_greater(a, b):
+        if ka < kb:
             return cls(a, b)
         return cls(b, a)
 
@@ -88,4 +99,3 @@ class Binomial:
 
     def __str__(self):
         return f"{monomial_str(self.plus)} - {monomial_str(self.minus)}"
-

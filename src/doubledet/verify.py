@@ -35,13 +35,11 @@ from typing import NamedTuple
 
 from . import (generators, grid, groebner, invariants, poset, simplicial,
                sorting)
-from .errors import (MAX_LISTED, BudgetExceededError, CheckFailed,
+from .errors import (LEVELS, MAX_LISTED, BudgetExceededError, CheckFailed,
                      SizeGuardError, bound)
 from .intpoly import IntPolynomial
 from .multiset import descents, multinomial
 from .ring import Binomial
-
-LEVELS = ("formulas", "complex", "groebner")
 
 
 class Outcome(NamedTuple):

@@ -354,6 +354,38 @@ def test_reader_closing_the_pipe_is_no_error():
     assert code == 141
 
 
+#: modules that neither ``hpoly`` nor ``facets`` runs
+NOT_RUN_BY_HPOLY_OR_FACETS = ("doubledet.verify", "doubledet.groebner",
+                              "doubledet.generators", "dataclasses", "csv")
+
+
+def test_commands_load_only_the_modules_they_run():
+    # a fresh interpreter: this one has loaded every module already
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import doubledet\n"
+        "listed = sorted(set(doubledet.__all__) - set(dir(doubledet)))\n"
+        "from doubledet import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([name, '2', '2', '2'])\n"
+        "             for name in ('hpoly', 'facets')]\n"
+        "loaded = [name for name in %r if name in sys.modules]\n"
+        "print(json.dumps([codes, loaded, listed]))\n"
+        % (NOT_RUN_BY_HPOLY_OR_FACETS,))
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], [], []]
+
+
+def test_every_reexport_resolves():
+    for name in doubledet.__all__:
+        getattr(doubledet, name)
+        assert name in dir(doubledet), name
+    with pytest.raises(AttributeError):
+        doubledet.no_such_name
+
+
 def test_python_m_doubledet_is_the_cli():
     runs = [subprocess.run([sys.executable, "-m", module,
                             "invariants", "2", "2", "2"],

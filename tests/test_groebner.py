@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
+from doubledet import groebner, verify
 from doubledet.errors import BudgetExceededError
 from doubledet.generators import minor_basis, sorting_relations
 from doubledet.groebner import (SparsePoly, divides,
@@ -85,8 +86,19 @@ def test_every_reader_of_the_diagonal_order_agrees(monos, term_a, term_b):
     assert str(p) == " + ".join(monomial_str(t) for t in ranked)
     a, b = reference_monomial(term_a), reference_monomial(term_b)
     if a != b:
-        plus = a if reference_greater(a, b) else b
-        assert Binomial.make(term_a, term_b).plus == plus
+        plus, minus = (a, b) if reference_greater(a, b) else (b, a)
+        made = Binomial.make(term_a, term_b)
+        assert made == (plus, minus) == (monomial(plus), monomial(minus))
+        assert lex_greater(made.plus, made.minus)
+
+
+@pytest.mark.parametrize("term", [[], [(1, 1, 1)],
+                                  [(1, 1, 1), (1, 2, 1), (2, 1, 1)]])
+def test_binomial_terms_must_have_degree_2(term):
+    with pytest.raises(ValueError, match="degree 2"):
+        Binomial.make(term, [(1, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="degree 2"):
+        Binomial.make([(1, 1, 1), (1, 2, 1)], term)
 
 
 MONOMIALS = st.lists(VARIABLES, max_size=4).map(reference_monomial)
@@ -254,6 +266,25 @@ def test_verify_groebner_budget():
     minors = [mi.binomial for mi in minor_basis(2, 2, 3)]
     with pytest.raises(BudgetExceededError):
         verify_groebner(minors, 2, 2, 3, budget=10)
+
+
+def test_verify_groebner_refuses_before_testing_the_basis(monkeypatch):
+    # the S-pair count needs only the basis size, so a refusal tests no
+    # element for kernel membership and builds no polynomial
+    calls = []
+
+    def record(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(groebner, "in_kernel", record("in_kernel"))
+    monkeypatch.setattr(groebner.SparsePoly, "from_binomial",
+                        record("from_binomial"))
+    checks = [(name, fn) for name, fn in verify.build_checks(
+        2, 2, 3, "groebner", 10) if name == "groebner-basis"]
+    assert [tuple(o) for o in verify.run_checks(checks)] == [
+        ("groebner-basis", "skip",
+         "groebner.verify_groebner: 351 S-pairs exceed budget 10")]
+    assert calls == []
 
 
 def test_initial_ideal_matches_conflict_pairs():

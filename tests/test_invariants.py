@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -8,7 +9,8 @@ from doubledet import invariants
 from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
                               SizeGuardError, bound)
 from doubledet.grid import comparable, grid_points
-from doubledet.invariants import (check_symmetry, compute_invariants,
+from doubledet.invariants import (InvariantReport, check_symmetry,
+                                  compute_invariants,
                                   h_poly_via_linear_extensions,
                                   h_poly_via_series, h_poly_via_words,
                                   hilbert_function, is_gorenstein,
@@ -83,6 +85,30 @@ def test_json_schema():
     assert json.dumps(data, separators=(",", ":")) == (
         '{"mu":9,"dim":4,"multiplicity":6,"regularity":2,'
         '"a_invariant":-2,"gorenstein":true,"h_polynomial":[1,4,1]}')
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"regularity": 3}, "regularity 3 != dim + a = 2"),
+    ({"multiplicity": 7}, "multiplicity 7 != h(1) = 6"),
+    ({"regularity": 3, "a_invariant": -1}, "regularity 3 != deg h = 2"),
+])
+def test_report_refuses_broken_invariants_on_every_route(changes, message):
+    report = compute_invariants(2, 2, 2)
+    fields = {**report._asdict(), **changes}
+    builds = (lambda: InvariantReport(**fields),
+              lambda: InvariantReport(*fields.values()),
+              lambda: InvariantReport._make(fields.values()),
+              lambda: report._replace(**changes))
+    for build in builds:
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            build()
+
+
+def test_reports_are_equal_by_value():
+    report = compute_invariants(2, 2, 2)
+    copy = report._replace()
+    assert copy is not report and copy == report
+    assert compute_invariants(2, 2, 2) == report != compute_invariants(2, 2, 3)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import doubledet
-from doubledet import simplicial, verify
+from doubledet import invariants, simplicial, verify
 from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
                               CheckFailed, SizeGuardError)
 
@@ -20,8 +20,8 @@ DIM_PLUS_ONE = (
     "real = invariants.compute_invariants\n"
     "def compute_invariants(m, n, r):\n"
     "    rep = real(m, n, r)\n"
-    "    return dataclasses.replace(rep, dim=rep.dim + 1,\n"
-    "                               a_invariant=rep.a_invariant - 1)\n"
+    "    return rep._replace(dim=rep.dim + 1,\n"
+    "                        a_invariant=rep.a_invariant - 1)\n"
     "invariants.compute_invariants = compute_invariants\n")
 
 SWAP_M_N = (
@@ -90,11 +90,41 @@ SABOTAGE = {
         "    return out\n"
         "invariants.order_preserving_map_counts = counts\n"),
         ("hilbert-oracle",), (3, 3, 3)),
+    "generator-count": ("formulas", (
+        "real = invariants.minimal_generator_count\n"
+        "invariants.minimal_generator_count = lambda m, n, r: (\n"
+        "    real(m, n, r) + 1)\n"),
+        ("generator-count", "families-vs-sorting-relations")),
+    "initial-generator-count": ("complex", (
+        "real = simplicial.initial_generator_count\n"
+        "simplicial.initial_generator_count = lambda m, n, r: (\n"
+        "    real(m, n, r) + 1)\n"),
+        ("initial-generator-count",)),
+    # the family sizes of (n, m, r): their sum is symmetric in m and n, so
+    # only the per-family sizes tell them apart, and only when m != n
+    "family-sizes-transposed": ("formulas", (
+        "real = generators.family_sizes\n"
+        "generators.family_sizes = lambda m, n, r: real(n, m, r)\n"),
+        ("families-vs-sorting-relations",), (2, 3, 4)),
+    # a Gorenstein test that wants every chain maximal, forgetting that a
+    # chain of size 1 is allowed: wrong at (1, 3, 3) only
+    "gorenstein-needs-all-maximal": ("formulas", (
+        "invariants.is_gorenstein = lambda m, n, r: (\n"
+        "    min(m, n, r) == max(m, n, r))\n"),
+        ("poset-stats", "h-poly-agreement"), (1, 3, 3)),
+    # breaks regularity = dim + a, so the report's own validation raises
+    "regularity-plus-one": ("formulas", (
+        "real = invariants.compute_invariants\n"
+        "def compute_invariants(m, n, r):\n"
+        "    rep = real(m, n, r)\n"
+        "    return rep._replace(regularity=rep.regularity + 1)\n"
+        "invariants.compute_invariants = compute_invariants\n"),
+        ("poset-stats", "h-poly-agreement", "macmahon", "symmetry")),
 }
 
 
 def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
-    script = ("import dataclasses, sys\n"
+    script = ("import sys\n"
               "from doubledet import (cli, generators, invariants,\n"
               "                       simplicial, sorting)\n"
               + sabotage
@@ -132,6 +162,16 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("hilbert-last-degree", False),
     ("multichain-count", True),
     ("multichain-count", False),
+    ("generator-count", True),
+    ("generator-count", False),
+    ("initial-generator-count", True),
+    ("initial-generator-count", False),
+    ("family-sizes-transposed", True),
+    ("family-sizes-transposed", False),
+    ("gorenstein-needs-all-maximal", True),
+    ("gorenstein-needs-all-maximal", False),
+    ("regularity-plus-one", True),
+    ("regularity-plus-one", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks, *size = SABOTAGE[sabotage]
@@ -173,6 +213,22 @@ def test_runner_maps_each_exception_to_a_status():
         ("f", "FAIL", "ValueError: vertex set does not match its path "
                       "decomposition"),
     ]
+
+
+def test_report_validation_fails_the_checks_that_read_it(monkeypatch):
+    real = invariants.compute_invariants
+
+    def compute_invariants(m, n, r):
+        rep = real(m, n, r)
+        return rep._replace(regularity=rep.regularity + 1)
+
+    monkeypatch.setattr(invariants, "compute_invariants", compute_invariants)
+    failed = {o.name: o.detail for o in verify.run_checks(
+        verify.build_checks(2, 2, 2, "formulas", DEFAULT_BUDGET))
+        if o.status == "FAIL"}
+    assert failed == dict.fromkeys(
+        ("poset-stats", "h-poly-agreement", "macmahon", "symmetry"),
+        "ArithmeticError: regularity 3 != dim + a = 2")
 
 
 def test_complex_tier_decodes_each_facet_once(monkeypatch):
