@@ -41,7 +41,7 @@ _EXPORTS = {
                    "extend_to_facet", "extension_word", "facet_from_vertices",
                    "facet_word", "facets", "initial_generators",
                    "maximal_faces_bruteforce", "parse_vertices",
-                   "vertex_for_variable"),
+                   "read_face", "vertex_for_variable"),
     "sorting": ("in_kernel", "phi_monomial"),
 }
 

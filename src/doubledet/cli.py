@@ -108,18 +108,25 @@ def _emit(args, payload, header, rows, lines):
 #: wakes once per chunk, not once per 8 KiB buffer flush
 JSON_CHUNK = 64 * 1024
 
+#: array elements per call of the C encoder
+JSON_BATCH = 32
+
 
 def _dump_json(value):
     """Print ``value`` as compact JSON.  A value that is not a dict is an
-    array: its elements are encoded one at a time and written in chunks of
-    at least ``JSON_CHUNK`` characters, so a stream is never held whole and
-    the bytes are those of ``json.dumps`` of the list."""
+    array: its elements are encoded in batches of ``JSON_BATCH``, one call
+    of the C encoder per batch with the batch's brackets cut off, and
+    written in chunks of at least ``JSON_CHUNK`` characters.  So a stream
+    is never held whole, and the bytes are those of ``json.dumps`` of the
+    list."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     if isinstance(value, dict):
         print(encode(value))
         return
+    items = iter(value)
     parts, size, sep = [], 0, "["
-    for text in map(encode, value):
+    while batch := list(itertools.islice(items, JSON_BATCH)):
+        text = encode(batch)[1:-1]
         parts += (sep, text)
         sep, size = ",", size + len(text) + 1
         if size >= JSON_CHUNK:
@@ -157,9 +164,9 @@ def _facet_row(index, facet):
 
 
 def _facet_json(facet):
-    return {"word": facet.word,
-            "vertices": [list(v) for v in sorted(facet.vertices)],
-            "g": list(facet.g), "h": list(facet.h)}
+    # the encoder writes tuples as arrays, so nothing is copied into lists
+    return {"word": facet.word, "vertices": sorted(facet.vertices),
+            "g": facet.g, "h": facet.h}
 
 
 def _facet_paths_text(facet):
@@ -336,7 +343,7 @@ def cmd_extend(args):
     facet = simplicial.extend_to_facet(verts, args.m, args.n, args.r)
     added = sorted(facet.vertices - set(verts))
     _emit(args,
-          lambda: {**_facet_json(facet), "added": [list(v) for v in added]},
+          lambda: {**_facet_json(facet), "added": added},
           ("word", "vertices", "added"),
           lambda: [(facet.word, _vertex_list(facet.vertices),
                     _vertex_list(added))],

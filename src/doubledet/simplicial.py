@@ -13,23 +13,26 @@ The word is therefore used as the identity of a facet.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
-column c is column j of matrix k; ``_layout`` is the one reader of that
-split.  ``facet_word`` and ``extension_word`` read their input through
-``_read_vertices``, the one place that checks a vertex against the board
-and groups a vertex set by matrix in path order.
+column c is column j of matrix k, where c = (k-1)n + j.
 
-``facet_word`` is the one encoder (vertex set to word) and
-``extension_word`` the one extender (face to the word of a facet holding
-it).  Both return a word and build no ``Facet``, so a caller holding a
-facet compares words: an equal word means an equal vertex set.
-``facet_from_vertices`` and ``extend_to_facet`` wrap them, decode the word
-and check the input's vertices against the facet's.
+``read_face`` is the one reader of a vertex set: it checks each vertex
+against the board and groups the set by matrix in path order.  Its
+callers (``facet_from_vertices``, ``extend_to_facet`` and the facet walk
+of ``doubledet.verify``) read a vertex set once and hand the per-matrix
+blocks to ``facet_word``, the one encoder (blocks to word), and to
+``extension_word``, the one extender (the blocks of a face to the word of
+a facet holding it).  Both return a word and build no ``Facet``, so a
+caller holding a facet compares words: an equal word means an equal
+vertex set.  ``facet_from_vertices`` and ``extend_to_facet`` decode the
+word and check the input's vertices against the facet's.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from math import comb
+from operator import itemgetter
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
 from .intpoly import IntPolynomial
@@ -38,6 +41,8 @@ from .multiset import multinomial, multiset_permutations
 #: fixed caps on the board vertices of maximal_faces_bruteforce and all_faces
 MAX_BRUTEFORCE_VERTICES = 27
 MAX_FACE_VERTICES = 12
+
+_ROW, _COL = itemgetter(0), itemgetter(1)
 
 
 def vertex_for_variable(v, n):
@@ -51,19 +56,25 @@ def _layout(col, n):
     return divmod(col - 1, n)
 
 
-def _read_vertices(vertices, m, n, r):
+def read_face(vertices, m, n, r):
     """The set of ``(row, col)`` vertices given and, for k = 1..r, entry
     k-1 the list of those in matrix k in path order (column ascending, row
-    descending).  Rejects a vertex off the m x nr board."""
+    descending): the blocks that ``facet_word`` and ``extension_word``
+    take.  Rejects a vertex off the m x nr board, naming the first in path
+    order."""
     check_sizes(m, n, r)
     verts = {(row, col) for row, col in vertices}
+    # two stable sorts: row descending, then column ascending
+    ordered = sorted(verts, key=_ROW, reverse=True)
+    ordered.sort(key=_COL)
+    width = n * r
     blocks = [[] for _ in range(r)]
-    for v in sorted(verts, key=lambda v: (v[1], -v[0])):
+    for v in ordered:
         row, col = v
-        if not (1 <= row <= m and 1 <= col <= n * r):
+        if not (1 <= row <= m and 1 <= col <= width):
             raise ValueError(
-                f"vertex {vertex_str(v)} outside the {m} x {n * r} board")
-        blocks[_layout(col, n)[0]].append(v)
+                f"vertex {vertex_str(v)} outside the {m} x {width} board")
+        blocks[(col - 1) // n].append(v)
     return verts, blocks
 
 
@@ -123,31 +134,36 @@ class Facet:
 
     def __init__(self, m, n, r, word):
         check_sizes(m, n, r)
-        if set(word) - set("MNR"):
+        counts = (word.count("M"), word.count("N"), word.count("R"))
+        if sum(counts) != len(word):
             raise ValueError(f"word {word!r} uses letters outside M, N, R")
-        if (word.count("M"), word.count("N"), word.count("R")) != (
-                m - 1, n - 1, r - 1):
+        if counts != (m - 1, n - 1, r - 1):
             raise ValueError(
                 f"word {word!r} needs {m - 1} M's, {n - 1} N's, {r - 1} R's")
         self.m, self.n, self.r, self.word = m, n, r, word
         subwords = word.split("R")
         g, h = [m], [n]
         for sub in subwords:  # path k spends the M's and N's of sub-word k
-            g.append(g[-1] - sub.count("M"))
-            h.append(h[-1] - sub.count("N"))
+            ups = sub.count("M")
+            g.append(g[-1] - ups)
+            h.append(h[-1] - len(sub) + ups)
         self.g, self.h = tuple(g), tuple(h)
         paths = []
         for k, sub in enumerate(subwords, start=1):
-            row, col = g[k - 1], (k - 1) * n + h[k]
+            offset = (k - 1) * n
+            row, col = g[k - 1], offset + h[k]
             path = [(row, col)]
             for step in sub:
-                row, col = (row - 1, col) if step == "M" else (row, col + 1)
+                if step == "M":
+                    row -= 1
+                else:
+                    col += 1
                 path.append((row, col))
-            if path[-1] != (g[k], (k - 1) * n + h[k - 1]):
+            if row != g[k] or col != offset + h[k - 1]:
                 raise ArithmeticError(f"path {k} of {word} misses its corner")
             paths.append(tuple(path))
         self.paths = tuple(paths)
-        self.vertices = frozenset(v for path in paths for v in path)
+        self.vertices = frozenset(chain.from_iterable(paths))
         if len(self.vertices) != m + n + r - 2:
             raise ArithmeticError(f"{word} has {len(self.vertices)} vertices")
 
@@ -174,27 +190,27 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
         yield Facet(m, n, r, "".join(word))
 
 
-def facet_word(vertices, m, n, r):
-    """The word of the facet with this vertex set, read off its paths: the
-    one encoder.  Rejects a set whose paths break; it does not check that
-    the word's facet has exactly these vertices (``facet_from_vertices``
-    does)."""
-    _, blocks = _read_vertices(vertices, m, n, r)
+def facet_word(blocks, m, n, r):
+    """The word of the facet whose ``read_face`` blocks are given, read off
+    its paths: the one encoder.  Rejects blocks whose paths break; it does
+    not check that the word's facet has exactly these vertices
+    (``facet_from_vertices`` does)."""
     words = []
     for k, block in enumerate(blocks, start=1):
         if not block:
             raise ValueError(f"no vertices in matrix {k}: not a facet")
         steps = []
-        for a, b in zip(block, block[1:]):
-            delta = (b[0] - a[0], b[1] - a[1])
-            if delta == (-1, 0):
+        row, col = block[0]
+        for next_row, next_col in block[1:]:
+            if next_col == col and next_row == row - 1:
                 steps.append("M")
-            elif delta == (0, 1):
+            elif next_row == row and next_col == col + 1:
                 steps.append("N")
             else:
-                raise ValueError(f"vertices {vertex_str(a)} and "
-                                 f"{vertex_str(b)} are not one step apart: "
-                                 "not a facet")
+                raise ValueError(f"vertices ({row},{col}) and "
+                                 f"({next_row},{next_col}) are not one step "
+                                 "apart: not a facet")
+            row, col = next_row, next_col
         words.append("".join(steps))
     return "R".join(words)
 
@@ -202,63 +218,66 @@ def facet_word(vertices, m, n, r):
 def facet_from_vertices(vertices, m, n, r):
     """Reconstruct a facet from its vertex set; rejects sets that are not
     facets (wrong block structure, broken paths, stray vertices)."""
-    verts, _ = _read_vertices(vertices, m, n, r)
-    facet = Facet(m, n, r, facet_word(verts, m, n, r))
+    verts, blocks = read_face(vertices, m, n, r)
+    facet = Facet(m, n, r, facet_word(blocks, m, n, r))
     if facet.vertices != verts:
         raise ValueError("vertex set does not match its path decomposition")
     return facet
 
 
-def extension_word(face_vertices, m, n, r):
-    """The word of a facet containing the face: the one extender.
+def extension_word(blocks, m, n, r):
+    """The word of a facet containing the face whose ``read_face`` blocks
+    are given: the one extender.
 
-    Vertices are grouped by matrix; empty matrices receive one filler point
-    (the (m, n) corner before the first occupied matrix, the (1, 1) corner
-    after the last, and between occupied matrices c < d the point taking
-    its row from d's first vertex and its column from c's first vertex).
-    Inside each matrix, consecutive anchor points are then bridged moving
-    up first, then right.  Applied to a facet this reproduces its word.
-    Rejects some non-faces on the way; it does not check that the word's
-    facet contains the face (``extend_to_facet`` does).
+    Empty matrices receive one filler point (the (m, n) corner before the
+    first occupied matrix, the (1, 1) corner after the last, and between
+    occupied matrices c < d the point taking its row from d's first vertex
+    and its column from c's first vertex).  Inside each matrix, consecutive
+    anchor points are then bridged moving up first, then right.  Applied
+    to a facet this reproduces its word.  Rejects some non-faces on the
+    way; it does not check that the word's facet contains the face
+    (``extend_to_facet`` does).
     """
-    _, grouped = _read_vertices(face_vertices, m, n, r)
     # per-matrix points in path order, as (row, in-block column); 1-based
-    blocks = [None] + [[(row, _layout(col, n)[1] + 1) for row, col in block]
-                       for block in grouped]
-    occupied = [k for k in range(1, r + 1) if blocks[k]]
-    # with no occupied matrix every k lies before first = r + 1
-    first, last = (occupied[0], occupied[-1]) if occupied else (r + 1, r)
-    for k in range(1, r + 1):
-        if blocks[k]:
-            continue
-        if k < first:
-            blocks[k] = [(m, n)]
-        elif k > last:
-            blocks[k] = [(1, 1)]
-        else:
-            c = max(q for q in occupied if q < k)
-            d = min(q for q in occupied if q > k)
-            blocks[k] = [(blocks[d][0][0], blocks[c][0][1])]
-    g = [m] + [blocks[k + 1][0][0] for k in range(1, r)] + [1]
-    h = [n] + [blocks[k][0][1] for k in range(1, r)] + [1]
+    points = [[(row, col - offset) for row, col in block]
+              for offset, block in zip(range(0, n * r, n), blocks)]
+    if not all(points):
+        # with no occupied matrix, every matrix lies before the sentinel r
+        occupied = [k for k, block in enumerate(points) if block] or [r]
+        for k in range(occupied[0]):
+            points[k] = [(m, n)]
+        for c, d in zip(occupied, occupied[1:]):
+            for k in range(c + 1, d):
+                points[k] = [(points[d][0][0], points[c][0][1])]
+        for k in range(occupied[-1] + 1, r):
+            points[k] = [(1, 1)]
+    # matrix k runs from (row of its first point, or m for k = 1; column of
+    # its first point, or 1 for k = r) to (row of matrix k+1's first point,
+    # or 1; column of matrix k-1's first point, or n)
     words = []
-    for k in range(1, r + 1):
-        anchors = [(g[k - 1], h[k])] + blocks[k] + [(g[k], h[k - 1])]
+    end_col = n
+    for k, block in enumerate(points, start=1):
+        first_row, first_col = block[0]
+        r1 = first_row if k > 1 else m
+        c1 = first_col if k < r else 1
+        end = (points[k][0][0] if k < r else 1, end_col)
         steps = []
-        for (r1, c1), (r2, c2) in zip(anchors, anchors[1:]):
+        for r2, c2 in chain(block, (end,)):
             if r1 < r2 or c1 > c2:
                 raise ValueError("input is not a face of the complex: no "
                                  f"path ({r1},{c1})->({r2},{c2}) in matrix {k}")
             steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
+            r1, c1 = r2, c2
         words.append("".join(steps))
+        end_col = first_col
     return "R".join(words)
 
 
 def extend_to_facet(face_vertices, m, n, r):
     """Grow a face into a facet containing it (see ``extension_word``);
     rejects every input that is not a face."""
-    verts, _ = _read_vertices(face_vertices, m, n, r)
-    facet = Facet(m, n, r, extension_word(verts, m, n, r))
+    verts, blocks = read_face(face_vertices, m, n, r)
+    facet = Facet(m, n, r, extension_word(blocks, m, n, r))
     if not verts <= facet.vertices:  # a subset of a facet is a face
         raise ValueError("input is not a face of the complex")
     return facet
@@ -322,14 +341,15 @@ def all_faces(m, n, r):
     return faces
 
 
-def complex_h_vector(m, n, r):
+def complex_h_vector(m, n, r, faces=None):
     """h-vector of the complex from its face counts; must coincide with
     the ring's h-polynomial because passing to the initial ideal preserves
-    the Hilbert series."""
+    the Hilbert series.  ``faces`` is ``all_faces(m, n, r)`` when the
+    caller already holds that listing."""
     check_sizes(m, n, r)
     top = m + n + r - 2
     f = [0] * (top + 1)  # f[s] = number of faces with s vertices
-    for face in all_faces(m, n, r):
+    for face in all_faces(m, n, r) if faces is None else faces:
         f[len(face)] += 1
     h = [sum((-1) ** (j - s) * comb(top - s, j - s) * f[s]
              for s in range(j + 1))

@@ -87,6 +87,11 @@ def build_checks(m, n, r, level, budget):
         listing(comb(m * n * r, 2), "conflict_pairs", "board pairs")
         return simplicial.initial_generators(m, n, r)
 
+    @functools.cache
+    def faces():
+        """Every face of the complex; ``all_faces`` guards its own size."""
+        return simplicial.all_faces(m, n, r)
+
     @check("ideal-count")
     def ideal_count():
         bound(m * n * r, poset.MAX_IDEALS, "verify.ideal_count", "ideals")
@@ -272,11 +277,17 @@ def build_checks(m, n, r, level, budget):
             if len(verts) != dim:
                 failed.setdefault("facet-count-purity", f"facet {word} has "
                                   f"size {len(verts)}, dim {dim}")
+            try:  # one read feeds both recoders; if it raises, both fail
+                blocks = simplicial.read_face(verts, m, n, r)[1]
+            except ValueError as exc:
+                for name, _, what in recoders:
+                    failed.setdefault(name, f"{what} {word}: {exc}")
+                continue
             for name, recode, what in recoders:
                 if name in failed:
                     continue
                 try:  # a recoder that raises fails its own check only
-                    if recode(verts, m, n, r) != word:
+                    if recode(blocks, m, n, r) != word:
                         failed[name] = f"{what} {word}"
                 except ValueError as exc:
                     failed[name] = f"{what} {word}: {exc}"
@@ -313,6 +324,18 @@ def build_checks(m, n, r, level, budget):
         walk_verdict("extend-fixes-facets")
         return "extension procedure fixes every facet"
 
+    @check("extend-fixes-faces", tier=1)
+    def extend_faces():
+        listed = faces()
+        for face in listed:
+            try:  # extend_to_facet refuses a facet that misses the face
+                simplicial.extend_to_facet(face, m, n, r)
+            except ValueError as exc:
+                shown = ",".join(map(simplicial.vertex_str, sorted(face)))
+                raise CheckFailed(
+                    f"no facet holds face {{{shown}}}: {exc}") from None
+        return f"each of the {len(listed)} faces extends to a facet holding it"
+
     @check("initial-generator-count", tier=1)
     def edge_count():
         edges = conflict_pairs()
@@ -323,7 +346,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("complex-h-vector", tier=1)
     def h_vector():
-        hv = simplicial.complex_h_vector(m, n, r)
+        hv = simplicial.complex_h_vector(m, n, r, faces())
         hw = invariants.h_poly_via_words(m, n, r)
         _require(hv == hw, f"{hv} != {hw}")
         return f"complex h-vector = {hv}"

@@ -132,6 +132,23 @@ def test_facets_holds_no_catalog(fmt):
     assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
+def _elements(count):
+    """JSON values of mixed kinds and lengths, tuples among them."""
+    for i in range(count):
+        yield {"word": "MN" * (i % 7), "vertices": [(i, i + 1), (2, i)],
+               "g": (i, 1), "h": []} if i % 3 else [i, "x" * (i % 5), None]
+
+
+# 0, 1, one short of a batch, one batch, one past it; and past JSON_CHUNK
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 2000])
+def test_dump_json_prints_the_bytes_of_json_dumps(count, capsys):
+    cli._dump_json(_elements(count))
+    out = capsys.readouterr().out
+    assert out == json.dumps(list(_elements(count)),
+                             separators=(",", ":")) + "\n"
+    assert (len(out) > cli.JSON_CHUNK) == (count == 2000)
+
+
 def test_extend_paper_example(capsys):
     code, out, _ = run(capsys, "extend", "4", "5", "3",
                        "--vertices", "(4,5),(3,7),(2,8),(2,11),(1,12)")

@@ -53,7 +53,7 @@ def path_endpoints(facet):
 def is_face(vertices, m, n, r):
     """True iff no pair of the given vertices conflicts; the vertices are
     read, and checked against the board, by the library's one reader."""
-    verts, _ = simplicial._read_vertices(vertices, m, n, r)
+    verts, _ = simplicial.read_face(vertices, m, n, r)
     return not any(conflicts(a, b, n) for a, b in combinations(verts, 2))
 
 
@@ -209,6 +209,18 @@ def test_word_validation():
         Facet(2, 2, 3, "")
 
 
+@pytest.mark.parametrize("word, message", [
+    ("MNRX", "word 'MNRX' uses letters outside M, N, R"),
+    ("MNRRX", "word 'MNRRX' uses letters outside M, N, R"),
+    ("mnrr", "word 'mnrr' uses letters outside M, N, R"),
+    ("MMRR", "word 'MMRR' needs 1 M's, 1 N's, 2 R's"),
+])
+def test_word_validation_messages(word, message):
+    with pytest.raises(ValueError) as caught:
+        Facet(2, 2, 3, word)
+    assert str(caught.value) == message
+
+
 def test_single_path_staircase():
     facet = Facet(3, 3, 1, "MMNN")
     assert facet.vertices == {(3, 1), (2, 1), (1, 1), (1, 2), (1, 3)}
@@ -219,7 +231,8 @@ def test_single_path_staircase():
 def test_roundtrip_everywhere():
     for m, n, r in UP_TO_4 + [(4, 5, 3)]:
         for facet in facets(m, n, r):
-            assert facet_word(facet.vertices, m, n, r) == facet.word
+            blocks = simplicial.read_face(facet.vertices, m, n, r)[1]
+            assert facet_word(blocks, m, n, r) == facet.word
             assert facet_from_vertices(facet.vertices, m, n, r) == facet
             assert Facet(m, n, r, facet.word) == facet
 
@@ -252,7 +265,8 @@ def test_extend_paper_example():
 def test_extend_fixes_facets():
     for m, n, r in UP_TO_4:
         for facet in facets(m, n, r):
-            assert extension_word(facet.vertices, m, n, r) == facet.word
+            blocks = simplicial.read_face(facet.vertices, m, n, r)[1]
+            assert extension_word(blocks, m, n, r) == facet.word
             assert extend_to_facet(facet.vertices, m, n, r) == facet
 
 

@@ -74,6 +74,17 @@ SABOTAGE = {
     "extend-fixes-facets": ("complex",
                             SWAP_M_N.format(name="extension_word"),
                             ("extend-fixes-facets",)),
+    # the extender's filler for an empty trailing matrix moved from the
+    # (1, 1) corner to (1, n): every facet still extends to itself, but 8
+    # of the 52 faces of (2, 2, 2) no longer extend to a facet holding them
+    "extend-fixes-faces": ("complex", (
+        "import inspect\n"
+        "source = inspect.getsource(simplicial.extension_word)\n"
+        "mutant = source.replace('[(1, 1)]', '[(1, n)]')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the filler mutation did not apply')\n"
+        "exec(mutant, vars(simplicial))\n"),
+        ("extend-fixes-faces",)),
     # the Hilbert function off by one at d = dim - 1 = 6 only, past every
     # degree the series route reads
     "hilbert-last-degree": ("formulas", (
@@ -158,6 +169,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("word-codec-roundtrip", False),
     ("extend-fixes-facets", True),
     ("extend-fixes-facets", False),
+    ("extend-fixes-faces", True),
+    ("extend-fixes-faces", False),
     ("hilbert-last-degree", True),
     ("hilbert-last-degree", False),
     ("multichain-count", True),
@@ -247,6 +260,38 @@ def test_complex_tier_decodes_each_facet_once(monkeypatch):
     # the 4,200 facets of (4,4,5), each decoded once and re-encoded and
     # extended as words only
     assert built == 4200
+
+
+def test_complex_tier_reads_each_facet_once(monkeypatch):
+    calls = 0
+    real = simplicial.read_face
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(simplicial, "read_face", counting)
+    outcomes = verify.run_checks(
+        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET))
+    assert "FAIL" not in {o.status for o in outcomes}
+    # one read per facet feeds both the encoder and the extender
+    assert calls == 4200
+
+
+def test_reader_error_fails_both_recoder_checks(monkeypatch):
+    def refuses(vertices, m, n, r):
+        raise ValueError("vertex (9,9) outside the 2 x 6 board")
+
+    monkeypatch.setattr(simplicial, "read_face", refuses)
+    status = {o.name: (o.status, o.detail) for o in verify.run_checks(
+        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET))}
+    assert status["word-codec-roundtrip"] == (
+        "FAIL", "roundtrip failed for MNRR: vertex (9,9) outside the 2 x 6 "
+                "board")
+    assert status["extend-fixes-facets"] == (
+        "FAIL", "extension moves MNRR: vertex (9,9) outside the 2 x 6 board")
+    assert status["facet-count-purity"][0] == "ok"
 
 
 def test_recoder_error_fails_its_own_check_only(monkeypatch):
