@@ -52,7 +52,11 @@ def vertex_for_variable(v, n):
 
 
 def _layout(col, n):
-    """(k - 1, j - 1) for board column col: column j of matrix k."""
+    """(k - 1, j - 1) for board column col: column j of matrix k.
+
+    ``read_face`` (block ``(col - 1) // n``) and ``extension_word``
+    (in-block column ``col - offset``) inline the same split in their
+    per-vertex loops, so a change of board layout touches all three."""
     return divmod(col - 1, n)
 
 
@@ -207,9 +211,10 @@ def facet_word(blocks, m, n, r):
             elif next_row == row and next_col == col + 1:
                 steps.append("N")
             else:
-                raise ValueError(f"vertices ({row},{col}) and "
-                                 f"({next_row},{next_col}) are not one step "
-                                 "apart: not a facet")
+                raise ValueError(
+                    f"vertices {vertex_str((row, col))} and "
+                    f"{vertex_str((next_row, next_col))} are not one step "
+                    "apart: not a facet")
             row, col = next_row, next_col
         words.append("".join(steps))
     return "R".join(words)
@@ -341,15 +346,14 @@ def all_faces(m, n, r):
     return faces
 
 
-def complex_h_vector(m, n, r, faces=None):
+def complex_h_vector(m, n, r):
     """h-vector of the complex from its face counts; must coincide with
     the ring's h-polynomial because passing to the initial ideal preserves
-    the Hilbert series.  ``faces`` is ``all_faces(m, n, r)`` when the
-    caller already holds that listing."""
+    the Hilbert series."""
     check_sizes(m, n, r)
     top = m + n + r - 2
     f = [0] * (top + 1)  # f[s] = number of faces with s vertices
-    for face in all_faces(m, n, r) if faces is None else faces:
+    for face in all_faces(m, n, r):
         f[len(face)] += 1
     h = [sum((-1) ** (j - s) * comb(top - s, j - s) * f[s]
              for s in range(j + 1))

@@ -87,11 +87,6 @@ def build_checks(m, n, r, level, budget):
         listing(comb(m * n * r, 2), "conflict_pairs", "board pairs")
         return simplicial.initial_generators(m, n, r)
 
-    @functools.cache
-    def faces():
-        """Every face of the complex; ``all_faces`` guards its own size."""
-        return simplicial.all_faces(m, n, r)
-
     @check("ideal-count")
     def ideal_count():
         bound(m * n * r, poset.MAX_IDEALS, "verify.ideal_count", "ideals")
@@ -326,7 +321,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("extend-fixes-faces", tier=1)
     def extend_faces():
-        listed = faces()
+        listed = simplicial.all_faces(m, n, r)
         for face in listed:
             try:  # extend_to_facet refuses a facet that misses the face
                 simplicial.extend_to_facet(face, m, n, r)
@@ -346,7 +341,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("complex-h-vector", tier=1)
     def h_vector():
-        hv = simplicial.complex_h_vector(m, n, r, faces())
+        hv = simplicial.complex_h_vector(m, n, r)
         hw = invariants.h_poly_via_words(m, n, r)
         _require(hv == hw, f"{hv} != {hw}")
         return f"complex h-vector = {hv}"
