@@ -21,8 +21,7 @@ _EXPORTS = {
                    "family_sizes", "generator_families", "minor_basis",
                    "minor_count", "minor_dependency_witness", "minors_H",
                    "minors_V", "sorting_relations"),
-    "grid": ("comparable", "count_comparable_pairs",
-             "count_incomparable_pairs", "grid_points", "join",
+    "grid": ("comparable", "count_comparable_pairs", "grid_points", "join",
              "lattice_isomorphic_to_ideals", "meet"),
     "groebner": ("SparsePoly", "initial_ideal_minimal_generators",
                  "leading_term", "reduce", "s_polynomial", "verify_groebner"),

@@ -9,7 +9,9 @@ row / column / matrix indices coincide, and each family element is, up to
 sign, one minor or a sum of two.
 
 A variable x[i,j,k] is the grid point (i, j, k), so the sorting relations
-are built from ``grid.meet`` and ``grid.join`` directly.
+are built from ``grid.meet`` and ``grid.join`` directly.  A minor is built
+from its two diagonal grid points by ``_h_minor`` or ``_v_minor``, the only
+code that knows the positions of H and V.
 """
 
 from __future__ import annotations
@@ -45,57 +47,48 @@ class Minor(namedtuple("Minor", "source rows cols entries")):
                 f"{self.binomial}")
 
 
-def _h_entry(n, i, c):
-    return i, (c - 1) % n + 1, (c - 1) // n + 1
+def _h_minor(n, p, q):
+    """The minor of H on the diagonal p = (i1, j1, k1), q = (i2, j2, k2)."""
+    (i1, j1, k1), (i2, j2, k2) = p, q
+    return Minor("H", (i1, i2), ((k1 - 1) * n + j1, (k2 - 1) * n + j2),
+                 (p, (i1, j2, k2), (i2, j1, k1), q))
 
 
-def _v_entry(m, rho, j):
-    return (rho - 1) % m + 1, j, (rho - 1) // m + 1
-
-
-def _h_minor(n, i1, i2, c1, c2):
-    return Minor("H", (i1, i2), (c1, c2),
-                 (_h_entry(n, i1, c1), _h_entry(n, i1, c2),
-                  _h_entry(n, i2, c1), _h_entry(n, i2, c2)))
-
-
-def _v_minor(m, r1, r2, j1, j2):
-    return Minor("V", (r1, r2), (j1, j2),
-                 (_v_entry(m, r1, j1), _v_entry(m, r1, j2),
-                  _v_entry(m, r2, j1), _v_entry(m, r2, j2)))
+def _v_minor(m, p, q):
+    """The minor of V on the diagonal p = (i1, j1, k1), q = (i2, j2, k2)."""
+    (i1, j1, k1), (i2, j2, k2) = p, q
+    return Minor("V", ((k1 - 1) * m + i1, (k2 - 1) * m + i2), (j1, j2),
+                 (p, (i1, j2, k1), (i2, j1, k2), q))
 
 
 def minors_H(m, n, r):
-    """All 2x2 minors of H, row pairs outer, column pairs inner."""
+    """All 2x2 minors of H, row pairs outer, column pairs (k, j) inner."""
     check_sizes(m, n, r)
     if n * r < 2:
         return []  # no column pair, so no need to walk the row pairs
-    return [_h_minor(n, i1, i2, c1, c2)
+    return [_h_minor(n, (i1, j1, k1), (i2, j2, k2))
             for i1, i2 in combinations(range(1, m + 1), 2)
-            for c1, c2 in combinations(range(1, n * r + 1), 2)]
+            for (k1, j1), (k2, j2) in combinations(
+                product(range(1, r + 1), range(1, n + 1)), 2)]
 
 
 def minors_V(m, n, r):
-    """All 2x2 minors of V, row pairs outer, column pairs inner."""
+    """All 2x2 minors of V, row pairs (k, i) outer, column pairs inner."""
     check_sizes(m, n, r)
     if n < 2:
         return []  # no column pair, so no need to walk the row pairs
-    return [_v_minor(m, r1, r2, j1, j2)
-            for r1, r2 in combinations(range(1, m * r + 1), 2)
+    return [_v_minor(m, (i1, j1, k1), (i2, j2, k2))
+            for (k1, i1), (k2, i2) in combinations(
+                product(range(1, r + 1), range(1, m + 1)), 2)
             for j1, j2 in combinations(range(1, n + 1), 2)]
 
 
 def minor_basis(m, n, r):
-    """Minors of H then V with duplicates dropped (a minor inside a single
-    matrix occurs in both concatenations but is listed once)."""
-    seen = set()
-    out = []
-    for minor in minors_H(m, n, r) + minors_V(m, n, r):
-        b = minor.binomial
-        if b not in seen:
-            seen.add(b)
-            out.append(minor)
-    return out
+    """Minors of H, then those of V with rows in two matrices: a V-minor
+    inside one matrix is that matrix's H-minor, and the terms of any other
+    lie on different column pairs, so it is no H-minor."""
+    return minors_H(m, n, r) + [mi for mi in minors_V(m, n, r)
+                                if mi.entries[0][2] != mi.entries[3][2]]
 
 
 def minor_count(m, n, r):
@@ -186,7 +179,7 @@ def decompose_into_minors(g: Binomial, m, n, r):
     """
     check_sizes(m, n, r)
     for v in g.variables():
-        if v[0] > m or v[1] > n or v[2] > r:
+        if not (0 < v[0] <= m and 0 < v[1] <= n and 0 < v[2] <= r):
             raise ValueError(
                 f"variable {var_str(v)} outside a {m}x{n} x{r} arrangement")
     a, b = g.minus
@@ -194,30 +187,21 @@ def decompose_into_minors(g: Binomial, m, n, r):
     if (grid.comparable(a, b)  # comparable points: not a relation
             or monomial(g.plus) != monomial((lo, hi))):
         raise ValueError(f"{g} is not a minimal generator")
-    i1, j1, k1 = lo
-    i2, j2, k2 = hi
-
-    if a[0] == b[0]:
-        # same row: one minor of V
-        parts = [(1, _v_minor(m, (k1 - 1) * m + i1, (k2 - 1) * m + i1, j1, j2))]
-    elif a[1] == b[1]:
-        # same column: one minor of H
-        parts = [(1, _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k2 - 1) * n + j1))]
-    elif a[2] == b[2]:
-        # one matrix: that matrix's own minor
-        parts = [(1, _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k1 - 1) * n + j2))]
+    if a[0] == b[0]:  # same row: one minor of V
+        parts = [(1, _v_minor(m, lo, hi))]
+    elif a[1] == b[1] or a[2] == b[2]:  # same column or matrix: one minor of H
+        parts = [(1, _h_minor(n, lo, hi))]
     else:
+        (i1, j1, k1), (i2, j2, k2) = lo, hi
         low = a if a[2] == k1 else b  # the variable from the earlier matrix
-        v_min = _v_minor(m, (k1 - 1) * m + i1, (k2 - 1) * m + i2, j1, j2)
-        h_min = _h_minor(n, i1, i2, (k1 - 1) * n + j1, (k2 - 1) * n + j2)
         if low[:2] == (i1, j2):
-            parts = [(1, v_min)]
+            parts = [(1, _v_minor(m, lo, hi))]
         elif low[:2] == (i2, j1):
-            parts = [(1, h_min)]
+            parts = [(1, _h_minor(n, lo, hi))]
         else:
             # antidiagonal swap: V-minor plus the H-minor on crossed columns
-            parts = [(1, v_min),
-                     (1, _h_minor(n, i1, i2, (k1 - 1) * n + j2, (k2 - 1) * n + j1))]
+            parts = [(1, _v_minor(m, lo, hi)),
+                     (1, _h_minor(n, (i1, j2, k1), (i2, j1, k2)))]
     if _expansion(parts) != {monomial(g.plus): 1, monomial(g.minus): -1}:
         raise ArithmeticError(f"the minors of {g} do not expand back to it")
     return tuple(parts)

@@ -47,13 +47,6 @@ def count_comparable_pairs(m, n, r):
     return comb(m + 1, 2) * comb(n + 1, 2) * comb(r + 1, 2)
 
 
-def count_incomparable_pairs(m, n, r):
-    """Unordered pairs of distinct incomparable grid points."""
-    check_sizes(m, n, r)
-    total = m * n * r
-    return comb(total + 1, 2) - count_comparable_pairs(m, n, r)
-
-
 def lattice_isomorphic_to_ideals(m, n, r):
     """Verify explicitly that I -> (|I ∩ chain_t| + 1)_t is an order
     isomorphism from the ideal lattice of the three-chain poset onto the

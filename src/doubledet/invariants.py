@@ -76,8 +76,10 @@ class InvariantReport(namedtuple("InvariantReport", (
 
 
 def minimal_generator_count(m, n, r):
-    """One minimal generator per pair of incomparable grid points."""
-    return grid.count_incomparable_pairs(m, n, r)
+    """One minimal generator per pair of incomparable grid points: all
+    unordered pairs, less the comparable ones."""
+    check_sizes(m, n, r)
+    return comb(m * n * r + 1, 2) - grid.count_comparable_pairs(m, n, r)
 
 
 def multiplicity(m, n, r):

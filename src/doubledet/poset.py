@@ -5,9 +5,12 @@ Elements are the integers 0..n-1; the natural label of element ``e`` is
 whenever ``a`` precedes ``b``.  The order is stored as its transitive
 closure, one bitmask of strict successors per element (n^2 / 8 bytes in
 all), plus its cover relation, both derived once at construction.  A set
-of elements is a bitmask (bit e for element e): ``below`` holds each
-element's lower covers, the one form of the covers that the readers of
-the order use, and order ideals are bitmasks too.  Linear extensions are
+of elements is a bitmask (bit e for element e), and order ideals are
+bitmasks too.  The covers are kept in two forms: ``below`` holds each
+element's lower covers as a bitmask, which the ideal sweeps (here, in
+``grid`` and in ``invariants``), the linear extensions and the purity
+test read; ``_covers`` holds the sorted cover pairs, which ``rank``,
+``is_pure``, ``covers()`` and ``__repr__`` read.  Linear extensions are
 tuples of elements (the sequence in which the elements are listed),
 listed lexicographically, so repeated runs produce identical output.
 """

@@ -1,13 +1,15 @@
 import re
 from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from doubledet.generators import (decompose_into_minors, family_sizes,
-                                  generator_families, minor_basis,
-                                  minor_count, minor_dependency_witness,
-                                  minors_H, minors_V, sorting_relations)
+from doubledet.generators import (Minor, decompose_into_minors,
+                                  family_sizes, generator_families,
+                                  minor_basis, minor_count,
+                                  minor_dependency_witness, minors_H,
+                                  minors_V, sorting_relations)
 from doubledet.ring import Binomial
 from doubledet.sorting import in_kernel
 
@@ -73,6 +75,46 @@ def test_minor_layout_and_block():
                for mi in h)
     blocks = [block(mi) for mi in h]
     assert set(blocks) == {1, 2, 3, None}
+
+
+def minors_H_by_position(m, n, r):
+    """Reference: the minors of H walked by position, column (k-1)n + j
+    holding column j of matrix k."""
+    def entry(i, c):
+        return i, (c - 1) % n + 1, (c - 1) // n + 1
+    return [Minor("H", (i1, i2), (c1, c2),
+                  (entry(i1, c1), entry(i1, c2), entry(i2, c1), entry(i2, c2)))
+            for i1, i2 in combinations(range(1, m + 1), 2)
+            for c1, c2 in combinations(range(1, n * r + 1), 2)]
+
+
+def minors_V_by_position(m, n, r):
+    """Reference: the minors of V walked by position, row (k-1)m + i
+    holding row i of matrix k."""
+    def entry(rho, j):
+        return (rho - 1) % m + 1, j, (rho - 1) // m + 1
+    return [Minor("V", (r1, r2), (j1, j2),
+                  (entry(r1, j1), entry(r1, j2), entry(r2, j1), entry(r2, j2)))
+            for r1, r2 in combinations(range(1, m * r + 1), 2)
+            for j1, j2 in combinations(range(1, n + 1), 2)]
+
+
+def minor_basis_by_binomial(m, n, r):
+    """Reference: the minors of H then V, each binomial listed once."""
+    seen, out = set(), []
+    for minor in minors_H_by_position(m, n, r) + minors_V_by_position(m, n, r):
+        if minor.binomial not in seen:
+            seen.add(minor.binomial)
+            out.append(minor)
+    return out
+
+
+@pytest.mark.parametrize("m, n, r", [
+    *product(range(1, 5), repeat=3), (1, 1, 9), (9, 1, 1), (1, 9, 1)])
+def test_minor_listings_match_the_position_references(m, n, r):
+    assert minors_H(m, n, r) == minors_H_by_position(m, n, r)
+    assert minors_V(m, n, r) == minors_V_by_position(m, n, r)
+    assert minor_basis(m, n, r) == minor_basis_by_binomial(m, n, r)
 
 
 def test_minor_dedup_count():
@@ -190,6 +232,14 @@ def test_decompose_rejects_outsiders():
                       ((1, 1, 1), (2, 2, 1)))
     with pytest.raises(ValueError):
         decompose_into_minors(g, 1, 2, 2)
+
+
+def test_decompose_rejects_index_zero():
+    # a generator of (2, 2, 2) with every row index lowered by one
+    g = Binomial.make(((0, 1, 1), (1, 2, 2)), ((0, 2, 1), (1, 1, 2)))
+    with pytest.raises(ValueError,
+                       match=r"x\[0,[12],1\] outside a 2x2 x2 arrangement"):
+        decompose_into_minors(g, 2, 2, 2)
 
 
 # ----------------------------------------------------------------------

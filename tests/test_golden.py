@@ -51,6 +51,9 @@ def _cases():
                   for show in ("families", "minors", "sorting-relations",
                                "witness")]
         cases.append(["generators", "1", "1", "1", "--show", "witness", *f])
+        # m != n, so a layout formula with m and n swapped shows
+        cases += [["generators", "3", "2", "4", "--show", show, *f]
+                  for show in ("minors", "witness")]
         cases.append(["hilbert", "2", "2", "3", "--max-degree", "4", *f])
         cases += [["hpoly", "2", "3", "3", "--method", method, *f]
                   for method in ("series", "words", "extensions", "all")]

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doubledet.errors import SizeGuardError
-from doubledet.grid import (comparable, count_comparable_pairs,
-                            count_incomparable_pairs, grid_points, join,
-                            lattice_isomorphic_to_ideals, meet)
+from doubledet.grid import (comparable, count_comparable_pairs, grid_points,
+                            join, lattice_isomorphic_to_ideals, meet)
 
 
 def comparable_pairs_bruteforce(m, n, r):
@@ -67,11 +66,6 @@ def test_count_comparable_pairs_bruteforce_up_to_4():
             for r in range(1, 5):
                 assert (count_comparable_pairs(m, n, r)
                         == comparable_pairs_bruteforce(m, n, r))
-
-
-def test_incomparable_pairs():
-    assert count_incomparable_pairs(2, 2, 2) == 9
-    assert count_incomparable_pairs(1, 1, 7) == 0
 
 
 def test_lattice_isomorphic_to_ideals():

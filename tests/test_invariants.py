@@ -72,6 +72,11 @@ def test_report_rejects_bad_sizes():
         compute_invariants(0, 2, 2)
 
 
+def test_mu_examples():
+    assert minimal_generator_count(2, 2, 2) == 9
+    assert minimal_generator_count(1, 1, 7) == 0
+
+
 def test_mu_equals_incomparable_pairs():
     for m, n, r in SIZES4:
         assert (minimal_generator_count(m, n, r)

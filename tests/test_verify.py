@@ -40,6 +40,16 @@ SABOTAGE = {
     "minor-decomposition": (
         "formulas", "generators._expansion = lambda parts: {}\n",
         ("minor-decomposition",)),
+    # a V-minor whose a12 entry is read from q's matrix instead of p's: its
+    # binomial leaves the kernel, and a generator no longer expands back
+    "v-minor-entry": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(generators._v_minor)\n"
+        "mutant = source.replace('(i1, j2, k1)', '(i1, j2, k2)')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the entry mutation did not apply')\n"
+        "exec(mutant, vars(generators))\n"),
+        ("kernel-membership", "minor-decomposition"), (2, 3, 4)),
     "poset-stats": ("formulas", DIM_PLUS_ONE, ("poset-stats",)),
     "facet-count-purity": ("complex", DIM_PLUS_ONE, ("facet-count-purity",)),
     # the listed extensions are the brute-force oracle of the recursion
@@ -152,6 +162,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("multiplicity-extensions", True),
     ("minor-decomposition", True),
     ("multiplicity-extensions", False),
+    ("v-minor-entry", True),
+    ("v-minor-entry", False),
     ("facet-count-purity", True),
     ("poset-stats", True),
     ("poset-stats", False),
