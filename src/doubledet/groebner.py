@@ -12,8 +12,13 @@ leading term to the first basis element that has it, so the divisors of a
 term are found by looking up its sub-monomials, not by scanning the basis.
 ``remainders`` is the batch form of ``reduce``: it builds the index once
 and divides every polynomial of a stream by it, so ``verify_groebner``
-and ``verify``'s sorting relations index their basis once.  ``divides``,
-``quotient`` and ``lcm_monomial`` work on the sorted variable tuples
+and ``verify``'s sorting relations index their basis once.  A stream also
+memoises each monomial's division step, the chosen divisor's other terms
+times the quotient per unit coefficient, and divides each monomial once.
+The step depends only on the monomial and the indexed basis, never on the
+coefficient or on the polynomial it came from, so a memoised step is the
+step the strategy would take again and every remainder is unchanged.
+``divides`` and ``quotient`` work on the sorted variable tuples
 directly.
 
 Nothing here decides an order or a map: leading terms, the reduction
@@ -55,21 +60,6 @@ class SparsePoly:
             return self.terms == other.terms
         return NotImplemented
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) - c
-            if out[t] == 0:
-                del out[t]
-        return SparsePoly(out)
-
-    def scaled(self, coeff, mono):
-        """self times coeff times the monomial."""
-        if coeff == 0:
-            return SparsePoly()
-        return SparsePoly({monomial(t + mono): c * coeff
-                           for t, c in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -110,10 +100,6 @@ def quotient(b, a):
     return tuple(_difference(b, a))
 
 
-def lcm_monomial(a, b):
-    return monomial(b + tuple(_difference(a, b)))
-
-
 def _prepare(basis):
     """The leading-term index of a division basis: ``(index, degrees)``.
 
@@ -142,43 +128,47 @@ def reduce(p: SparsePoly, basis):
     The remainder has no term divisible by any basis leading term, so
     remainder zero certifies ideal membership whenever the basis is a
     Groebner basis.  The divisors are looked up in the leading-term index
-    of ``_prepare``, built anew on each call.
+    of ``_prepare``, built anew on each call, as is the step memo.
     """
     return next(remainders([p], basis))
 
 
 def remainders(polys, basis):
     """Yield the remainder of each of ``polys`` on division by the basis,
-    in order: ``reduce`` on a stream, with the basis indexed once."""
+    in order: ``reduce`` on a stream, with the basis indexed once.
+
+    The stream keeps one memo of division steps for the life of the call,
+    so each monomial is divided once however often it recurs; the memo
+    belongs to this basis and is dropped with the stream.
+    """
     prepared = _prepare(basis)
+    steps = {}
     for p in polys:
-        yield _reduce(p, prepared)
+        yield _reduce(p, prepared, steps)
 
 
-def _reduce(p: SparsePoly, prepared):
-    """``reduce`` against a basis already indexed by ``_prepare``."""
-    index, degrees = prepared
+def _reduce(p: SparsePoly, prepared, steps):
+    """``reduce`` against a basis already indexed by ``_prepare``.
+
+    ``steps`` is the stream's memo: it maps each monomial met so far to
+    its division step (see ``_step``), which is read before any
+    sub-monomial is looked up.  A step is per unit coefficient, so the
+    same entry serves every coefficient and sign the monomial comes with.
+    """
     work = dict(p.terms)
     remainder = {}
     while work:
         t = min(work, key=_monomial_key)
         coeff = work.pop(t)
-        lt = None
-        for d in degrees:
-            # t is sorted, so each sub-monomial of it is canonical
-            for sub in set(combinations(t, d)):
-                if sub in index and (lt is None or lex_greater(sub, lt)):
-                    lt = sub
-        if lt is None:
+        try:
+            step = steps[t]
+        except KeyError:
+            step = steps[t] = _step(t, *prepared)
+        if step is None:
             remainder[t] = coeff
             continue
-        b = index[lt]
-        factor = coeff * b.terms[lt]  # lc is +-1, so this divides exactly
-        shift = quotient(t, lt)
-        for mono, c in b.scaled(factor, shift).terms.items():
-            if mono == t:
-                continue
-            val = work.get(mono, 0) - c
+        for mono, c in step:
+            val = work.get(mono, 0) - coeff * c
             if val:
                 work[mono] = val
             elif mono in work:
@@ -186,12 +176,42 @@ def _reduce(p: SparsePoly, prepared):
     return SparsePoly(remainder)
 
 
+def _step(t, index, degrees):
+    """The division step of the monomial t: None when no indexed leading
+    term divides it, and otherwise the chosen divisor's terms other than
+    its leading term lt, times t / lt, as ``(monomial, coefficient)``
+    pairs for a unit coefficient of t.  Dividing c*t subtracts c times
+    each of them."""
+    lt = None
+    for d in degrees:
+        # t is sorted, so each sub-monomial of it is canonical
+        for sub in set(combinations(t, d)):
+            if sub in index and (lt is None or lex_greater(sub, lt)):
+                lt = sub
+    if lt is None:
+        return None
+    b = index[lt]
+    lc = b.terms[lt]  # +-1, so multiplying by it divides exactly
+    shift = quotient(t, lt)
+    return tuple((monomial(mono + shift), c * lc)
+                 for mono, c in b.terms.items() if mono != lt)
+
+
 def s_polynomial(f: SparsePoly, g: SparsePoly):
-    """lcm-cancelled combination of the two leading terms."""
+    """lcm-cancelled combination of the two leading terms, built in one
+    dict: with L the lcm of lt(f) and lt(g),
+    lc(g) * (L / lt(f)) * f - lc(f) * (L / lt(g)) * g.  Both leading
+    terms become lc(f) * lc(g) * L and cancel, so neither is formed."""
     lt_f, lt_g = leading_term(f), leading_term(g)
-    big = lcm_monomial(lt_f, lt_g)
-    return (f.scaled(g.terms[lt_g], quotient(big, lt_f))
-            - g.scaled(f.terms[lt_f], quotient(big, lt_g)))
+    out = {}
+    for p, coeff, lt, other in ((f, g.terms[lt_g], lt_f, lt_g),
+                                (g, -f.terms[lt_f], lt_g, lt_f)):
+        shift = tuple(_difference(other, lt))  # L / lt = other - lt
+        for t, c in p.terms.items():
+            if t != lt:
+                mono = monomial(t + shift)
+                out[mono] = out.get(mono, 0) + c * coeff
+    return SparsePoly(out)
 
 
 def verify_groebner(basis, m, n, r, budget=DEFAULT_BUDGET):

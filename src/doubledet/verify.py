@@ -83,6 +83,16 @@ def build_checks(m, n, r, level, budget):
         return [mi.binomial for mi in generators.minor_basis(m, n, r)]
 
     @functools.cache
+    def relations():
+        """The sorting relations, for the two checks that read them.  The
+        refusal names relations-reduce-to-zero, the only check it can skip:
+        families-vs-sorting-relations is refused first, by ``families``,
+        at the same count."""
+        listing(invariants.minimal_generator_count(m, n, r),
+                "relations_reduce", "relations")
+        return generators.sorting_relations(m, n, r)
+
+    @functools.cache
     def conflict_pairs():
         listing(comb(m * n * r, 2), "conflict_pairs", "board pairs")
         return simplicial.initial_generators(m, n, r)
@@ -128,7 +138,7 @@ def build_checks(m, n, r, level, budget):
             _require(len(val) == sizes[key],
                      f"{key}: {len(val)} != {sizes[key]}")
         union = set().union(*fams.values())
-        rels = set(generators.sorting_relations(m, n, r))
+        rels = set(relations())
         _require(union == rels, "families differ from sorting relations")
         mu = invariants.minimal_generator_count(m, n, r)
         _require(len(rels) == mu, f"{len(rels)} relations vs mu={mu}")
@@ -375,12 +385,10 @@ def build_checks(m, n, r, level, budget):
 
     @check("relations-reduce-to-zero", tier=2)
     def relations_reduce():
-        listing(invariants.minimal_generator_count(m, n, r),
-                "relations_reduce", "relations")
+        rels = relations()  # first: too many of both skips on relations
         basis = [groebner.SparsePoly.from_binomial(b) for b in minors()]
-        relations = generators.sorting_relations(m, n, r)
-        polys = [groebner.SparsePoly.from_binomial(rel) for rel in relations]
-        for rel, rem in zip(relations, groebner.remainders(polys, basis),
+        polys = [groebner.SparsePoly.from_binomial(rel) for rel in rels]
+        for rel, rem in zip(rels, groebner.remainders(polys, basis),
                             strict=True):
             if rem:
                 raise CheckFailed(f"{rel} does not reduce to zero")

@@ -1,17 +1,17 @@
 from collections import Counter
 from functools import cmp_to_key
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doubledet import groebner, verify
 from doubledet.errors import BudgetExceededError
 from doubledet.generators import minor_basis, sorting_relations
 from doubledet.groebner import (SparsePoly, divides,
                                 initial_ideal_minimal_generators,
-                                leading_term, lcm_monomial, quotient, reduce,
-                                remainders, s_polynomial, verify_groebner)
+                                leading_term, quotient, reduce, remainders,
+                                s_polynomial, verify_groebner)
 from doubledet.ring import Binomial, lex_greater, monomial, monomial_str
 from doubledet.simplicial import initial_generators, vertex_for_variable
 
@@ -108,12 +108,17 @@ MONOMIALS = st.lists(VARIABLES, max_size=4).map(reference_monomial)
 def test_monomial_helpers_are_multiset_operations(a, b):
     ca, cb = Counter(a), Counter(b)
     assert divides(a, b) == (not ca - cb)
-    big = lcm_monomial(a, b)
-    assert Counter(big) == ca | cb and big == monomial(big)
+    big = reference_monomial((ca | cb).elements())
     for mono, part in ((big, a), (big, b), (reference_monomial(a + b), a)):
         q = quotient(mono, part)
         assert Counter(q) == Counter(mono) - Counter(part)
         assert q == monomial(q)
+
+
+def largest(monos):
+    monos = list(monos)
+    return next(a for a in monos
+                if all(a == b or reference_greater(a, b) for b in monos))
 
 
 def reference_reduce(p, basis):
@@ -121,17 +126,13 @@ def reference_reduce(p, basis):
     term still to do, divided by the basis element whose leading term is
     strictly the greatest of those dividing it (so the first element wins
     a tie), divisibility being multiset inclusion."""
-    def largest(monos):
-        return next(a for a in monos
-                    if all(a == b or reference_greater(a, b) for b in monos))
-
     work, remainder = dict(p.terms), {}
     while work:
-        t = largest(list(work))
+        t = largest(work)
         coeff = work.pop(t)
         chosen = None
         for b in basis:
-            lt = largest(list(b.terms))
+            lt = largest(b.terms)
             if not Counter(lt) - Counter(t) and (
                     chosen is None or reference_greater(lt, chosen[0])):
                 chosen = (lt, b)
@@ -225,12 +226,88 @@ def test_reduce_is_deterministic_remainder():
     assert r1 == r2 == p
 
 
+def test_remainder_stream_divides_each_monomial_once(monkeypatch):
+    divided = []
+    real = groebner._step
+
+    def counting(t, *prepared):
+        divided.append(t)
+        return real(t, *prepared)
+
+    monkeypatch.setattr(groebner, "_step", counting)
+    basis = minor_polys(2, 2, 3)
+    s_polys = [s_polynomial(f, g) for f, g in combinations(basis, 2)]
+    assert not any(remainders(s_polys + basis, basis))
+    assert len(divided) == len(set(divided)) > 0
+
+
+@settings(max_examples=25)
+@given(st.permutations(minor_polys(2, 2, 3)))
+def test_remainder_stream_memo_carries_no_coefficient(minors):
+    # a half basis is no Groebner basis, so remainders are nonzero; every
+    # monomial of the stream comes back with -3 times its coefficient
+    basis = minors[:len(minors) // 2]
+    s_polys = [s_polynomial(f, g) for f, g in combinations(basis, 2)]
+    stream = s_polys + [SparsePoly({t: -3 * c for t, c in s.terms.items()})
+                        for s in s_polys]
+    assert list(remainders(stream, basis)) == [
+        reference_reduce(p, basis) for p in stream]
+
+
+def test_each_remainder_stream_divides_by_its_own_basis():
+    # the same leading term with two different tails: the first element
+    # of each basis divides, and a memo kept across streams would reuse
+    # the first basis's step
+    p = SparsePoly({leading_term(TIE[0]): 1})
+    bases = [list(TIE), list(reversed(TIE))]
+    expected = [reference_reduce(p, basis) for basis in bases]
+    assert expected[0] != expected[1]
+    for basis, want in zip(bases, expected):
+        assert list(remainders([p, p], basis)) == [want, want]
+
+
+def scaled(p, coeff, mono):
+    """p times coeff times the monomial, term by term."""
+    return SparsePoly({reference_monomial(t + mono): c * coeff
+                       for t, c in p.terms.items()})
+
+
+def difference(p, q):
+    out = dict(p.terms)
+    for t, c in q.terms.items():
+        out[t] = out.get(t, 0) - c
+    return SparsePoly(out)
+
+
+POLYS = st.dictionaries(
+    st.lists(VARIABLES, min_size=1, max_size=3).map(reference_monomial),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=5).map(SparsePoly)
+
+
+@given(POLYS, POLYS)
+@example(*TIE)
+@example(*minor_polys(2, 2, 2)[:2])
+def test_s_polynomial_is_its_definition(f, g):
+    # lc(g) * (lcm / lt(f)) * f - lc(f) * (lcm / lt(g)) * g, the leading
+    # terms and the lcm taken as multisets
+    lt_f, lt_g = largest(f.terms), largest(g.terms)
+    big = Counter(lt_f) | Counter(lt_g)
+    shift_f = tuple((big - Counter(lt_f)).elements())
+    shift_g = tuple((big - Counter(lt_g)).elements())
+    expected = difference(scaled(f, g.terms[lt_g], shift_f),
+                          scaled(g, f.terms[lt_f], shift_g))
+    s = s_polynomial(f, g)
+    assert s == expected and str(s) == str(expected)
+    assert reference_monomial(big.elements()) not in s.terms
+
+
 def test_s_polynomial_cancels_leading_terms():
     polys = [SparsePoly.from_binomial(mi.binomial)
              for mi in minor_basis(2, 2, 2)]
     f, g = polys[0], polys[1]
     s = s_polynomial(f, g)
-    big = lcm_monomial(leading_term(f), leading_term(g))
+    big = reference_monomial(
+        (Counter(leading_term(f)) | Counter(leading_term(g))).elements())
     assert not s or lex_greater(big, leading_term(s))
 
 

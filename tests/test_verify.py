@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import doubledet
-from doubledet import invariants, simplicial, verify
+from doubledet import generators, invariants, simplicial, verify
 from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
                               CheckFailed, SizeGuardError)
 
@@ -141,13 +141,39 @@ SABOTAGE = {
         "    return rep._replace(regularity=rep.regularity + 1)\n"
         "invariants.compute_invariants = compute_invariants\n"),
         ("poset-stats", "h-poly-agreement", "macmahon", "symmetry")),
+    # a division step memoised with the coefficient of the monomial's
+    # first occurrence: a later occurrence with another coefficient or
+    # sign subtracts the wrong multiple of the divisor
+    "step-memo-first-coefficient": ("groebner", (
+        "import inspect\n"
+        "groebner._first = lambda step, coeff: step and tuple(\n"
+        "    (mono, coeff * c) for mono, c in step)\n"
+        "source = inspect.getsource(groebner._reduce)\n"
+        "mutant = source.replace('= _step(t, *prepared)',\n"
+        "                        '= _first(_step(t, *prepared), coeff)')\n"
+        "mutant = mutant.replace('- coeff * c', '- c')\n"
+        "if mutant.count('_first') != 1 or 'coeff * c' in mutant:\n"
+        "    sys.exit('the memo mutation did not apply')\n"
+        "exec(mutant, vars(groebner))\n"),
+        ("groebner-basis",), (2, 2, 3)),
+    # an S-polynomial that adds its two halves: the leading terms are never
+    # formed, so 2 * lc(f) * lc(g) * lcm goes missing instead of cancelling
+    # and the result leaves the ideal
+    "s-polynomial-adds": ("groebner", (
+        "import inspect\n"
+        "source = inspect.getsource(groebner.s_polynomial)\n"
+        "mutant = source.replace('(g, -f.terms[lt_f]', '(g, f.terms[lt_f]')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the S-polynomial mutation did not apply')\n"
+        "exec(mutant, vars(groebner))\n"),
+        ("groebner-basis",), (2, 2, 3)),
 }
 
 
 def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     script = ("import sys\n"
-              "from doubledet import (cli, generators, invariants,\n"
-              "                       simplicial, sorting)\n"
+              "from doubledet import (cli, generators, groebner,\n"
+              "                       invariants, simplicial, sorting)\n"
               + sabotage
               + f"sys.exit(cli.main(['verify', *map(str, {size}), "
                 f"'--level', '{level}']))\n")
@@ -197,6 +223,10 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("gorenstein-needs-all-maximal", False),
     ("regularity-plus-one", True),
     ("regularity-plus-one", False),
+    ("step-memo-first-coefficient", True),
+    ("step-memo-first-coefficient", False),
+    ("s-polynomial-adds", True),
+    ("s-polynomial-adds", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks, *size = SABOTAGE[sabotage]
@@ -289,6 +319,23 @@ def test_complex_tier_reads_each_facet_once(monkeypatch):
     assert "FAIL" not in {o.status for o in outcomes}
     # one read per facet feeds both the encoder and the extender
     assert calls == 4200
+
+
+def test_groebner_tier_lists_the_sorting_relations_once(monkeypatch):
+    calls = 0
+    real = generators.sorting_relations
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(generators, "sorting_relations", counting)
+    outcomes = verify.run_checks(
+        verify.build_checks(2, 2, 3, "groebner", DEFAULT_BUDGET))
+    assert "FAIL" not in {o.status for o in outcomes}
+    # families-vs-sorting-relations and relations-reduce-to-zero share it
+    assert calls == 1
 
 
 def test_reader_error_fails_both_recoder_checks(monkeypatch):
