@@ -4,7 +4,8 @@ One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
-as it is decoded and holds no catalog, in every format.  Each subcommand
+as it is decoded and holds no catalog, and `verify` writes each check's
+outcome as the check returns, in every format.  Each subcommand
 imports the library modules it runs on first use, and `csv` only for
 --format csv, so importing this module loads `doubledet.errors` alone
 and `hpoly` never loads the checks of `verify`.  Exit status:
@@ -21,6 +22,7 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from math import comb
 
 from .errors import (DEFAULT_BUDGET, LEVELS, MAX_LISTED, BudgetExceededError,
@@ -90,7 +92,10 @@ def _emit(args, payload, header, rows, lines):
 
     ``payload`` returns the JSON value, ``rows`` the CSV rows under
     ``header`` and ``lines`` the text lines; only the selected one is
-    called, so no other format's output is ever built.
+    called, so no other format's output is ever built.  Rows and lines are
+    written one at a time as they are pulled, and so is an iterator member
+    of a dict payload (see ``_dump_json``): a lazy stream reaches stdout
+    item by item, each written before the next is computed.
     """
     if args.format == "json":
         _dump_json(payload())
@@ -113,15 +118,46 @@ JSON_BATCH = 32
 
 
 def _dump_json(value):
-    """Print ``value`` as compact JSON.  A value that is not a dict is an
-    array: its elements are encoded in batches of ``JSON_BATCH``, one call
-    of the C encoder per batch with the batch's brackets cut off, and
-    written in chunks of at least ``JSON_CHUNK`` characters.  So a stream
-    is never held whole, and the bytes are those of ``json.dumps`` of the
-    list."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    """Print ``value`` as compact JSON, with the bytes of ``json.dumps``.
+
+    A value that is not a dict is an array: its elements are encoded in
+    batches of ``JSON_BATCH``, one call of the C encoder per batch with
+    the batch's brackets cut off, and written in chunks of at least
+    ``JSON_CHUNK`` characters.  So a long stream (the facet catalog) is
+    never held whole, and the encoder and the pipe see few large calls.
+
+    In a dict, whose keys are strings, a member that is an iterator is
+    written as an array one element at a time, each element before the
+    next is pulled, so a slow stream (the verdicts of ``verify``) shows
+    each element as soon as it exists; the text before its first element
+    goes out with that element.  A member that is callable is called when
+    it is reached, after the members before it were written.  A top-level
+    array keeps its batches: its elements are many, small and quick to
+    come, and one encoder call and one write each would cost more than
+    the encoding itself.
+
+    Every payload is a fresh tree of dicts, lists, tuples, strings,
+    numbers and bools built for this one write, so it holds no cycle and
+    the encoder skips the cycle check.
+    """
+    encode = json.JSONEncoder(separators=(",", ":"),
+                              check_circular=False).encode
     if isinstance(value, dict):
-        print(encode(value))
+        text, sep = "{", ""
+        for key, member in value.items():
+            text += sep + encode(key) + ":"
+            sep = ","
+            if callable(member):
+                member = member()
+            if not isinstance(member, Iterator):
+                text += encode(member)
+                continue
+            opening = "["
+            for item in member:
+                sys.stdout.write(text + opening + encode(item))
+                text, opening = "", ","
+            text += "]" if opening == "," else "[]"
+        print(text + "}")
         return
     items = iter(value)
     parts, size, sep = [], 0, "["
@@ -356,24 +392,38 @@ def cmd_extend(args):
 def cmd_verify(args):
     from . import verify
     m, n, r = args.m, args.n, args.r
-    outcomes = verify.run_checks(
-        verify.build_checks(m, n, r, args.level, args.budget))
-    failed = [o.name for o in outcomes if o.status == "FAIL"]
-    skipped = sum(1 for o in outcomes if o.status == "skip")
+    checks = verify.build_checks(m, n, r, args.level, args.budget)
+    failed, skipped, total = [], 0, 0
+
+    def outcomes():
+        """The outcomes as the checks return, tallied as they pass."""
+        nonlocal skipped, total
+        for outcome in verify.run_checks(checks):
+            total += 1
+            skipped += outcome.status == "skip"
+            if outcome.status == "FAIL":
+                failed.append(outcome.name)
+            yield outcome
+            # the emitter has written this outcome: hand it to the reader
+            # before the next check starts.  Stdout on a pipe is
+            # block-buffered, so without this flush the reader would see
+            # nothing until the buffer fills or the run ends
+            sys.stdout.flush()
 
     def text():
-        for name, status, detail in outcomes:
+        for name, status, detail in outcomes():
             yield f"{status:4} {name}" + (f" ({detail})" if detail else "")
         if failed:
             yield f"{len(failed)} check(s) failed: {', '.join(failed)}"
         else:
             note = f" ({skipped} skipped)" if skipped else ""
-            yield (f"all {len(outcomes) - skipped} checks passed{note} "
+            yield (f"all {total - skipped} checks passed{note} "
                    f"for ({m}, {n}, {r}) at level {args.level}")
 
-    _emit(args, lambda: {"checks": [o._asdict() for o in outcomes],
-                         "passed": not failed},
-          ("name", "status", "detail"), lambda: outcomes, text)
+    # the summary, "passed" and the exit status are read after the stream
+    _emit(args, lambda: {"checks": map(verify.Outcome._asdict, outcomes()),
+                         "passed": lambda: not failed},
+          ("name", "status", "detail"), outcomes, text)
     return 1 if failed else 0
 
 

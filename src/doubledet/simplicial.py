@@ -243,39 +243,51 @@ def extension_word(blocks, m, n, r):
     way; it does not check that the word's facet contains the face
     (``extend_to_facet`` does).
     """
-    # per-matrix points in path order, as (row, in-block column); 1-based
-    points = [[(row, col - offset) for row, col in block]
+    # each matrix's first point as (row, in-block column), 1-based
+    firsts = [(block[0][0], block[0][1] - offset) if block else None
               for offset, block in zip(range(0, n * r, n), blocks)]
-    if not all(points):
+    if None in firsts:
         # with no occupied matrix, every matrix lies before the sentinel r
-        occupied = [k for k, block in enumerate(points) if block] or [r]
+        occupied = [k for k, block in enumerate(blocks) if block] or [r]
         for k in range(occupied[0]):
-            points[k] = [(m, n)]
+            firsts[k] = (m, n)
         for c, d in zip(occupied, occupied[1:]):
             for k in range(c + 1, d):
-                points[k] = [(points[d][0][0], points[c][0][1])]
+                firsts[k] = (firsts[d][0], firsts[c][1])
         for k in range(occupied[-1] + 1, r):
-            points[k] = [(1, 1)]
+            firsts[k] = (1, 1)
     # matrix k runs from (row of its first point, or m for k = 1; column of
     # its first point, or 1 for k = r) to (row of matrix k+1's first point,
-    # or 1; column of matrix k-1's first point, or n)
+    # or 1; column of matrix k-1's first point, or n).  Columns stay
+    # absolute: the walk starts and ends offset into matrix k's columns
     words = []
-    end_col = n
-    for k, block in enumerate(points, start=1):
-        first_row, first_col = block[0]
+    end_col, offset = n, 0
+    for k, (block, (first_row, first_col)) in enumerate(zip(blocks, firsts),
+                                                        start=1):
         r1 = first_row if k > 1 else m
-        c1 = first_col if k < r else 1
-        end = (points[k][0][0] if k < r else 1, end_col)
+        c1 = (first_col if k < r else 1) + offset
         steps = []
-        for r2, c2 in chain(block, (end,)):
+        for r2, c2 in block or ((first_row, first_col + offset),):
             if r1 < r2 or c1 > c2:
-                raise ValueError("input is not a face of the complex: no "
-                                 f"path ({r1},{c1})->({r2},{c2}) in matrix {k}")
+                raise _no_path(k, offset, r1, c1, r2, c2)
             steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
             r1, c1 = r2, c2
+        r2, c2 = firsts[k][0] if k < r else 1, end_col + offset
+        if r1 < r2 or c1 > c2:
+            raise _no_path(k, offset, r1, c1, r2, c2)
+        steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
         words.append("".join(steps))
         end_col = first_col
+        offset += n
     return "R".join(words)
+
+
+def _no_path(k, offset, r1, c1, r2, c2):
+    """The error for a step of matrix ``k`` that no lattice path takes,
+    given in absolute columns and named in in-block ones."""
+    return ValueError("input is not a face of the complex: no path "
+                      f"({r1},{c1 - offset})->({r2},{c2 - offset}) "
+                      f"in matrix {k}")
 
 
 def extend_to_facet(face_vertices, m, n, r):

@@ -3,7 +3,9 @@
 Every closed form (generator count, multiplicity, Gorenstein criterion,
 h-polynomial, facet catalog, ...) is re-derived by an independent
 enumeration oracle.  The checks come in three cumulative levels:
-``formulas`` < ``complex`` < ``groebner``.
+``formulas`` < ``complex`` < ``groebner``.  ``run_checks`` yields each
+check's outcome as the check returns, so a caller can write it before the
+next check starts.
 
 The check contract.  A check is a function of no arguments.  It returns a
 detail string when the closed form and its oracle agree, and otherwise
@@ -84,10 +86,11 @@ def build_checks(m, n, r, level, budget):
 
     @functools.cache
     def relations():
-        """The sorting relations, for the two checks that read them.  The
-        refusal names relations-reduce-to-zero, the only check it can skip:
-        families-vs-sorting-relations is refused first, by ``families``,
-        at the same count."""
+        """The sorting relations, for the two checks that read them; below
+        the groebner tier the first is the last, and drops the listing.
+        The refusal names relations-reduce-to-zero, the only check it can
+        skip: families-vs-sorting-relations is refused first, by
+        ``families``, at the same count."""
         listing(invariants.minimal_generator_count(m, n, r),
                 "relations_reduce", "relations")
         return generators.sorting_relations(m, n, r)
@@ -139,6 +142,8 @@ def build_checks(m, n, r, level, budget):
                      f"{key}: {len(val)} != {sizes[key]}")
         union = set().union(*fams.values())
         rels = set(relations())
+        if want < 2:  # the last reader: relations-reduce-to-zero is not run
+            relations.cache_clear()
         _require(union == rels, "families differ from sorting relations")
         mu = invariants.minimal_generator_count(m, n, r)
         _require(len(rels) == mu, f"{len(rels)} relations vs mu={mu}")
@@ -398,8 +403,8 @@ def build_checks(m, n, r, level, budget):
 
 
 def run_checks(checks):
-    """Run the checks one after another; one ``Outcome`` per check."""
-    outcomes = []
+    """Run the checks one after another, yielding each one's ``Outcome``
+    as soon as the check returns, before the next check starts."""
     for name, fn in checks:
         try:
             status, detail = "ok", fn()
@@ -410,5 +415,4 @@ def run_checks(checks):
         except (AssertionError, ArithmeticError, ValueError) as exc:
             status = "FAIL"
             detail = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-        outcomes.append(Outcome(name, status, detail))
-    return outcomes
+        yield Outcome(name, status, detail)

@@ -12,8 +12,9 @@ import tracemalloc
 import pytest
 
 import doubledet
-from doubledet import cli, invariants, poset
-from doubledet.errors import DEFAULT_BUDGET, MAX_LISTED
+from doubledet import cli, invariants, poset, verify
+from doubledet.errors import (DEFAULT_BUDGET, MAX_LISTED, CheckFailed,
+                             SizeGuardError)
 from doubledet.intpoly import IntPolynomial
 
 PAPER_VERTICES = ("(4,5),(3,5),(3,7),(2,7),(2,8),(2,9),(2,10),(2,11),"
@@ -147,6 +148,19 @@ def test_dump_json_prints_the_bytes_of_json_dumps(count, capsys):
     assert out == json.dumps(list(_elements(count)),
                              separators=(",", ":")) + "\n"
     assert (len(out) > cli.JSON_CHUNK) == (count == 2000)
+
+
+@pytest.mark.parametrize("count", [0, 1, 33])
+def test_dump_json_writes_lazy_dict_members_as_json_dumps(count, capsys):
+    # an iterator member is an array, and a callable member is its value,
+    # called only once the iterator before it is used up
+    pulled = []
+    items = (pulled.append(item) or item for item in _elements(count))
+    cli._dump_json({"a": [1, (2, "é")], "items": items,
+                    "pulled": lambda: len(pulled), "z": {"k": None}})
+    assert capsys.readouterr().out == json.dumps(
+        {"a": [1, [2, "é"]], "items": list(_elements(count)),
+         "pulled": count, "z": {"k": None}}, separators=(",", ":")) + "\n"
 
 
 def test_extend_paper_example(capsys):
@@ -451,3 +465,102 @@ def test_verify_detects_failures(capsys, monkeypatch):
                        "--level", "formulas")
     assert code == 1
     assert "FAIL" in out and "h-poly-agreement" in out
+
+
+class Recorder(io.StringIO):
+    """A stdout that keeps what had been written at its last flush."""
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+#: what a first check passing with detail "one" leaves on stdout
+FIRST_OUTCOME = {
+    "text": "ok   first (one)\n",
+    "json": '{"checks":[{"name":"first","status":"ok","detail":"one"}',
+    "csv": "name,status,detail\r\nfirst,ok,one\r\n",
+}
+
+
+def _stream_checks(monkeypatch, *checks):
+    """Make ``verify`` run the ``(name, check)`` pairs ``checks``."""
+    monkeypatch.setattr(verify, "build_checks", lambda *args: list(checks))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_writes_each_outcome_before_the_next_check(fmt, monkeypatch):
+    out, seen = Recorder(), []
+
+    def first():  # run_checks turns a failed assert into FAIL: record
+        seen.append(out.getvalue())
+        return "one"
+
+    def second():
+        seen.append(out.flushed)
+        raise CheckFailed("3 != 4")
+
+    def third():
+        raise SizeGuardError("too many")
+
+    _stream_checks(monkeypatch, ("first", first), ("second", second),
+                   ("third", third))
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "2", "2", "2", "-f", fmt])
+    assert code == 1
+    # nothing but the CSV header precedes check 1, not even the opening
+    # bracket, and its outcome was written and flushed before check 2 ran
+    header = "name,status,detail\r\n" if fmt == "csv" else ""
+    assert seen == [header, FIRST_OUTCOME[fmt]]
+    # and the whole output is what one write after the last check gives
+    outcomes = [("first", "ok", "one"), ("second", "FAIL", "3 != 4"),
+                ("third", "skip", "too many")]
+    if fmt == "json":
+        expected = json.dumps(
+            {"checks": [dict(zip(("name", "status", "detail"), o))
+                        for o in outcomes], "passed": False},
+            separators=(",", ":")) + "\n"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([("name", "status", "detail"),
+                                      *outcomes])
+        expected = buffer.getvalue()
+    else:
+        expected = ("ok   first (one)\nFAIL second (3 != 4)\n"
+                    "skip third (too many)\n1 check(s) failed: second\n")
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_unmapped_error_propagates_after_earlier_outcomes(
+        fmt, monkeypatch):
+    def second():
+        raise TypeError("not a verdict")
+
+    out = Recorder()
+    _stream_checks(monkeypatch, ("first", lambda: "one"), ("second", second))
+    with contextlib.redirect_stdout(out), \
+            pytest.raises(TypeError, match="not a verdict"):
+        cli.main(["verify", "2", "2", "2", "-f", fmt])
+    assert out.getvalue() == FIRST_OUTCOME[fmt]
+
+
+def test_verify_reader_closing_after_the_first_verdict_is_no_error():
+    # stdout on a pipe is block-buffered without PYTHONUNBUFFERED, so only
+    # verify's own flush gets the first line out before the run ends
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "doubledet.cli", "verify", "4", "4", "5",
+         "--level", "complex"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"ok   ideal-count (80 ideals)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 141

@@ -287,6 +287,28 @@ def test_extend_rejects_non_face():
         extend_to_facet([(1, 1), (2, 2)], 2, 2, 2)
 
 
+def _extension_error(vertices, m, n, r):
+    blocks = simplicial.read_face(vertices, m, n, r)[1]
+    with pytest.raises(ValueError) as caught:
+        extension_word(blocks, m, n, r)
+    return str(caught.value)
+
+
+def test_extension_word_names_a_bad_anchor_inside_a_block():
+    # (1,5) and (2,6) are a diagonal of matrix 3: in-block (1,1) and (2,2)
+    assert _extension_error([(2, 4), (1, 5), (2, 6)], 2, 2, 3) == (
+        "input is not a face of the complex: no path (1,1)->(2,2) in "
+        "matrix 3")
+
+
+def test_extension_word_names_a_bad_closing_anchor():
+    # matrix 2's path must end at row 2 (matrix 3's first point) and
+    # column 2 (matrix 1's filler), below its only point (1,3)
+    assert _extension_error([(1, 3), (2, 5)], 2, 2, 3) == (
+        "input is not a face of the complex: no path (1,1)->(2,2) in "
+        "matrix 2")
+
+
 @pytest.mark.parametrize("m, n, r", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
 def test_extend_raises_exactly_on_non_faces(m, n, r):
     # extend_to_facet runs no is_face check of its own

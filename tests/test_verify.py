@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -90,7 +91,8 @@ SABOTAGE = {
     "extend-fixes-faces": ("complex", (
         "import inspect\n"
         "source = inspect.getsource(simplicial.extension_word)\n"
-        "mutant = source.replace('[(1, 1)]', '[(1, n)]')\n"
+        "mutant = source.replace('firsts[k] = (1, 1)', "
+        "'firsts[k] = (1, n)')\n"
         "if mutant == source:\n"
         "    sys.exit('the filler mutation did not apply')\n"
         "exec(mutant, vars(simplicial))\n"),
@@ -256,9 +258,9 @@ def test_runner_maps_each_exception_to_a_status():
     def rejects_own_output():
         raise ValueError("vertex set does not match its path decomposition")
 
-    outcomes = verify.run_checks([
+    outcomes = list(verify.run_checks([
         ("a", ok), ("b", disagree), ("c", broken_invariant),
-        ("d", broken_assert), ("e", too_big), ("f", rejects_own_output)])
+        ("d", broken_assert), ("e", too_big), ("f", rejects_own_output)]))
     assert [tuple(o) for o in outcomes] == [
         ("a", "ok", "fine"),
         ("b", "FAIL", "3 != 4"),
@@ -278,8 +280,8 @@ def test_report_validation_fails_the_checks_that_read_it(monkeypatch):
         return rep._replace(regularity=rep.regularity + 1)
 
     monkeypatch.setattr(invariants, "compute_invariants", compute_invariants)
-    failed = {o.name: o.detail for o in verify.run_checks(
-        verify.build_checks(2, 2, 2, "formulas", DEFAULT_BUDGET))
+    failed = {o.name: o.detail for o in list(verify.run_checks(
+        verify.build_checks(2, 2, 2, "formulas", DEFAULT_BUDGET)))
         if o.status == "FAIL"}
     assert failed == dict.fromkeys(
         ("poset-stats", "h-poly-agreement", "macmahon", "symmetry"),
@@ -296,8 +298,8 @@ def test_complex_tier_decodes_each_facet_once(monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(simplicial.Facet, "__init__", counting)
-    outcomes = verify.run_checks(
-        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET))
+    outcomes = list(verify.run_checks(
+        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET)))
     assert "FAIL" not in {o.status for o in outcomes}
     # the 4,200 facets of (4,4,5), each decoded once and re-encoded and
     # extended as words only
@@ -314,8 +316,8 @@ def test_complex_tier_reads_each_facet_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simplicial, "read_face", counting)
-    outcomes = verify.run_checks(
-        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET))
+    outcomes = list(verify.run_checks(
+        verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET)))
     assert "FAIL" not in {o.status for o in outcomes}
     # one read per facet feeds both the encoder and the extender
     assert calls == 4200
@@ -331,11 +333,35 @@ def test_groebner_tier_lists_the_sorting_relations_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(generators, "sorting_relations", counting)
-    outcomes = verify.run_checks(
-        verify.build_checks(2, 2, 3, "groebner", DEFAULT_BUDGET))
+    outcomes = list(verify.run_checks(
+        verify.build_checks(2, 2, 3, "groebner", DEFAULT_BUDGET)))
     assert "FAIL" not in {o.status for o in outcomes}
     # families-vs-sorting-relations and relations-reduce-to-zero share it
     assert calls == 1
+
+
+@pytest.mark.parametrize("level", ["formulas", "complex"])
+def test_lower_tiers_drop_the_sorting_relations_after_reading_them(
+        monkeypatch, level):
+    class Listing(list):  # a list subclass can be weakly referenced
+        pass
+
+    made = []
+    real = generators.sorting_relations
+
+    def listing(*args):
+        rels = Listing(real(*args))
+        made.append(weakref.ref(rels))
+        return rels
+
+    monkeypatch.setattr(generators, "sorting_relations", listing)
+    checks = verify.build_checks(2, 2, 3, level, DEFAULT_BUDGET)
+    outcomes = list(verify.run_checks(checks))
+    assert "FAIL" not in {o.status for o in outcomes}
+    # the checks, and so their shared listings, are still alive; the
+    # relations are not, since relations-reduce-to-zero is not run
+    assert len(made) == 1
+    assert made[0]() is None
 
 
 def test_reader_error_fails_both_recoder_checks(monkeypatch):
@@ -343,8 +369,8 @@ def test_reader_error_fails_both_recoder_checks(monkeypatch):
         raise ValueError("vertex (9,9) outside the 2 x 6 board")
 
     monkeypatch.setattr(simplicial, "read_face", refuses)
-    status = {o.name: (o.status, o.detail) for o in verify.run_checks(
-        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET))}
+    status = {o.name: (o.status, o.detail) for o in list(verify.run_checks(
+        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET)))}
     assert status["word-codec-roundtrip"] == (
         "FAIL", "roundtrip failed for MNRR: vertex (9,9) outside the 2 x 6 "
                 "board")
@@ -358,8 +384,8 @@ def test_recoder_error_fails_its_own_check_only(monkeypatch):
         raise ValueError("not a facet")
 
     monkeypatch.setattr(simplicial, "facet_word", refuses)
-    status = {o.name: (o.status, o.detail) for o in verify.run_checks(
-        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET))}
+    status = {o.name: (o.status, o.detail) for o in list(verify.run_checks(
+        verify.build_checks(2, 2, 3, "complex", DEFAULT_BUDGET)))}
     assert status["word-codec-roundtrip"] == (
         "FAIL", "roundtrip failed for MNRR: not a facet")
     assert status["facet-count-purity"][0] == "ok"
@@ -371,7 +397,8 @@ def test_budget_exhaustion_skips_the_check():
         raise BudgetExceededError("simplicial.facets: 12 facets exceed "
                                   "budget 11")
 
-    outcomes = verify.run_checks([("a", over_budget), ("b", lambda: "fine")])
+    outcomes = list(verify.run_checks([("a", over_budget),
+                                       ("b", lambda: "fine")]))
     assert [tuple(o) for o in outcomes] == [
         ("a", "skip", "simplicial.facets: 12 facets exceed budget 11"),
         ("b", "ok", "fine"),
