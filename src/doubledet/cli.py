@@ -13,11 +13,23 @@ and `hpoly` never loads the checks of `verify`.  Exit status:
 listing over its fixed cap, 141 (128 + SIGPIPE, as a shell reports a
 process killed by it) when the reader closes stdout before the output
 ends.
+
+Every invocation pays a fixed cost around its command: the interpreter's
+start with its site imports, the import of this module, the parser (ten
+`ArgumentParser`s, whichever subcommand runs), and the interpreter's
+exit, whose final collections walk every object the collector tracks.
+About 12,000 objects are alive when `main` starts, and they live until
+exit; `main` freezes them first (`gc.freeze`), so those collections walk
+only what the command made.  On a shared 2-vCPU VM, medians of 11 runs
+of `hpoly 5 6 6 --method all`: start 70 ms, import 9 ms, `main` 13 ms
+(the parser 4-6 ms of it), exit 16 ms without the freeze and 5 ms with
+it; exit fell by the same 10-11 ms on every workload of the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -428,6 +440,18 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    """Run one command line; return its exit status.
+
+    The first statement freezes the collector's view of the whole
+    process, not of this command: every object alive at the call (the
+    interpreter's start-up modules, this package, and anything a caller
+    holds) moves to the permanent generation, and no later collection,
+    the interpreter's final ones included, walks it again.  Those objects
+    live until exit in a command-line run, so walking them is pure cost.
+    A caller that runs ``main`` in-process again and again freezes what it
+    holds at each call; objects made after a call are collected as usual.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "m"):

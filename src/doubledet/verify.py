@@ -22,7 +22,11 @@ fails by raising; ``run_checks`` maps what it raises to a status:
 * ``AssertionError``, ``ArithmeticError`` or any other ``ValueError``
   raised inside the library: an invariant of a library object is broken,
   or the library rejects its own output (a facet encoder that refuses a
-  facet) -> ``FAIL``, never an exit as if the input were invalid.
+  facet) -> ``FAIL``, never an exit as if the input were invalid;
+* ``LookupError`` (``IndexError``, ``KeyError``) raised inside the
+  library: a closed form or an oracle reads past what it built (a
+  series cut one term short, a count read from a key it never set) ->
+  ``FAIL``, never a traceback.
 
 A check never uses ``assert``, so it gives the same verdict under
 ``python -O``.
@@ -412,7 +416,8 @@ def run_checks(checks):
             status, detail = "FAIL", str(exc)
         except SizeGuardError as exc:  # a ValueError: caught first
             status, detail = "skip", str(exc)
-        except (AssertionError, ArithmeticError, ValueError) as exc:
+        except (AssertionError, ArithmeticError, LookupError,
+                ValueError) as exc:
             status = "FAIL"
             detail = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         yield Outcome(name, status, detail)

@@ -427,6 +427,43 @@ def test_python_m_doubledet_is_the_cli():
     assert (runs[0].stdout, runs[0].returncode) == (runs[1].stdout, 0)
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter; return its stdout lines."""
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.splitlines()
+
+
+def test_importing_the_cli_freezes_nothing():
+    assert run_fresh("import gc\n"
+                     "from doubledet import cli\n"
+                     "print(gc.get_freeze_count())\n") == ["0"]
+
+
+def test_main_freezes_the_start_up_heap_and_still_collects():
+    # what main's run and its caller make afterwards is collected as usual:
+    # a cycle made after main returns is freed by the next collection
+    frozen, enabled, freed = run_fresh(
+        "import contextlib, gc, io, weakref\n"
+        "from doubledet import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['hpoly', '2', '2', '2']) == 0\n"
+        "print(gc.get_freeze_count())\n"
+        "print(gc.isenabled())\n"
+        "class Node:\n"
+        "    pass\n"
+        "node = Node()\n"
+        "node.me = node\n"
+        "ref = weakref.ref(node)\n"
+        "del node\n"
+        "gc.collect()\n"
+        "print(ref() is None)\n")
+    assert int(frozen) > 0
+    assert enabled == "True"
+    assert freed == "True"
+
+
 def test_bad_sizes_exit_2(capsys):
     for argv in (("invariants", "0", "2", "2"),
                  ("facets", "2", "2", "2", "--budget", "0")):

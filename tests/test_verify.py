@@ -143,6 +143,26 @@ SABOTAGE = {
         "    return rep._replace(regularity=rep.regularity + 1)\n"
         "invariants.compute_invariants = compute_invariants\n"),
         ("poset-stats", "h-poly-agreement", "macmahon", "symmetry")),
+    # the series truncated one term short: the check of the coefficient
+    # past the regularity reads past the list (IndexError)
+    "series-one-term-short": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(invariants.h_poly_via_series)\n"
+        "mutant = source.replace('range(cutoff + 1)', 'range(cutoff)')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the series mutation did not apply')\n"
+        "exec(mutant, vars(invariants))\n"),
+        ("poset-stats", "h-poly-agreement", "macmahon", "symmetry")),
+    # the multichain count read from one past the full ideal, a key the
+    # sweep never set (KeyError)
+    "multichain-key-past-top": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(invariants.order_preserving_map_counts)\n"
+        "mutant = source.replace('z[(1 << p.n) - 1]', 'z[1 << p.n]')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the multichain mutation did not apply')\n"
+        "exec(mutant, vars(invariants))\n"),
+        ("hilbert-oracle",)),
     # a division step memoised with the coefficient of the monomial's
     # first occurrence: a later occurrence with another coefficient or
     # sign subtracts the wrong multiple of the divisor
@@ -225,6 +245,10 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("gorenstein-needs-all-maximal", False),
     ("regularity-plus-one", True),
     ("regularity-plus-one", False),
+    ("series-one-term-short", True),
+    ("series-one-term-short", False),
+    ("multichain-key-past-top", True),
+    ("multichain-key-past-top", False),
     ("step-memo-first-coefficient", True),
     ("step-memo-first-coefficient", False),
     ("s-polynomial-adds", True),
@@ -258,9 +282,16 @@ def test_runner_maps_each_exception_to_a_status():
     def rejects_own_output():
         raise ValueError("vertex set does not match its path decomposition")
 
+    def reads_past_a_list():
+        return [1, 2][2]
+
+    def reads_an_unset_key():
+        return {}[8]
+
     outcomes = list(verify.run_checks([
         ("a", ok), ("b", disagree), ("c", broken_invariant),
-        ("d", broken_assert), ("e", too_big), ("f", rejects_own_output)]))
+        ("d", broken_assert), ("e", too_big), ("f", rejects_own_output),
+        ("g", reads_past_a_list), ("h", reads_an_unset_key)]))
     assert [tuple(o) for o in outcomes] == [
         ("a", "ok", "fine"),
         ("b", "FAIL", "3 != 4"),
@@ -269,6 +300,8 @@ def test_runner_maps_each_exception_to_a_status():
         ("e", "skip", "too many"),
         ("f", "FAIL", "ValueError: vertex set does not match its path "
                       "decomposition"),
+        ("g", "FAIL", "IndexError: list index out of range"),
+        ("h", "FAIL", "KeyError: 8"),
     ]
 
 
