@@ -24,9 +24,9 @@ DEFAULT_BUDGET = 10 ** 7
 #: line's parser reads them without loading the checks
 LEVELS = ("formulas", "complex", "groebner")
 
-#: fixed cap on what one listing holds: the generators, minors, degree-2
-#: monomials and board pairs ``verify`` lists, and the rows that the
-#: ``hilbert`` and ``generators`` commands print
+#: fixed cap on one listing: each listing caps its own work, counted as
+#: what it walks (see ``generators`` and ``simplicial``), and the commands
+#: cap the rows they print (``hilbert`` degrees, ``generators --show minors``)
 MAX_LISTED = 200_000
 
 

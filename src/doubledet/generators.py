@@ -12,6 +12,10 @@ A variable x[i,j,k] is the grid point (i, j, k), so the sorting relations
 are built from ``grid.meet`` and ``grid.join`` directly.  A minor is built
 from its two diagonal grid points by ``_h_minor`` or ``_v_minor``, the only
 code that knows the positions of H and V.
+
+Each listing refuses itself before it walks more than ``errors.MAX_LISTED``
+generators (``generator_families``), grid pairs (``sorting_relations``,
+however few it keeps) or minors of H and V (``minor_basis``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import grid, sorting
-from .errors import check_sizes
+from .errors import MAX_LISTED, bound, check_sizes
 from .ring import Binomial, monomial, var_str
 
 FAMILY_KEYS = ("same_row", "same_column", "same_block", "mixed")
@@ -83,21 +87,26 @@ def minors_V(m, n, r):
             for j1, j2 in combinations(range(1, n + 1), 2)]
 
 
+def hv_minor_count(m, n, r):
+    """Closed form for len(minors_H) + len(minors_V)."""
+    check_sizes(m, n, r)
+    return comb(m, 2) * comb(n * r, 2) + comb(m * r, 2) * comb(n, 2)
+
+
 def minor_basis(m, n, r):
     """Minors of H, then those of V with rows in two matrices: a V-minor
     inside one matrix is that matrix's H-minor, and the terms of any other
     lie on different column pairs, so it is no H-minor."""
+    bound(hv_minor_count(m, n, r), MAX_LISTED, "generators.minor_basis",
+          "minors")
     return minors_H(m, n, r) + [mi for mi in minors_V(m, n, r)
                                 if mi.entries[0][2] != mi.entries[3][2]]
 
 
 def minor_count(m, n, r):
-    """Closed form for len(minor_basis): the minors of H plus those of V,
-    less the r * C(m,2) * C(n,2) minors inside one matrix, which are
-    minors of both."""
-    check_sizes(m, n, r)
-    return (comb(m, 2) * comb(n * r, 2) + comb(m * r, 2) * comb(n, 2)
-            - r * comb(m, 2) * comb(n, 2))
+    """Closed form for len(minor_basis): the minors of H and V, less those
+    inside one matrix, which are minors of both."""
+    return hv_minor_count(m, n, r) - r * comb(m, 2) * comb(n, 2)
 
 
 def generator_families(m, n, r):
@@ -109,36 +118,38 @@ def generator_families(m, n, r):
     - "same_block":  matrix k fixed, rows i1 < i2, columns j1 < j2
     - "mixed":       all three index pairs distinct (three shapes each)
     """
-    check_sizes(m, n, r)
-    same_row = [
+    sizes = family_sizes(m, n, r)
+    bound(sum(sizes.values()), MAX_LISTED, "generators.generator_families",
+          "generators")
+    same_row = (
         Binomial.make(((i, j2, k1), (i, j1, k2)),
                       ((i, j1, k1), (i, j2, k2)))
         for i in range(1, m + 1)
         for j1, j2 in combinations(range(1, n + 1), 2)
-        for k1, k2 in combinations(range(1, r + 1), 2)]
-    same_column = [
+        for k1, k2 in combinations(range(1, r + 1), 2))
+    same_column = (
         Binomial.make(((i2, j, k1), (i1, j, k2)),
                       ((i1, j, k1), (i2, j, k2)))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j in range(1, n + 1)
-        for k1, k2 in combinations(range(1, r + 1), 2)]
-    same_block = [
+        for k1, k2 in combinations(range(1, r + 1), 2))
+    same_block = (
         Binomial.make(((i1, j2, k), (i2, j1, k)),
                       ((i1, j1, k), (i2, j2, k)))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j1, j2 in combinations(range(1, n + 1), 2)
-        for k in range(1, r + 1)]
-    mixed = []
-    for i1, i2 in combinations(range(1, m + 1), 2):
-        for j1, j2 in combinations(range(1, n + 1), 2):
-            for k1, k2 in combinations(range(1, r + 1), 2):
-                sorted_term = ((i1, j1, k1), (i2, j2, k2))
-                mixed.extend(Binomial.make(unsorted, sorted_term)
-                             for unsorted in (
-                                 ((i1, j2, k1), (i2, j1, k2)),
-                                 ((i2, j1, k1), (i1, j2, k2)),
-                                 ((i2, j2, k1), (i1, j1, k2))))
-    return dict(zip(FAMILY_KEYS, (same_row, same_column, same_block, mixed)))
+        for k in range(1, r + 1))
+    mixed = (
+        Binomial.make(unsorted, ((i1, j1, k1), (i2, j2, k2)))
+        for i1, i2 in combinations(range(1, m + 1), 2)
+        for j1, j2 in combinations(range(1, n + 1), 2)
+        for k1, k2 in combinations(range(1, r + 1), 2)
+        for unsorted in (((i1, j2, k1), (i2, j1, k2)),
+                         ((i2, j1, k1), (i1, j2, k2)),
+                         ((i2, j2, k1), (i1, j1, k2))))
+    # an empty family is not walked: its outer loops would run for nothing
+    return {key: list(family) if sizes[key] else [] for key, family in
+            zip(FAMILY_KEYS, (same_row, same_column, same_block, mixed))}
 
 
 def family_sizes(m, n, r):
@@ -153,6 +164,9 @@ def family_sizes(m, n, r):
 def sorting_relations(m, n, r):
     """One relation per unsorted pair: the product of two incomparable grid
     variables minus the product over their meet and join."""
+    check_sizes(m, n, r)
+    bound(comb(m * n * r, 2), MAX_LISTED, "generators.sorting_relations",
+          "grid pairs")
     return [Binomial.make((a, b), (grid.meet(a, b), grid.join(a, b)))
             for a, b in combinations(grid.grid_points(m, n, r), 2)
             if not grid.comparable(a, b)]

@@ -127,22 +127,23 @@ class Poset:
     def width(self):
         """Largest antichain, via Dilworth: n minus a maximum matching of
         the strict order viewed as a bipartite graph."""
-        match = [-1] * self.n  # match[b] = a chained below b
-        above = [[b for b in range(a + 1, self.n) if up >> b & 1]
-                 for a, up in enumerate(self._up)]
+        up, match = self._up, [-1] * self.n  # match[b] = a chained below b
+        # bit b: b was visited since the matching last grew; a failed
+        # search changes nothing, so what it visited stays a dead end
+        seen = 0
 
-        def augment(a, seen):
-            for b in above[a]:
-                if b in seen:
-                    continue
-                seen.add(b)
-                if match[b] == -1 or augment(match[b], seen):
-                    match[b] = a
+        def augment(a):
+            nonlocal seen
+            while free := up[a] & ~seen:
+                low = free & -free
+                seen |= low
+                b = low.bit_length() - 1
+                if match[b] == -1 or augment(match[b]):
+                    match[b], seen = a, 0
                     return True
             return False
 
-        matched = sum(1 for a in range(self.n) if augment(a, set()))
-        return self.n - matched
+        return self.n - sum(map(augment, range(self.n)))
 
     def rank(self):
         """Length (edge count) of the longest chain; -1 for the empty poset."""
@@ -177,13 +178,9 @@ def make_pmnr(m, n, r):
     increasing upward inside each chain.
     """
     check_sizes(m, n, r)
-    sizes = (m - 1, n - 1, r - 1)
-    relations = []
-    start = 0
-    for size in sizes:
-        relations.extend((e, e + 1) for e in range(start, start + size - 1))
-        start += size
-    return Poset(sum(sizes), relations)
+    chains = pmnr_chain_ranges(m, n, r)
+    return Poset(chains[-1].stop,
+                 [(e, e + 1) for chain in chains for e in chain[:-1]])
 
 
 def pmnr_chain_ranges(m, n, r):

@@ -25,16 +25,20 @@ a facet holding it).  Both return a word and build no ``Facet``, so a
 caller holding a facet compares words: an equal word means an equal
 vertex set.  ``facet_from_vertices`` and ``extend_to_facet`` decode the
 word and check the input's vertices against the facet's.
+
+Each enumeration refuses itself before it walks: ``initial_generators``
+over ``errors.MAX_LISTED`` board pairs, the others over a budget or cap.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, bound, check_sizes
+from .errors import (DEFAULT_BUDGET, MAX_LISTED, BudgetExceededError, bound,
+                     check_sizes)
 from .intpoly import IntPolynomial
 from .multiset import multinomial, multiset_permutations
 
@@ -102,12 +106,11 @@ def initial_generators(m, n, r):
     """All conflicting vertex pairs: the degree-2 squarefree generators of
     the initial ideal, as a set of 2-element frozensets."""
     check_sizes(m, n, r)
-    verts = board(m, n, r)
-    return frozenset(
-        frozenset((verts[a], verts[b]))
-        for a in range(len(verts))
-        for b in range(a + 1, len(verts))
-        if conflicts(verts[a], verts[b], n))
+    bound(comb(m * n * r, 2), MAX_LISTED, "simplicial.initial_generators",
+          "board pairs")
+    return frozenset(frozenset(pair)
+                     for pair in combinations(board(m, n, r), 2)
+                     if conflicts(*pair, n))
 
 
 def initial_generator_count(m, n, r):

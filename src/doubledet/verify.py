@@ -18,7 +18,8 @@ fails by raising; ``run_checks`` maps what it raises to a status:
   ``--budget`` bounds only what a check lists one by one: the facets,
   the extensions ``multiplicity-extensions`` lists, and the S-pairs.  A
   recursion that lists nothing (the h-polynomial routes, the ideal
-  multichain count) is bounded by its own fixed caps alone;
+  multichain count) is bounded by its own fixed caps alone.  A listing
+  shared by checks guards itself, and its skips name it, not the check;
 * ``AssertionError``, ``ArithmeticError`` or any other ``ValueError``
   raised inside the library: an invariant of a library object is broken,
   or the library rejects its own output (a facet encoder that refuses a
@@ -71,37 +72,25 @@ def build_checks(m, n, r, level, budget):
             return fn
         return add
 
-    # listings shared by the checks that read them, each refused from its
-    # closed-form size before it is built; a build that raises is not cached
-    def listing(count, where, unit):
-        bound(count, MAX_LISTED, f"verify.{where}", unit)
-
+    # listings shared by the checks that read them; a build that raises
+    # (a listing over its cap) is not cached
     @functools.cache
     def families():
-        listing(invariants.minimal_generator_count(m, n, r), "families",
-                "generators")
         return generators.generator_families(m, n, r)
 
     @functools.cache
     def minors():
         """The minors' binomials: all that their readers use."""
-        listing(generators.minor_count(m, n, r), "minors", "minors")
         return [mi.binomial for mi in generators.minor_basis(m, n, r)]
 
     @functools.cache
     def relations():
         """The sorting relations, for the two checks that read them; below
-        the groebner tier the first is the last, and drops the listing.
-        The refusal names relations-reduce-to-zero, the only check it can
-        skip: families-vs-sorting-relations is refused first, by
-        ``families``, at the same count."""
-        listing(invariants.minimal_generator_count(m, n, r),
-                "relations_reduce", "relations")
+        the groebner tier the first is the last, and drops the listing."""
         return generators.sorting_relations(m, n, r)
 
     @functools.cache
     def conflict_pairs():
-        listing(comb(m * n * r, 2), "conflict_pairs", "board pairs")
         return simplicial.initial_generators(m, n, r)
 
     @check("ideal-count")
@@ -156,7 +145,8 @@ def build_checks(m, n, r, level, budget):
     @check("kernel-membership")
     def kernel_membership():
         points = grid.grid_points(m, n, r)
-        listing(comb(len(points) + 1, 2), "kernel_membership", "monomials")
+        bound(comb(len(points) + 1, 2), MAX_LISTED,
+              "verify.kernel_membership", "monomials")
         for key, val in families().items():
             _require(all(sorting.in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")

@@ -302,7 +302,10 @@ def test_hpoly_poset_file_elements_guard(tmp_path, shape, n):
      "cli.hilbert: 30000001 degrees"),
     (("generators", "14", "14", "14", "--show", "minors"),
      "cli.generators: 3478020 minors"),
-    (("generators", "14", "14", "14"), "cli.generators: 2608515 generators"),
+    (("generators", "14", "14", "14"),
+     "generators.generator_families: 2608515 generators"),
+    (("generators", "14", "14", "14", "--show", "witness"),
+     "generators.minor_basis: 3478020 minors"),
 ])
 def test_listing_over_the_cap_exits_2(argv, refused):
     # in a child capped at 512 MB of address space: unguarded, each listing

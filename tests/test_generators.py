@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
+from doubledet import generators, grid, simplicial
+from doubledet.errors import MAX_LISTED, SizeGuardError
 from doubledet.generators import (Minor, decompose_into_minors,
                                   family_sizes, generator_families,
-                                  minor_basis, minor_count,
+                                  hv_minor_count, minor_basis, minor_count,
                                   minor_dependency_witness, minors_H,
                                   minors_V, sorting_relations)
 from doubledet.ring import Binomial
@@ -119,10 +121,62 @@ def test_minor_listings_match_the_position_references(m, n, r):
 
 def test_minor_dedup_count():
     for m, n, r in SMALL:
-        expected = (len(minors_H(m, n, r)) + len(minors_V(m, n, r))
-                    - r * comb(m, 2) * comb(n, 2))
+        listed = len(minors_H(m, n, r)) + len(minors_V(m, n, r))
+        assert listed == hv_minor_count(m, n, r)
+        expected = listed - r * comb(m, 2) * comb(n, 2)
         assert len(minor_basis(m, n, r)) == expected == minor_count(m, n, r)
     assert len(minor_basis(4, 4, 5)) == minor_count(4, 4, 5) == 2100
+
+
+# ----------------------------------------------------------------------
+# each listing's guard counts what it walks, and refuses before walking
+
+@pytest.mark.parametrize("listing, walk, sizes, refused", [
+    (generator_families, (Binomial, "make"), (14, 14, 14),
+     "generators.generator_families: 2608515 generators"),
+    # no relation to keep, but 4,498,500 pairs to test
+    (sorting_relations, (grid, "comparable"), (3000, 1, 1),
+     "generators.sorting_relations: 4498500 grid pairs"),
+    (minor_basis, (generators, "_h_minor"), (14, 14, 14),
+     "generators.minor_basis: 3478020 minors"),
+    (simplicial.initial_generators, (simplicial, "conflicts"), (3000, 1, 1),
+     "simplicial.initial_generators: 4498500 board pairs"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_listing_over_the_cap_refuses_before_its_walk(
+        monkeypatch, listing, walk, sizes, refused):
+    calls = 0
+
+    def walked(*args):
+        nonlocal calls
+        calls += 1
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(*walk, walked)
+    with pytest.raises(SizeGuardError, match=f"^{re.escape(refused)} exceed "
+                                             f"guard {MAX_LISTED}$"):
+        listing(*sizes)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("m, n, r", [(300, 1, 1), (1, 300, 1), (1, 1, 300),
+                                     (40, 2, 1), (40, 1, 2), (2, 40, 1)])
+def test_families_walk_in_proportion_to_what_they_build(monkeypatch, m, n,
+                                                         r):
+    # a nonempty family's loops pull at most two index pairs per generator;
+    # a loop nested in an empty one would pull its pairs for nothing
+    pulled = 0
+    real = generators.combinations
+
+    def counting(iterable, k):
+        nonlocal pulled
+        for item in real(iterable, k):
+            pulled += 1
+            yield item
+
+    monkeypatch.setattr(generators, "combinations", counting)
+    built = sum(map(len, generator_families(m, n, r).values()))
+    assert built == sum(family_sizes(m, n, r).values())
+    assert pulled <= 2 * built
 
 
 # ----------------------------------------------------------------------

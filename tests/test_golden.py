@@ -92,6 +92,8 @@ def _cases():
          "(2,1),(1,2),(1,3),(1,4)"],
         ["hpoly", "2", "2"],
         ["hilbert", "2", "2", "2", "--max-degree", "-1"],
+        # no relation to print, but the listing would test 4,498,500 pairs
+        ["generators", "3000", "1", "1", "--show", "sorting-relations"],
     ]
     return cases
 

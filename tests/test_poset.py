@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import chain, combinations, product
 from math import factorial
 
@@ -279,6 +280,19 @@ def test_width_rank_purity_against_bruteforce():
         assert p.rank() == rank_bruteforce(p), name
         lengths = maximal_chain_lengths_bruteforce(p)
         assert p.is_pure() == (len(lengths) <= 1), name
+
+
+def test_width_holds_no_list_of_the_comparable_pairs():
+    # a 1999-element chain has about 2 M comparable pairs: one int each
+    # would be tens of MB, the matching and the search masks a few KB
+    p = make_pmnr(2000, 1, 1)
+    tracemalloc.start()
+    try:
+        assert p.width() == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * p.n
 
 
 def test_impure_example():

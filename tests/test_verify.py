@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 import doubledet
-from doubledet import generators, invariants, simplicial, verify
+from doubledet import generators, grid, invariants, simplicial, verify
 from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
                               CheckFailed, SizeGuardError)
 
@@ -354,6 +354,30 @@ def test_complex_tier_reads_each_facet_once(monkeypatch):
     assert "FAIL" not in {o.status for o in outcomes}
     # one read per facet feeds both the encoder and the extender
     assert calls == 4200
+
+
+def test_the_listings_skip_by_what_they_walk(monkeypatch):
+    # (3000, 1, 1) has no generator, but 4,498,500 grid pairs to test
+    calls = 0
+
+    def walked(*args):
+        nonlocal calls
+        calls += 1
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(grid, "comparable", walked)
+    readers = ("families-vs-sorting-relations", "kernel-membership",
+               "minor-decomposition")
+    checks = [(name, fn) for name, fn in verify.build_checks(
+        3000, 1, 1, "formulas", DEFAULT_BUDGET) if name in readers]
+    status = {o.name: (o.status, o.detail)
+              for o in verify.run_checks(checks)}
+    assert status["families-vs-sorting-relations"] == (
+        "skip", "generators.sorting_relations: 4498500 grid pairs exceed "
+                "guard 200000")
+    assert status["minor-decomposition"] == (
+        "ok", "0 generators decomposed into minors")
+    assert calls == 0
 
 
 def test_groebner_tier_lists_the_sorting_relations_once(monkeypatch):
