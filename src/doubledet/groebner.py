@@ -50,7 +50,11 @@ class SparsePoly:
 
     @classmethod
     def from_binomial(cls, b: Binomial):
-        return cls({monomial(b.plus): 1, monomial(b.minus): -1})
+        """The polynomial plus - minus, built as its terms dict without
+        ``__init__``'s copy and zero filter: its coefficients are +-1."""
+        p = cls.__new__(cls)
+        p.terms = {monomial(b.plus): 1, monomial(b.minus): -1}
+        return p
 
     def __bool__(self):
         return bool(self.terms)

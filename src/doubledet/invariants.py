@@ -128,11 +128,15 @@ def order_preserving_map_counts(p, top):
     holding e gains the value of I - {e} when that is an ideal.  The
     ideals are the bitmasks of ``Poset.order_ideals``, which refuses past
     its own cap.  The work is ideals x |P| x (top + 1): SizeGuardError
-    past MAX_MULTICHAIN_STEPS, checked once the ideals are listed, before
-    any sum.
+    past MAX_MULTICHAIN_STEPS.  An n-element poset has at least n + 1
+    ideals (those of any one linear extension's prefixes), so the guard is
+    first checked with n + 1 in place of the ideal count, before any ideal
+    is listed, and again once they are, before any sum.
     """
     if top < 0:
         raise ValueError("degree must be nonnegative")
+    bound((p.n + 1) * p.n * (top + 1), MAX_MULTICHAIN_STEPS,
+          "invariants.order_preserving_map_counts", "steps")
     ideals = p.order_ideals()
     bound(len(ideals) * p.n * (top + 1), MAX_MULTICHAIN_STEPS,
           "invariants.order_preserving_map_counts", "steps")

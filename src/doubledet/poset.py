@@ -10,7 +10,9 @@ bitmasks too.  The covers are kept in two forms: ``below`` holds each
 element's lower covers as a bitmask, which the ideal sweeps (here, in
 ``grid`` and in ``invariants``), the linear extensions and the purity
 test read; ``_covers`` holds the sorted cover pairs, which ``rank``,
-``is_pure``, ``covers()`` and ``__repr__`` read.  Linear extensions are
+``is_pure``, ``covers()`` and ``__repr__`` read.  The upper covers are
+not stored: ``linear_extensions``, their one reader, derives them from
+``below`` once per call, for its ready set.  Linear extensions are
 tuples of elements (the sequence in which the elements are listed),
 listed lexicographically, so repeated runs produce identical output.
 """
@@ -104,23 +106,44 @@ class Poset:
         An extension is a tuple listing all elements so that no element
         appears before one of its predecessors.  The placed elements always
         form an order ideal, so an element is ready once its lower covers
-        are placed.  This listing is the brute-force oracle for
-        ``invariants.poset_descent_polynomial``, which never calls it.
+        are placed.  The walk keeps the ready elements as a bitmask: placing
+        e clears e's bit and sets each upper cover of e whose lower covers
+        are now all placed (the upper covers are read off ``below`` once
+        per call), and each depth tries its ready bits lowest first.  A step
+        thus costs e's covers, not a scan of every element.  This listing is
+        the brute-force oracle for ``invariants.poset_descent_polynomial``,
+        which never calls it.
         """
-        below = self.below
+        n, below = self.n, self.below
+        above = [[] for _ in below]  # above[a]: the upper covers of a
+        for b, need in enumerate(below):
+            while need:
+                low = need & -need
+                above[low.bit_length() - 1].append(b)
+                need ^= low
+        ready = sum(1 << e for e, need in enumerate(below) if not need)
         placed, seq = 0, []  # seq: placed in the order placed
-        stack = [iter(range(self.n))]  # per depth: the elements left to try
-        while stack:
-            if len(seq) == self.n:
+        readies = [ready]  # per depth: the elements ready there
+        untried = [ready]  # per depth: the ready elements left to try
+        while untried:
+            if len(seq) == n:
                 yield tuple(seq)
-            for e in stack[-1]:
-                if not placed >> e & 1 and below[e] & placed == below[e]:
-                    placed |= 1 << e
-                    seq.append(e)
-                    stack.append(iter(range(self.n)))
-                    break
+            left = untried[-1]
+            if left:
+                low = left & -left
+                untried[-1] = left ^ low
+                e = low.bit_length() - 1
+                placed |= low
+                seq.append(e)
+                ready = readies[-1] ^ low
+                for b in above[e]:
+                    if below[b] & placed == below[b]:
+                        ready |= 1 << b
+                readies.append(ready)
+                untried.append(ready)
             else:
-                stack.pop()
+                untried.pop()
+                readies.pop()
                 if seq:
                     placed ^= 1 << seq.pop()
 

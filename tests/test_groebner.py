@@ -46,6 +46,18 @@ def test_leading_term_is_diagonal():
         leading_term(SparsePoly())
 
 
+def test_from_binomial_equals_the_generic_constructor():
+    v, w, u = (1, 1, 1), (2, 2, 2), (2, 1, 1)
+    raw = [paper_m1(),
+           Binomial((w, v), (u, (1, 2, 2))),  # terms not yet canonical
+           Binomial((v, w), (v, w)),  # equal terms: one term, -1
+           Binomial((w, v), (v, w))]  # equal once canonical
+    for b in raw:
+        expected = SparsePoly({monomial(b.plus): 1, monomial(b.minus): -1})
+        assert SparsePoly.from_binomial(b) == expected
+    assert SparsePoly.from_binomial(raw[2]).terms == {(v, w): -1}
+
+
 def test_str_lists_terms_from_the_leading_term_down():
     v, w = (1, 1, 1), (1, 2, 1)
     # v*v > v*w > v > w: a monomial is below its own extensions

@@ -172,6 +172,21 @@ def test_order_preserving_maps(monkeypatch):
         order_preserving_map_counts(make_pmnr(2, 2, 2), 1)
 
 
+def test_order_preserving_maps_refused_before_any_ideal_is_listed(
+        monkeypatch):
+    # a chain of 2999 has exactly 3000 ideals, so n + 1 is the ideal count
+    # and the refusal reads as it did once the 3000 were listed
+    def no_listing(self):
+        raise AssertionError("order_ideals was called")
+
+    p = make_pmnr(3000, 1, 1)
+    monkeypatch.setattr(Poset, "order_ideals", no_listing)
+    with pytest.raises(SizeGuardError, match=(
+            r"^invariants\.order_preserving_map_counts: 26991000000 steps "
+            "exceed guard 10000000$")):
+        order_preserving_map_counts(p, p.n)
+
+
 def test_hilbert_equals_order_preserving_maps():
     for m in range(1, 4):
         for n in range(1, 4):

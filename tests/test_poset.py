@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import chain, combinations, product
 from math import factorial
@@ -319,6 +320,47 @@ def test_linear_extensions_valid_unique_lexicographic():
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)
         assert all(is_linear_extension(p, ext) for ext in seen)
+
+
+def linear_extensions_by_scan(p):
+    """Reference listing: every depth scans all n elements for the ready
+    ones, lowest first."""
+    below = p.below
+    placed, seq = 0, []
+    stack = [iter(range(p.n))]  # per depth: the elements left to try
+    while stack:
+        if len(seq) == p.n:
+            yield tuple(seq)
+        for e in stack[-1]:
+            if not placed >> e & 1 and below[e] & placed == below[e]:
+                placed |= 1 << e
+                seq.append(e)
+                stack.append(iter(range(p.n)))
+                break
+        else:
+            stack.pop()
+            if seq:
+                placed ^= 1 << seq.pop()
+
+
+@given(posets(8))
+def test_ready_set_walk_lists_what_the_scan_lists(p):
+    assert list(p.linear_extensions()) == list(linear_extensions_by_scan(p))
+
+
+def test_ready_set_walk_lists_what_the_scan_lists_on_pmnr():
+    for m, n, r in SIZES:
+        p = make_pmnr(m, n, r)
+        assert (list(p.linear_extensions())
+                == list(linear_extensions_by_scan(p)))
+
+
+def test_one_extension_of_a_long_chain_is_not_quadratic():
+    # the scan pays n^2 = 9 M element tests for the chain's one extension
+    p = make_pmnr(3000, 1, 1)
+    start = time.perf_counter()
+    assert list(p.linear_extensions()) == [tuple(range(2999))]
+    assert time.perf_counter() - start < 0.3
 
 
 def test_descent_examples():

@@ -148,3 +148,33 @@ def test_in_kernel_matches_flat_phi_on_every_quadric():
         for a, b in combinations(terms, 2):
             assert in_kernel(Binomial.make(a, b), m, n, r) == (
                 flat[a] == flat[b])
+
+
+def phi_as_flat_ids(variables, m, n, r):
+    """phi_monomial's image written as flat_phi writes it: its three
+    tuples, in block order, as flat ids."""
+    rows, cols, mats = phi_monomial(variables, m, n, r)
+    return (tuple(i - 1 for i in rows) + tuple(m + j - 1 for j in cols)
+            + tuple(m + n + k - 1 for k in mats))
+
+
+def test_quadric_branch_matches_flat_phi():
+    # every ordered pair, so both orders and the squares, on every board
+    for m, n, r in BOARDS:
+        for term in product(grid_points(m, n, r), repeat=2):
+            assert phi_as_flat_ids(term, m, n, r) == flat_phi(term, m, n, r)
+
+
+@pytest.mark.parametrize("variables", [
+    ((3, 1, 1), (1, 1, 1)),
+    ((1, 1, 1), (3, 1, 1)),
+    ((3, 1, 1), (1, 0, 1)),
+    ((3, 1, 1),),
+    ((1, 1, 1), (1, 2, 2), (3, 1, 1)),
+])
+def test_off_grid_variable_is_named_at_every_degree(variables):
+    # the first off-grid variable is x[3,1,1] in each, in first or later
+    # place, with or without a second off-grid variable after it
+    with pytest.raises(ValueError) as caught:
+        phi_monomial(variables, 2, 2, 2)
+    assert str(caught.value) == "x[3,1,1] is off the 2x2x2 grid"

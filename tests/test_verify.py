@@ -79,6 +79,31 @@ SABOTAGE = {
         "sorting.phi_monomial = lambda variables, m, n, r: (\n"
         "    real(variables, m, n, r)[:2])\n"),
         ("kernel-membership",)),
+    # phi's quadric branch without its matrix swap: a canonical term lists
+    # its matrices in order, so every minor stays in the kernel, but a
+    # listed pair such as x[1,1,2]*x[1,2,1] splits its fibre
+    "quadric-matrices-unsorted": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(sorting.phi_monomial)\n"
+        "mutant = source.replace('(k, s) if k <= s else (s, k)', '(k, s)')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the quadric mutation did not apply')\n"
+        "exec(mutant, vars(sorting))\n"),
+        ("kernel-membership",)),
+    # a ready-set walk that never adds an upper cover: past the minimal
+    # elements nothing is ever ready, and no extension is listed
+    "ready-set-without-covers": ("formulas", (
+        "import inspect, textwrap\n"
+        "from doubledet import poset\n"
+        "source = textwrap.dedent(\n"
+        "    inspect.getsource(poset.Poset.linear_extensions))\n"
+        "mutant = source.replace('ready |= 1 << b', 'pass')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the ready-set mutation did not apply')\n"
+        "namespace = {}\n"
+        "exec(mutant, vars(poset), namespace)\n"
+        "poset.Poset.linear_extensions = namespace['linear_extensions']\n"),
+        ("multiplicity-extensions",), (2, 3, 4)),
     # the facet encoder and the extender with M and N swapped in their word
     "word-codec-roundtrip": ("complex", SWAP_M_N.format(name="facet_word"),
                              ("word-codec-roundtrip",)),
@@ -253,6 +278,10 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("step-memo-first-coefficient", False),
     ("s-polynomial-adds", True),
     ("s-polynomial-adds", False),
+    ("quadric-matrices-unsorted", True),
+    ("quadric-matrices-unsorted", False),
+    ("ready-set-without-covers", True),
+    ("ready-set-without-covers", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks, *size = SABOTAGE[sabotage]
