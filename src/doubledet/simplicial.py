@@ -9,7 +9,12 @@ Every facet is a union of r monotone paths, one per matrix, with steps
 up (-1,0) and right (0,1); writing the steps as letters M (up) and
 N (right) and separating consecutive paths by R encodes each facet as a
 word with exactly m-1 M's, n-1 N's and r-1 R's, and this is a bijection.
-The word is therefore used as the identity of a facet.
+The word is therefore used as the identity of a facet.  Path k runs from
+(g_{k-1}, h_k) to (g_k, h_{k-1}) in matrix k, where g and h drop from m
+and n by the M's resp. N's of each sub-word.  ``_step``, the one path
+builder, walks path k from the state (g_{k-1}, h_{k-1}) and checks its
+corner; ``_assemble``, the one assembler, checks the vertex count.
+``Facet`` (one word) and ``facets`` (the catalog) build through both.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
@@ -40,7 +45,8 @@ from operator import itemgetter
 from .errors import (DEFAULT_BUDGET, MAX_LISTED, BudgetExceededError, bound,
                      check_sizes)
 from .intpoly import IntPolynomial
-from .multiset import multinomial, multiset_permutations
+# multiset_permutations: unused, bound for bench/tests/test_install.py
+from .multiset import multinomial, multiset_permutations  # noqa: F401
 
 #: fixed caps on the board vertices of maximal_faces_bruteforce and all_faces
 MAX_BRUTEFORCE_VERTICES = 27
@@ -147,32 +153,13 @@ class Facet:
         if counts != (m - 1, n - 1, r - 1):
             raise ValueError(
                 f"word {word!r} needs {m - 1} M's, {n - 1} N's, {r - 1} R's")
-        self.m, self.n, self.r, self.word = m, n, r, word
-        subwords = word.split("R")
-        g, h = [m], [n]
-        for sub in subwords:  # path k spends the M's and N's of sub-word k
-            ups = sub.count("M")
-            g.append(g[-1] - ups)
-            h.append(h[-1] - len(sub) + ups)
-        self.g, self.h = tuple(g), tuple(h)
-        paths = []
-        for k, sub in enumerate(subwords, start=1):
-            offset = (k - 1) * n
-            row, col = g[k - 1], offset + h[k]
-            path = [(row, col)]
-            for step in sub:
-                if step == "M":
-                    row -= 1
-                else:
-                    col += 1
-                path.append((row, col))
-            if row != g[k] or col != offset + h[k - 1]:
-                raise ArithmeticError(f"path {k} of {word} misses its corner")
-            paths.append(tuple(path))
-        self.paths = tuple(paths)
-        self.vertices = frozenset(chain.from_iterable(paths))
-        if len(self.vertices) != m + n + r - 2:
-            raise ArithmeticError(f"{word} has {len(self.vertices)} vertices")
+        g, h, paths = [m], [n], []
+        for k, sub in enumerate(word.split("R"), start=1):
+            bottom, left, path = _step(k, sub, n, g[-1], h[-1])
+            g.append(bottom)
+            h.append(left)
+            paths.append(path)
+        _assemble(self, m, n, r, word, tuple(g), tuple(h), tuple(paths))
 
     def __eq__(self, other):
         if isinstance(other, Facet):
@@ -187,14 +174,88 @@ class Facet:
         return f"Facet({self.m},{self.n},{self.r},{self.word!r})"
 
 
+def _step(k, sub, n, top, right):
+    """(g_k, h_k, path k) for sub-word ``sub`` of matrix k, walked from the
+    state (g_{k-1}, h_{k-1}) = (top, right).  Raises ArithmeticError
+    unless the walk ends at its corner (g_k, h_{k-1})."""
+    ups = sub.count("M")
+    bottom, left = top - ups, right - len(sub) + ups
+    offset = (k - 1) * n
+    row, col = top, offset + left
+    path = [(row, col)]
+    for step in sub:
+        if step == "M":
+            row -= 1
+        else:
+            col += 1
+        path.append((row, col))
+    if row != bottom or col != offset + right:
+        raise ArithmeticError(f"path {k} along {sub!r} misses its corner")
+    return bottom, left, tuple(path)
+
+
+def _assemble(facet, m, n, r, word, g, h, paths):
+    """``facet`` with its fields set, its vertices the union of its paths.
+    Raises ArithmeticError unless there are m+n+r-2."""
+    facet.m, facet.n, facet.r, facet.word = m, n, r, word
+    facet.g, facet.h, facet.paths = g, h, paths
+    facet.vertices = vertices = frozenset(chain.from_iterable(paths))
+    if len(vertices) != m + n + r - 2:
+        raise ArithmeticError(f"{word} has {len(vertices)} vertices")
+    return facet
+
+
 def facets(m, n, r, budget=DEFAULT_BUDGET):
-    """Yield every facet once, in lexicographic word order (M < N < R)."""
+    """Yield every facet once, in lexicographic word order (M < N < R).
+
+    An odometer: matrix k's state (g_{k-1}, h_{k-1}) leaves g_{k-1}-1 M's
+    and h_{k-1}-1 N's, and its choices are the sub-words on at most that
+    many (exactly, for k = r), depth first, M before N.  A sub-word comes
+    after its extensions, which first differ from it where it has R (or
+    ends), as R sorts above M and N: so the words come out in order.  A
+    choice's path is built, and its corner checked, once per visit of its
+    prefix; each facet's vertex count is checked as it is assembled.  Only
+    the current prefix and its pending choices are held.
+    """
     check_sizes(m, n, r)
     bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
           "facets", BudgetExceededError)
-    letters = "M" * (m - 1) + "N" * (n - 1) + "R" * (r - 1)
-    for word in multiset_permutations(letters):
-        yield Facet(m, n, r, "".join(word))
+    new = Facet.__new__
+    # the chosen sub-words (each with its R), g, h and paths of matrices
+    # 1..k-1; those of matrices 1..r-1 as one word and three tuples
+    subs, g, h, paths = [], [m], [n], []
+    last = "", (m,), (n,), ()
+    # sub-words to visit, last pushed first: (k, sub-word, M's and N's
+    # left); for k < r, (k, sub-word, None, None) chooses the sub-word,
+    # pushed before its extensions so that it is met after them
+    pending = [(1, "", m - 1, n - 1)]
+    while pending:
+        k, sub, i, j = pending.pop()
+        if k == r:  # matrix r spends every letter left, so once one kind
+            if i and j:  # runs out the other ends the sub-word
+                pending += (k, sub + "N", i, j - 1), (k, sub + "M", i - 1, j)
+                continue
+            sub += "M" * i + "N" * j
+            word, gs, hs, ps = last
+            bottom, left, path = _step(k, sub, n, gs[-1], hs[-1])
+            yield _assemble(new(Facet), m, n, r, word + sub, gs + (bottom,),
+                            hs + (left,), ps + (path,))
+        elif i is not None:
+            pending.append((k, sub, None, None))
+            if j:
+                pending.append((k, sub + "N", i, j - 1))
+            if i:
+                pending.append((k, sub + "M", i - 1, j))
+        else:  # choose sub for matrix k: visit every facet below it
+            del subs[k - 1:], g[k:], h[k:], paths[k - 1:]
+            bottom, left, path = _step(k, sub, n, g[-1], h[-1])
+            subs.append(sub + "R")
+            g.append(bottom)
+            h.append(left)
+            paths.append(path)
+            if k + 1 == r:
+                last = "".join(subs), tuple(g), tuple(h), tuple(paths)
+            pending.append((k + 1, "", bottom - 1, left - 1))
 
 
 def facet_word(blocks, m, n, r):

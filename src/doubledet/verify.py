@@ -266,18 +266,23 @@ def build_checks(m, n, r, level, budget):
     @functools.cache
     def facet_walk():
         """The facet count and, per check, the detail of its first failing
-        facet.  A re-encoded word equal to the facet's word means an equal
-        vertex set, so no second ``Facet`` is built."""
+        facet.  Each word must exceed the one before it, so the count is
+        of distinct facets.  A re-encoded word equal to the facet's word
+        means an equal vertex set, so no second ``Facet`` is built."""
         dim = invariants.compute_invariants(m, n, r).dim
         recoders = (
             ("word-codec-roundtrip", simplicial.facet_word,
              "roundtrip failed for"),
             ("extend-fixes-facets", simplicial.extension_word,
              "extension moves"))
-        count, failed = 0, {}
+        count, failed, previous = 0, {}, None
         for facet in simplicial.facets(m, n, r, budget=budget):
             count += 1
             word, verts = facet.word, facet.vertices
+            if previous is not None and word <= previous:
+                failed.setdefault("facet-count-purity", f"facet {word} "
+                                  f"does not follow {previous} in word order")
+            previous = word
             if len(verts) != dim:
                 failed.setdefault("facet-count-purity", f"facet {word} has "
                                   f"size {len(verts)}, dim {dim}")

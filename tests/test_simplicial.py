@@ -1,4 +1,7 @@
+import gc
 import re
+import tracemalloc
+from collections import deque
 from itertools import combinations
 from math import comb
 
@@ -8,6 +11,7 @@ from doubledet import simplicial
 from doubledet.errors import BudgetExceededError, SizeGuardError
 from doubledet.invariants import (h_poly_via_words, minimal_generator_count,
                                   multiplicity)
+from doubledet.multiset import multiset_permutations
 from doubledet.simplicial import (Facet, all_faces, check_shelling_order,
                                   complex_h_vector, conflicts,
                                   extend_to_facet, extension_word,
@@ -20,6 +24,9 @@ SMALL = [(m, n, r) for m in range(1, 4) for n in range(1, 4)
          for r in range(1, 4)]
 UP_TO_4 = [(m, n, r) for m in range(1, 5) for n in range(1, 5)
            for r in range(1, 5)]
+# the stream against the word decoder: every board up to 4, and boards
+# with long sub-words, many matrices, one row or one column
+STREAMED = UP_TO_4 + [(5, 5, 4), (4, 4, 5), (1, 1, 7), (7, 1, 1), (1, 6, 2)]
 
 # the published (4,5,3) example: word and facet vertex set
 PAPER_WORD = "MRMNNNRMN"
@@ -144,6 +151,40 @@ def test_facet_count_equals_multiplicity():
 def test_facets_budget():
     with pytest.raises(BudgetExceededError):
         list(facets(4, 5, 3, budget=100))
+
+
+def fields(facet):
+    return facet.word, facet.g, facet.h, facet.paths, facet.vertices
+
+
+@pytest.mark.parametrize("m, n, r", STREAMED)
+def test_stream_matches_the_word_decoder(m, n, r):
+    # the reference lists the words in order and decodes each on its own
+    letters = "M" * (m - 1) + "N" * (n - 1) + "R" * (r - 1)
+    decoded = [Facet(m, n, r, "".join(word))
+               for word in multiset_permutations(letters)]
+    assert list(map(fields, facets(m, n, r))) == list(map(fields, decoded))
+
+
+def test_the_stream_holds_only_its_prefix():
+    # 34,650 facets: a per-stream table growing with the catalog shows in
+    # the peak, and anything the stream keeps past its end in what is left
+    # of its own allocations.  A full collection empties the interpreter's
+    # free lists, which tracemalloc counts as live; other modules' gc
+    # callbacks may allocate, so only simplicial's allocations are summed
+    own = [tracemalloc.Filter(True, simplicial.__file__)]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        deque(facets(5, 5, 5), maxlen=0)
+        gc.collect()
+        peak = tracemalloc.get_traced_memory()[1]
+        kept = tracemalloc.take_snapshot().filter_traces(own).traces
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 256 * 2 ** 10, f"peak {peak - start} B"
+    assert sum(trace.size for trace in kept) == 0
 
 
 def test_facets_are_faces():

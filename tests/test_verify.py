@@ -53,6 +53,19 @@ SABOTAGE = {
         ("kernel-membership", "minor-decomposition"), (2, 3, 4)),
     "poset-stats": ("formulas", DIM_PLUS_ONE, ("poset-stats",)),
     "facet-count-purity": ("complex", DIM_PLUS_ONE, ("facet-count-purity",)),
+    # a stream that yields facet 5 again in place of facet 6: the count and
+    # each facet's size, word and extension still hold, and at (4, 4, 5)
+    # the brute-force and shelling checks skip
+    "facet-repeated": ("complex", (
+        "real = simplicial.facets\n"
+        "def facets(*args, **kwargs):\n"
+        "    for index, facet in enumerate(real(*args, **kwargs), start=1):\n"
+        "        if index == 6:\n"
+        "            facet = previous\n"
+        "        yield facet\n"
+        "        previous = facet\n"
+        "simplicial.facets = facets\n"),
+        ("facet-count-purity",), (4, 4, 5)),
     # the listed extensions are the brute-force oracle of the recursion
     "h-poly-agreement": ("formulas", (
         "from doubledet.intpoly import IntPolynomial\n"
@@ -238,6 +251,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("v-minor-entry", True),
     ("v-minor-entry", False),
     ("facet-count-purity", True),
+    ("facet-repeated", True),
+    ("facet-repeated", False),
     ("poset-stats", True),
     ("poset-stats", False),
     ("h-poly-agreement", True),
@@ -351,19 +366,20 @@ def test_report_validation_fails_the_checks_that_read_it(monkeypatch):
 
 
 def test_complex_tier_decodes_each_facet_once(monkeypatch):
+    # every Facet, streamed or decoded from a word, passes the assembler
     built = 0
-    real = simplicial.Facet.__init__
+    real = simplicial._assemble
 
-    def counting(self, *args):
+    def counting(*args):
         nonlocal built
         built += 1
-        real(self, *args)
+        return real(*args)
 
-    monkeypatch.setattr(simplicial.Facet, "__init__", counting)
+    monkeypatch.setattr(simplicial, "_assemble", counting)
     outcomes = list(verify.run_checks(
         verify.build_checks(4, 4, 5, "complex", DEFAULT_BUDGET)))
     assert "FAIL" not in {o.status for o in outcomes}
-    # the 4,200 facets of (4,4,5), each decoded once and re-encoded and
+    # the 4,200 facets of (4,4,5), each assembled once and re-encoded and
     # extended as words only
     assert built == 4200
 
