@@ -18,12 +18,9 @@ Every invocation pays a fixed cost around its command: the interpreter's
 start with its site imports, the import of this module, the parser (ten
 `ArgumentParser`s, whichever subcommand runs), and the interpreter's
 exit, whose final collections walk every object the collector tracks.
-About 12,000 objects are alive when `main` starts, and they live until
-exit; `main` freezes them first (`gc.freeze`), so those collections walk
-only what the command made.  On a shared 2-vCPU VM, medians of 11 runs
-of `hpoly 5 6 6 --method all`: start 70 ms, import 9 ms, `main` 13 ms
-(the parser 4-6 ms of it), exit 16 ms without the freeze and 5 ms with
-it; exit fell by the same 10-11 ms on every workload of the benchmark.
+The objects alive when `main` starts live until exit; `main` freezes
+them first (`gc.freeze`), so those collections walk only what the
+command made.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ class CheckFailed(Exception):
 #: default cap on the facets/extensions/S-pairs an enumeration may visit
 DEFAULT_BUDGET = 10 ** 7
 
-#: the cumulative levels of ``doubledet.verify``, lowest first.  ``verify``
-#: re-exports them as ``verify.LEVELS``; they live here so that the command
-#: line's parser reads them without loading the checks
+#: the cumulative levels of ``doubledet.verify``, lowest first.  They live
+#: here so that the command line's parser reads them without loading the
+#: checks
 LEVELS = ("formulas", "complex", "groebner")
 
 #: fixed cap on one listing: each listing caps its own work, counted as

@@ -52,7 +52,15 @@ def lattice_isomorphic_to_ideals(m, n, r):
     isomorphism from the ideal lattice of the three-chain poset onto the
     grid: a bijection taking the covers I + {e} of each ideal I onto the
     covers of its image, hence (order being the transitive closure of the
-    covers) preserving order both ways."""
+    covers) preserving order both ways.
+
+    Only the lowest missing element of each chain is tried as e.  That
+    suffices: the test then requires, from the empty ideal up, every union
+    of chain prefixes (m·n·r sets with m·n·r images) to be an ideal, and
+    the count requires that there be no other.  Any other addable element
+    e would make I + {e}, which meets e's chain in no prefix, one more
+    ideal, so the count or the bijection already fails.
+    """
     check_sizes(m, n, r)
     bound(m * n * r, poset_mod.MAX_IDEALS,
           "grid.lattice_isomorphic_to_ideals", "ideals")
@@ -66,8 +74,13 @@ def lattice_isomorphic_to_ideals(m, n, r):
     if set(images.values()) != points or len(ideals) != len(points):
         return False
     for ideal, (i, j, k) in images.items():
-        up = {images.get(ideal | 1 << e) for e, need in enumerate(p.below)
-              if not ideal >> e & 1 and ideal & need == need}
+        up = set()
+        for chain in chains:
+            if missing := chain & ~ideal:
+                low = missing & -missing  # the chain's lowest missing element
+                need = p.below[low.bit_length() - 1]
+                if ideal & need == need:
+                    up.add(images.get(ideal | low))
         if up != {(i + 1, j, k), (i, j + 1, k), (i, j, k + 1)} & points:
             return False
     return True

@@ -91,12 +91,20 @@ class Poset:
         Under inclusion these form a distributive lattice: the union and
         the intersection of ideals are again ideals.  SizeGuardError once
         the list passes MAX_IDEALS, so at most twice that are listed.
+        Each step scans only the ideals that can hold e's lower covers: on
+        a union of chains, such as P_mnr, a step scans the ideals of the
+        step before, or all ideals at a chain's bottom, so the listing
+        makes at most (chains + 1) mask tests per ideal.
         """
-        ideals = [0]
+        ideals, starts = [0], []  # starts[x]: where step x's ideals begin
         # after step e, every ideal inside {0..e}: e is maximal in those
-        # holding it (labels are natural), so they come from step e-1
+        # holding it (labels are natural), so they come from step e-1.  An
+        # ideal holding e's lower covers holds the largest of them, x, and
+        # every ideal holding x was listed at step x or later
         for e, need in enumerate(self.below):
-            ideals += [i | 1 << e for i in ideals if i & need == need]
+            first = starts[need.bit_length() - 1] if need else 0
+            starts.append(len(ideals))
+            ideals += [i | 1 << e for i in ideals[first:] if i & need == need]
             bound(len(ideals), MAX_IDEALS, "poset.order_ideals", "ideals")
         return ideals
 

@@ -60,6 +60,21 @@ def _require(condition, detail):
         raise CheckFailed(detail)
 
 
+def _entries_at_positions(minor, m, n):
+    """The grid points at a minor's printed rows and columns, in its
+    ``entries`` layout, read back through the inverse of the H and V
+    layouts: column c of H is column (c - 1) % n + 1 of matrix
+    (c - 1) // n + 1, and row c of V splits the same way with m."""
+    (row1, row2), (col1, col2) = minor.rows, minor.cols
+    if minor.source == "H":
+        def at(i, c):
+            return i, (c - 1) % n + 1, (c - 1) // n + 1
+    else:
+        def at(c, j):
+            return (c - 1) % m + 1, j, (c - 1) // m + 1
+    return at(row1, col1), at(row1, col2), at(row2, col1), at(row2, col2)
+
+
 def build_checks(m, n, r, level, budget):
     """The ordered ``(name, check)`` pairs up to ``level`` for one size."""
     want = LEVELS.index(level)
@@ -80,8 +95,14 @@ def build_checks(m, n, r, level, budget):
 
     @functools.cache
     def minors():
-        """The minors' binomials: all that their readers use."""
-        return [mi.binomial for mi in generators.minor_basis(m, n, r)]
+        """The minors' binomials, all that their readers use, and the
+        first minor whose printed rows and columns do not hold its entries
+        (None if every one does), which ``kernel-membership`` reports."""
+        listed = generators.minor_basis(m, n, r)
+        misplaced = next((mi for mi in listed
+                          if _entries_at_positions(mi, m, n) != mi.entries),
+                         None)
+        return [mi.binomial for mi in listed], misplaced
 
     @functools.cache
     def relations():
@@ -150,10 +171,12 @@ def build_checks(m, n, r, level, budget):
         for key, val in families().items():
             _require(all(sorting.in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")
-        listed = minors()
+        listed, misplaced = minors()
         expected = generators.minor_count(m, n, r)
         _require(len(listed) == expected,
                  f"{len(listed)} minors, closed form {expected}")
+        _require(misplaced is None,
+                 f"{misplaced} does not sit at its printed rows and columns")
         binomials = set(listed)
         _require(len(binomials) == len(listed), "a minor is listed twice")
         _require(all(sorting.in_kernel(b, m, n, r) for b in binomials),
@@ -373,14 +396,14 @@ def build_checks(m, n, r, level, budget):
 
     @check("groebner-basis", tier=2)
     def groebner_certificate():
-        basis = minors()
+        basis = minors()[0]
         _require(groebner.verify_groebner(basis, m, n, r, budget=budget),
                  "an S-polynomial does not reduce to zero")
         return f"{len(basis)} minors form a Groebner basis"
 
     @check("initial-ideal-match", tier=2)
     def initial_ideal_match():
-        lts = groebner.initial_ideal_minimal_generators(minors())
+        lts = groebner.initial_ideal_minimal_generators(minors()[0])
         as_pairs = {frozenset(simplicial.vertex_for_variable(v, n)
                               for v in mono) for mono in lts}
         _require(as_pairs == conflict_pairs(),
@@ -390,7 +413,7 @@ def build_checks(m, n, r, level, budget):
     @check("relations-reduce-to-zero", tier=2)
     def relations_reduce():
         rels = relations()  # first: too many of both skips on relations
-        basis = [groebner.SparsePoly.from_binomial(b) for b in minors()]
+        basis = [groebner.SparsePoly.from_binomial(b) for b in minors()[0]]
         polys = [groebner.SparsePoly.from_binomial(rel) for rel in rels]
         for rel, rem in zip(rels, groebner.remainders(polys, basis),
                             strict=True):

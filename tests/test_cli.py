@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -397,27 +398,59 @@ def test_commands_load_only_the_modules_they_run():
     # a fresh interpreter: this one has loaded every module already
     script = (
         "import contextlib, io, json, sys\n"
-        "import doubledet\n"
-        "listed = sorted(set(doubledet.__all__) - set(dir(doubledet)))\n"
         "from doubledet import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main([name, '2', '2', '2'])\n"
         "             for name in ('hpoly', 'facets')]\n"
         "loaded = [name for name in %r if name in sys.modules]\n"
-        "print(json.dumps([codes, loaded, listed]))\n"
+        "print(json.dumps([codes, loaded]))\n"
         % (NOT_RUN_BY_HPOLY_OR_FACETS,))
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0], [], []]
+    assert json.loads(proc.stdout) == [[0, 0], []]
 
 
-def test_every_reexport_resolves():
-    for name in doubledet.__all__:
-        getattr(doubledet, name)
-        assert name in dir(doubledet), name
-    with pytest.raises(AttributeError):
-        doubledet.no_such_name
+def test_the_package_reexports_nothing():
+    # a fresh interpreter: this one has loaded every module already
+    script = (
+        "import json, sys\n"
+        "import doubledet\n"
+        "names = [name for name in dir(doubledet)\n"
+        "         if not name.startswith('_')\n"
+        "         or name in ('__all__', '__getattr__', '__dir__')]\n"
+        "loaded = [name for name in sys.modules\n"
+        "          if name.startswith('doubledet.')]\n"
+        "print(json.dumps([names, loaded, doubledet.__version__]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, loaded, version = json.loads(proc.stdout)
+    assert (names, loaded) == ([], [])
+    assert version
+
+
+def test_every_package_import_names_a_module():
+    # one import path per name: ``from doubledet import X`` (or, inside
+    # the package, ``from . import X``) must name a module, never a name
+    # defined in one
+    package = pathlib.Path(doubledet.__file__).parent
+    root = package.parent.parent
+    modules = {path.stem for path in package.glob("*.py")}
+    imported = []
+    for top in ("src", "tests", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            inside = path.parent == package
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if (node.module, node.level) == ("doubledet", 0) or (
+                        inside and (node.module, node.level) == (None, 1)):
+                    imported += [(str(path.relative_to(root)), alias.name)
+                                 for alias in node.names]
+    assert imported  # the walk saw the package's own imports
+    assert [entry for entry in imported if entry[1] not in modules] == []
 
 
 def test_python_m_doubledet_is_the_cli():

@@ -1,8 +1,10 @@
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from doubledet import poset
 from doubledet.errors import SizeGuardError
 from doubledet.grid import (comparable, count_comparable_pairs, grid_points,
                             join, lattice_isomorphic_to_ideals, meet)
@@ -76,3 +78,35 @@ def test_lattice_isomorphic_to_ideals():
     assert lattice_isomorphic_to_ideals(21, 21, 21)
     with pytest.raises(SizeGuardError, match="27000 ideals"):
         lattice_isomorphic_to_ideals(30, 30, 30)
+
+
+def patched_pmnr(monkeypatch, change):
+    """Patch ``poset.make_pmnr`` to build its poset from the covers that
+    ``change`` makes of the three chains' covers."""
+    def make_pmnr(m, n, r):
+        real = real_make_pmnr(m, n, r)
+        return poset.Poset(real.n, change(real.covers()))
+
+    real_make_pmnr = poset.make_pmnr
+    monkeypatch.setattr(poset, "make_pmnr", make_pmnr)
+
+
+def test_lattice_isomorphism_refuses_a_dropped_chain_cover(monkeypatch):
+    # (3, 2, 2): 0 < 1 is the one cover of the first chain
+    patched_pmnr(monkeypatch, lambda covers: covers[1:])
+    assert not lattice_isomorphic_to_ideals(3, 2, 2)
+    assert not lattice_isomorphic_to_ideals(4, 3, 2)
+
+
+def test_lattice_isomorphism_refuses_a_cross_chain_relation(monkeypatch):
+    # the first chain's bottom below the second chain's bottom
+    patched_pmnr(monkeypatch, lambda covers: covers + [(0, 2)])
+    assert not lattice_isomorphic_to_ideals(3, 2, 2)
+    assert not lattice_isomorphic_to_ideals(3, 3, 2)
+
+
+def test_lattice_isomorphism_of_long_chains_is_not_quadratic():
+    for size in ((3000, 1, 1), (1, 1, 3000)):
+        start = time.perf_counter()
+        assert lattice_isomorphic_to_ideals(*size)
+        assert time.perf_counter() - start < 0.05, size

@@ -251,6 +251,36 @@ def test_order_ideals_against_bruteforce_and_lattice_laws():
                 assert (a & b) in set(ideals)
 
 
+def order_ideals_by_rescan(p):
+    """Reference listing: each step rescans every ideal listed so far."""
+    ideals = [0]
+    for e, need in enumerate(p.below):
+        ideals += [i | 1 << e for i in ideals if i & need == need]
+    return ideals
+
+
+@given(posets(8))
+def test_suffix_listing_lists_what_the_rescan_lists(p):
+    assert p.order_ideals() == order_ideals_by_rescan(p)
+
+
+def test_suffix_listing_lists_what_the_rescan_lists_on_corpus_and_pmnr():
+    for name, p in CORPUS.items():
+        assert p.order_ideals() == order_ideals_by_rescan(p), name
+    for m, n, r in SIZES:
+        p = make_pmnr(m, n, r)
+        assert p.order_ideals() == order_ideals_by_rescan(p), (m, n, r)
+
+
+def test_ideals_of_a_long_chain_are_not_quadratic():
+    # the rescan pays n^2 / 2 = 4.5 M mask tests for the chain's ideals
+    p = make_pmnr(3000, 1, 1)
+    start = time.perf_counter()
+    ideals = p.order_ideals()
+    assert time.perf_counter() - start < 0.05
+    assert ideals == [(1 << k) - 1 for k in range(3000)]
+
+
 def test_order_ideals_cap(monkeypatch):
     # a cap equal to the count lists every ideal; one less refuses
     monkeypatch.setattr(poset, "MAX_IDEALS", 24)

@@ -117,6 +117,39 @@ SABOTAGE = {
         "exec(mutant, vars(poset), namespace)\n"
         "poset.Poset.linear_extensions = namespace['linear_extensions']\n"),
         ("multiplicity-extensions",), (2, 3, 4)),
+    # an ideal listing whose suffix starts one ideal late: at (3, 2, 2) the
+    # chain 0 < 1 loses the ideal {0, 1}, and every ideal built on it
+    "ideal-suffix-one-late": ("formulas", (
+        "import inspect, textwrap\n"
+        "from doubledet import poset\n"
+        "source = textwrap.dedent(\n"
+        "    inspect.getsource(poset.Poset.order_ideals))\n"
+        "mutant = source.replace('starts[need.bit_length() - 1]',\n"
+        "                        'starts[need.bit_length() - 1] + 1')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the suffix mutation did not apply')\n"
+        "namespace = {}\n"
+        "exec(mutant, vars(poset), namespace)\n"
+        "poset.Poset.order_ideals = namespace['order_ideals']\n"),
+        ("ideal-count",), (3, 2, 2)),
+    # a minor of H or V printed at a mirrored second column or row: its
+    # entries, binomial and every Groebner check are unchanged
+    "h-minor-printed-column": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(generators._h_minor)\n"
+        "mutant = source.replace('(k2 - 1) * n + j2', '(k2 - 1) * n - j2')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the column mutation did not apply')\n"
+        "exec(mutant, vars(generators))\n"),
+        ("kernel-membership",)),
+    "v-minor-printed-row": ("formulas", (
+        "import inspect\n"
+        "source = inspect.getsource(generators._v_minor)\n"
+        "mutant = source.replace('(k2 - 1) * m + i2', '(k2 - 1) * m - i2')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the row mutation did not apply')\n"
+        "exec(mutant, vars(generators))\n"),
+        ("kernel-membership",)),
     # the facet encoder and the extender with M and N swapped in their word
     "word-codec-roundtrip": ("complex", SWAP_M_N.format(name="facet_word"),
                              ("word-codec-roundtrip",)),
@@ -297,13 +330,19 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("quadric-matrices-unsorted", False),
     ("ready-set-without-covers", True),
     ("ready-set-without-covers", False),
+    ("ideal-suffix-one-late", True),
+    ("ideal-suffix-one-late", False),
+    ("h-minor-printed-column", True),
+    ("h-minor-printed-column", False),
+    ("v-minor-printed-row", True),
+    ("v-minor-printed-row", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks, *size = SABOTAGE[sabotage]
     proc = run_sabotaged(code, level, optimize, *size)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    for name in checks:
-        assert f"\nFAIL {name} (" in proc.stdout
+    for name in checks:  # a line of its own, the first line too
+        assert f"\nFAIL {name} (" in "\n" + proc.stdout
     assert "Traceback" not in proc.stderr
 
 
