@@ -36,9 +36,13 @@ PAPER_WORD = "MRMNNNRMN"
 PAPER_VERTICES = ("(4,5),(3,5),(3,7),(2,7),(2,8),(2,9),(2,10),(2,11),"
                   "(1,11),(1,12)")
 PAPER_FACE = "(4,5),(3,7),(2,8),(2,11),(1,12)"
-#: stands for the path of a file holding POSET_TEXT
+#: placeholders for the paths of poset files, with the text of each: a
+#: small one, and ten elements whose linear extensions spread over many
+#: descent classes
 POSET = "<poset-file>"
-POSET_TEXT = "n=4\n1<2\n1<3\n"
+POSET_10 = "<poset-file-10>"
+POSET_TEXTS = {POSET: "n=4\n1<2\n1<3\n",
+               POSET_10: "n=10\n1<3\n2<3\n3<7\n4<8\n5<8\n6<10\n"}
 
 
 def _cases():
@@ -57,7 +61,11 @@ def _cases():
         cases.append(["hilbert", "2", "2", "3", "--max-degree", "4", *f])
         cases += [["hpoly", "2", "3", "3", "--method", method, *f]
                   for method in ("series", "words", "extensions", "all")]
-        cases.append(["hpoly", "--poset-file", POSET, *f])
+        cases += [["hpoly", "--poset-file", path, *f]
+                  for path in (POSET, POSET_10)]
+        # 24 letters: the packed values of the descent routes carry
+        # counts across many states
+        cases.append(["hpoly", "9", "9", "9", "--method", "all", *f])
         cases += [["facets", *sizes, *f]
                   for sizes in (("2", "2", "3"), ("3", "3", "3"))]
         cases.append(["word2facet", *PAPER, PAPER_WORD, *f])
@@ -105,9 +113,9 @@ def _key(argv):
     return " ".join(repr(a) if a == "" or " " in a else a for a in argv)
 
 
-def run(argv, poset_path):
+def run(argv, poset_paths):
     """(exit status, stdout, stderr) of one in-process invocation."""
-    argv = [poset_path if a == POSET else a for a in argv]
+    argv = [poset_paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -123,17 +131,25 @@ def golden():
         return json.load(handle)
 
 
+def write_posets(directory):
+    """Write each poset file into ``directory``: placeholder -> path."""
+    paths = {}
+    for index, (placeholder, text) in enumerate(POSET_TEXTS.items()):
+        path = pathlib.Path(directory, f"p{index}.poset")
+        path.write_text(text, encoding="utf-8")
+        paths[placeholder] = str(path)
+    return paths
+
+
 @pytest.fixture(scope="module")
-def poset_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "p.poset"
-    path.write_text(POSET_TEXT)
-    return str(path)
+def poset_paths(tmp_path_factory):
+    return write_posets(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)
-def test_golden(argv, golden, poset_path, monkeypatch):
+def test_golden(argv, golden, poset_paths, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = run(argv, poset_path)
+    code, out, err = run(argv, poset_paths)
     want = golden[_key(argv)]
     assert code == want["exit"]
     assert out.split("\n") == want["stdout"]
@@ -147,12 +163,10 @@ def test_golden_file_has_no_stale_cases(golden):
 def record():
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
-        poset_path = os.path.join(tmp, "p.poset")
-        with open(poset_path, "w", encoding="utf-8") as handle:
-            handle.write(POSET_TEXT)
+        poset_paths = write_posets(tmp)
         data = {}
         for argv in CASES:
-            code, out, err = run(argv, poset_path)
+            code, out, err = run(argv, poset_paths)
             data[_key(argv)] = {"exit": code, "stdout": out.split("\n"),
                                 "stderr": err.split("\n")}
     with open(GOLDEN, "w", encoding="utf-8") as handle:
