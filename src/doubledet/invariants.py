@@ -5,12 +5,12 @@ lattice of an (m, n, r) triple of chains, so every invariant reduces to
 chain combinatorics: minimal generators count incomparable grid pairs,
 multiplicity counts maximal chains, the Hilbert function counts triples of
 monomials, and the h-polynomial is a descent generating function.  The
-three independent h-polynomial computations exist to cross-check each
-other: descents of words by a recursion over letter counts, descents of
-the linear extensions of the three-chain poset by a recursion over its
-order ideals, and the truncated Hilbert series.  No route lists the
-linear extensions one by one; that enumeration survives only as the
-brute-force oracle of ``verify``'s ``multiplicity-extensions`` check.
+three h-polynomial routes cross-check each other: descents of words and
+of the linear extensions of the three-chain poset, by one loop over letter
+counts or order ideals (``multiset._descent_transfer``), and the truncated
+Hilbert series, kept off that loop so that a fault in it still shows.  No
+route lists the extensions; that listing is only the brute-force oracle of
+``verify``'s ``multiplicity-extensions`` check.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 from . import grid, poset as poset_mod
 from .errors import bound, check_sizes
 from .intpoly import IntPolynomial, difference
-from .multiset import descent_polynomial, multinomial
+from .multiset import _descent_transfer, descent_polynomial, multinomial
 
 #: fixed cap on order_preserving_map_counts: ideals x |P| x degrees
 MAX_MULTICHAIN_STEPS = 10 ** 7
@@ -178,50 +178,37 @@ def poset_descent_polynomial(p):
     """Sum of t^descents over all linear extensions of an arbitrary
     naturally labeled poset (Stanley's W-polynomial), without listing them.
 
-    Built one position at a time, like ``multiset.descent_polynomial``.  A
-    state is (bitmask of the placed elements, an order ideal; the last
-    element placed, -1 before the first); its value counts the prefixes
-    reaching it by descents.  An element is ready once its lower covers
-    are placed, and placing e after ``last`` is a descent iff last > e.
-    Only the current layer is kept, so the work is (number of order
-    ideals) x n, against e(P) for listing the extensions.
-
-    Each state holds an n-bit mask and a value of up to n slots of
-    log2(n!) bits, and expanding a layer takes |layer| x n steps, so three
-    fixed caps refuse the work before it is done: SizeGuardError for more
-    than MAX_POSET_ELEMENTS elements, for a layer whose expansion would
-    take the steps so far past MAX_POSET_STEPS, and once a layer passes
-    MAX_POSET_STATES states (it stops building that layer there; no layer
-    holds more states than P has extensions).  These caps are its only
-    bound: it lists no extension, so h(1) itself is never capped.
+    By ``multiset._descent_transfer``: a state is (bitmask of the placed
+    elements, an order ideal; bitmask of the ready ones, a function of the
+    ideal), and placing a ready e readies only upper covers of e.  No
+    coefficient exceeds n!.  The work is (order ideals) x n, against e(P)
+    for listing the extensions.  SizeGuardError past MAX_POSET_ELEMENTS
+    elements, for a layer whose |layer| x n steps would take the steps
+    past MAX_POSET_STEPS, and once a layer passes MAX_POSET_STATES states
+    (never more than P's extensions).  These caps are its only bound: it
+    lists no extension, so h(1) itself is never capped.
     """
-    where = "invariants.poset_descent_polynomial"
     bound_poset_elements(p.n)
-    # a value is its polynomial evaluated at t = 2^width: a coefficient
-    # counts prefixes, never more than n!, so the coefficients sit in
-    # disjoint width-bit slots, adding values adds the polynomials and
-    # << width multiplies by t
-    width = factorial(p.n).bit_length()
-    layer = {(0, -1): 1}
-    steps = 0
-    for _ in range(p.n):
-        steps += len(layer) * p.n
-        bound(steps, MAX_POSET_STEPS, where, "steps")
-        nxt = {}
-        for (placed, last), value in layer.items():
-            for e, need in enumerate(p.below):
-                if not placed >> e & 1 and need & placed == need:
-                    key = (placed | 1 << e, e)
-                    nxt[key] = nxt.get(key, 0) + (
-                        value << width if last > e else value)
-            if len(nxt) > MAX_POSET_STATES:
-                break  # the layer is already too big; bound() refuses it
-        bound(len(nxt), MAX_POSET_STATES, where, "states")
-        layer = nxt
-    total = sum(layer.values())
-    mask = (1 << width) - 1
-    return IntPolynomial([total >> (width * d) & mask
-                          for d in range(max(1, p.n))])
+    below, above = p.below, p._above
+
+    def successors(state):
+        placed, ready = state
+        out, left = [], ready
+        while left:
+            low = left & -left
+            left ^= low
+            e = low.bit_length() - 1
+            now, after = placed | low, ready ^ low
+            for b in above[e]:
+                if below[b] & now == below[b]:
+                    after |= 1 << b
+            out.append(((now, after), e))
+        return out
+
+    return _descent_transfer(
+        (0, sum(1 << e for e, need in enumerate(below) if not need)),
+        successors, p.n, factorial(p.n).bit_length(), MAX_POSET_STATES,
+        MAX_POSET_STEPS, "invariants.poset_descent_polynomial")
 
 
 def h_poly_via_series(m, n, r):

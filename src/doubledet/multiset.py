@@ -4,17 +4,19 @@ A word here is any finite sequence of mutually comparable letters (ints,
 single-character strings, ...).  Permutations are always generated in
 lexicographic order, each distinct rearrangement exactly once, which keeps
 every downstream catalog reproducible.  The descent polynomial is counted
-without listing the words, by a recursion over letter counts.
+without listing the words, by ``_descent_transfer``: the one loop of both
+descent routes, kept off the series route so that its faults still show.
 """
 
 from itertools import groupby
-from math import factorial, prod
+from math import factorial, inf, prod
 from operator import gt
 
 from .errors import bound
 from .intpoly import IntPolynomial
 
-#: fixed cap on descent_polynomial's states: 4*m*n*r for the words route
+#: fixed cap on descent_polynomial's states: at most 4*m*n*r for the words
+#: route, less when a size is 1 and its letter drops out
 MAX_WORD_STATES = 500_000
 
 
@@ -56,28 +58,49 @@ def descents(word):
     return sum(map(gt, word, word[1:]))
 
 
-def descent_polynomial(items):
-    """Sum of t^descents over all distinct permutations of ``items``.
+def _descent_transfer(start, successors, layers, width, max_states=inf,
+                      max_steps=inf, where=None):
+    """Sum of t^descents over the walks of ``layers`` steps from ``start``;
+    ``successors(state)`` lists the steps out as (next state, letter).  A
+    layer maps (state, last letter or -1) to its walks' polynomial at
+    t = 2^width, each coefficient in ``width`` bits; a descent (last >
+    letter) shifts one slot.  A layer is charged |layer| x layers steps,
+    then built up to ``max_states``; SizeGuardError names ``where``.  The
+    series and listing oracles stay off this loop, so h-poly-agreement
+    still meets a route that does not share it.
+    """
+    layer, steps = {(start, -1): 1}, 0
+    for _ in range(layers):
+        steps += len(layer) * layers
+        bound(steps, max_steps, where, "steps")
+        nxt = {}
+        get = nxt.get
+        for (state, last), value in layer.items():
+            shifted = value << width
+            for key in successors(state):
+                nxt[key] = get(key, 0) + (shifted if last > key[1] else value)
+            if len(nxt) > max_states:
+                break  # the layer is already too big; bound() refuses it
+        bound(len(nxt), max_states, where, "states")
+        layer = nxt
+    total, mask = sum(layer.values()), (1 << width) - 1
+    return IntPolynomial([total >> width * d & mask
+                          for d in range(max(1, layers))])
 
-    Built one position at a time.  A state is (how many of each letter are
-    placed, index of the last letter placed, -1 before the first); its
-    value counts the prefixes reaching it by descents.  Only the current
-    layer is kept.  Raises SizeGuardError above MAX_WORD_STATES states.
+
+def descent_polynomial(items):
+    """Sum of t^descents over all distinct permutations of ``items``: a
+    state counts the letters placed of each kind, and no coefficient
+    exceeds the word count.  SizeGuardError above MAX_WORD_STATES states.
     """
     counts = [len(list(run)) for _, run in groupby(sorted(items))]
     bound(prod(c + 1 for c in counts) * (len(counts) + 1), MAX_WORD_STATES,
           "multiset.descent_polynomial", "states")
-    layer = {((0,) * len(counts), -1): [1]}
-    for _ in range(sum(counts)):
-        nxt = {}
-        for (placed, last), coeffs in layer.items():
-            for t, c in enumerate(counts):
-                if placed[t] < c:
-                    key = (placed[:t] + (placed[t] + 1,) + placed[t + 1:], t)
-                    acc = nxt.setdefault(key, [])
-                    shift = last > t  # a descent: t^1
-                    acc.extend([0] * (len(coeffs) + shift - len(acc)))
-                    for d, x in enumerate(coeffs, start=shift):
-                        acc[d] += x
-        layer = nxt
-    return sum(map(IntPolynomial, layer.values()), IntPolynomial())
+    letters = range(len(counts))
+
+    def successors(placed):
+        return [(placed[:t] + (placed[t] + 1,) + placed[t + 1:], t)
+                for t in letters if placed[t] < counts[t]]
+
+    return _descent_transfer((0,) * len(counts), successors, sum(counts),
+                             multinomial(counts).bit_length())

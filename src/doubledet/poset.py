@@ -9,12 +9,12 @@ of elements is a bitmask (bit e for element e), and order ideals are
 bitmasks too.  The covers are kept in two forms: ``below`` holds each
 element's lower covers as a bitmask, which the ideal sweeps (here, in
 ``grid`` and in ``invariants``), the linear extensions and the purity
-test read; ``_covers`` holds the sorted cover pairs, which ``rank``,
-``is_pure``, ``covers()`` and ``__repr__`` read.  The upper covers are
-not stored: ``linear_extensions``, their one reader, derives them from
-``below`` once per call, for its ready set.  Linear extensions are
-tuples of elements (the sequence in which the elements are listed),
-listed lexicographically, so repeated runs produce identical output.
+test read; ``_above`` holds each element's upper covers in increasing
+order, which the two ready-set walks (``linear_extensions`` and the
+descent route of ``invariants``) and ``covers()`` read.  Linear
+extensions are tuples of elements (the sequence in which the elements are
+listed), listed lexicographically, so repeated runs produce identical
+output.
 """
 
 from __future__ import annotations
@@ -52,18 +52,19 @@ class Poset:
         # cover unless it lies above a smaller given successor; anything
         # strictly between a and b has a smaller label than b.  Bit b of
         # closure[a] is set iff a strictly precedes b.
-        covers, below = [], [0] * n
+        above, below = [[] for _ in range(n)], [0] * n
         closure = [0] * n
         for a in range(n - 1, -1, -1):
             acc = 0
             for b in sorted(up[a]):
                 if not acc >> b & 1:
-                    covers.append((a, b))
+                    above[a].append(b)
                     below[b] |= 1 << a
                     acc |= 1 << b | closure[b]
             closure[a] = acc
         self._up = tuple(closure)
-        self._covers = tuple(sorted(covers))
+        #: _above[a]: the upper covers of a, increasing
+        self._above = tuple(map(tuple, above))
         #: bit a of below[b] is set iff b covers a
         self.below = tuple(below)
 
@@ -80,7 +81,7 @@ class Poset:
 
     def covers(self):
         """Sorted cover pairs (a, b): a < b with nothing strictly between."""
-        return list(self._covers)
+        return [(a, b) for a, bs in enumerate(self._above) for b in bs]
 
     # ------------------------------------------------------------------
     # ideals, extensions, chain statistics
@@ -116,44 +117,31 @@ class Poset:
         form an order ideal, so an element is ready once its lower covers
         are placed.  The walk keeps the ready elements as a bitmask: placing
         e clears e's bit and sets each upper cover of e whose lower covers
-        are now all placed (the upper covers are read off ``below`` once
-        per call), and each depth tries its ready bits lowest first.  A step
-        thus costs e's covers, not a scan of every element.  This listing is
-        the brute-force oracle for ``invariants.poset_descent_polynomial``,
-        which never calls it.
+        are now all placed, and each depth tries its ready bits lowest
+        first: a step costs e's covers, not a scan of every element.  This
+        listing is the oracle of ``invariants.poset_descent_polynomial``.
         """
-        n, below = self.n, self.below
-        above = [[] for _ in below]  # above[a]: the upper covers of a
-        for b, need in enumerate(below):
-            while need:
-                low = need & -need
-                above[low.bit_length() - 1].append(b)
-                need ^= low
+        n, below, above = self.n, self.below, self._above
         ready = sum(1 << e for e, need in enumerate(below) if not need)
         placed, seq = 0, []  # seq: placed in the order placed
-        readies = [ready]  # per depth: the elements ready there
-        untried = [ready]  # per depth: the ready elements left to try
-        while untried:
+        stack = [(ready, ready)]  # per depth: ready elements, those untried
+        while stack:
             if len(seq) == n:
                 yield tuple(seq)
-            left = untried[-1]
+            ready, left = stack.pop()
             if left:
                 low = left & -left
-                untried[-1] = left ^ low
+                stack.append((ready, left ^ low))
                 e = low.bit_length() - 1
                 placed |= low
                 seq.append(e)
-                ready = readies[-1] ^ low
+                ready ^= low
                 for b in above[e]:
                     if below[b] & placed == below[b]:
                         ready |= 1 << b
-                readies.append(ready)
-                untried.append(ready)
-            else:
-                untried.pop()
-                readies.pop()
-                if seq:
-                    placed ^= 1 << seq.pop()
+                stack.append((ready, ready))
+            elif seq:
+                placed ^= 1 << seq.pop()
 
     def width(self):
         """Largest antichain, via Dilworth: n minus a maximum matching of
@@ -180,7 +168,7 @@ class Poset:
         """Length (edge count) of the longest chain; -1 for the empty poset."""
         height = [0] * self.n
         # sorted by lower end, so a's height is final before (a, b)
-        for a, b in self._covers:
+        for a, b in self.covers():
             height[b] = max(height[b], height[a] + 1)
         return max(height, default=-1)
 
@@ -193,7 +181,7 @@ class Poset:
         """
         # bit k of lengths[e]: a saturated chain of length k ends at e
         lengths = [int(not need) for need in self.below]
-        for a, b in self._covers:
+        for a, b in self.covers():
             lengths[b] |= lengths[a] << 1
         top = 0
         for e in range(self.n):

@@ -1,11 +1,14 @@
+import importlib
 import json
+import pkgutil
 import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet import invariants
+import doubledet
+from doubledet import invariants, multiset
 from doubledet.errors import (DEFAULT_BUDGET, BudgetExceededError,
                               SizeGuardError, bound)
 from doubledet.grid import comparable, grid_points
@@ -285,6 +288,36 @@ def test_poset_descent_polynomial_every_poset_up_to_5():
 @given(natural_posets(8))
 def test_poset_descent_polynomial_against_listing(p):
     assert poset_descent_polynomial(p) == descent_polynomial_by_listing(p)
+
+
+def test_series_and_listings_run_without_the_shared_transfer(monkeypatch):
+    # the two descent routes share one loop; h-poly-agreement can catch a
+    # fault in it only through a route that does not run it.  So replace
+    # the loop, under every name a module holds it by, with one that raises
+    sizes = [(2, 3, 3), (3, 2, 4), (4, 4, 4)]
+    for size in sizes:
+        assert (h_poly_via_words(*size) == h_poly_via_linear_extensions(*size)
+                == IntPolynomial(H_POLYS[size]))
+    reports = {size: compute_invariants(*size) for size in sizes}
+    listed = {size: list(make_pmnr(*size).linear_extensions())
+              for size in sizes}
+    shared = multiset._descent_transfer
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the shared descent transfer ran")
+
+    for info in pkgutil.iter_modules(doubledet.__path__):
+        module = importlib.import_module(f"doubledet.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is shared:
+                monkeypatch.setattr(module, name, refuse)
+    for route in (h_poly_via_words, h_poly_via_linear_extensions):
+        with pytest.raises(RuntimeError, match="shared descent transfer"):
+            route(2, 2, 2)
+    for size in sizes:
+        assert h_poly_via_series(*size) == IntPolynomial(H_POLYS[size])
+        assert compute_invariants(*size) == reports[size]
+        assert list(make_pmnr(*size).linear_extensions()) == listed[size]
 
 
 def test_poset_descent_polynomial_states_guard(monkeypatch):

@@ -73,6 +73,19 @@ SABOTAGE = {
         "invariants.poset_descent_polynomial = lambda *args, **kw: (\n"
         "    real(*args, **kw) + IntPolynomial([0, 1]))\n"),
         ("h-poly-agreement", "multiplicity-extensions")),
+    # the loop both descent routes share, shifting a descent two slots
+    # instead of one: the routes still agree, so the series, the binomial
+    # sums and the listed extensions must tell
+    "descent-transfer-two-slots": ("formulas", (
+        "import inspect\n"
+        "from doubledet import multiset\n"
+        "source = inspect.getsource(multiset._descent_transfer)\n"
+        "mutant = source.replace('value << width', 'value << 2 * width')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the transfer mutation did not apply')\n"
+        "exec(mutant, vars(multiset))\n"
+        "invariants._descent_transfer = multiset._descent_transfer\n"),
+        ("h-poly-agreement", "macmahon", "multiplicity-extensions")),
     "duplicated-minor": ("formulas", (
         "real = generators.minor_basis\n"
         "generators.minor_basis = lambda m, n, r: (\n"
@@ -290,6 +303,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("poset-stats", False),
     ("h-poly-agreement", True),
     ("h-poly-agreement", False),
+    ("descent-transfer-two-slots", True),
+    ("descent-transfer-two-slots", False),
     ("duplicated-minor", True),
     ("duplicated-minor", False),
     ("dropped-minor", True),
