@@ -1,25 +1,26 @@
 """Division and the Buchberger certificate under the diagonal order.
 
-Everything here is exact: coefficients are Python ints (reductions of
-binomials can transiently create longer integer combinations), monomials
-are canonical tuples from the ring module, and the reduction strategy is
+Everything here is exact: coefficients are Python ints, monomials are
+canonical tuples from the ring module, and the reduction strategy is
 fixed (largest reducible term, divisor with the largest leading term and,
 on a tie of leading terms, the first basis element), so remainders are
 reproducible.
 
-Division reads the leading-term index built by ``_prepare``: it maps each
-leading term to the first basis element that has it, so the divisors of a
-term are found by looking up its sub-monomials, not by scanning the basis.
-``remainders`` is the batch form of ``reduce``: it builds the index once
-and divides every polynomial of a stream by it, so ``verify_groebner``
-and ``verify``'s sorting relations index their basis once.  A stream also
-memoises each monomial's division step, the chosen divisor's other terms
-times the quotient per unit coefficient, and divides each monomial once.
-The step depends only on the monomial and the indexed basis, never on the
-coefficient or on the polynomial it came from, so a memoised step is the
-step the strategy would take again and every remainder is unchanged.
-``divides`` and ``quotient`` work on the sorted variable tuples
-directly.
+Division is by differences of two monomials only, such as the 2x2 minors
+(``SparsePoly.from_binomial``); ``_prepare`` refuses any other basis
+element.  One step then turns a term c*t into one smaller term c*t',
+so each monomial has one normal form, the end of its chain of steps, and
+a remainder is the sum of its terms' normal forms: the binomial rewriting
+behind toric Groebner bases (Sturmfels, *Groebner Bases and Convex
+Polytopes*, 1996, ch. 4-5).  ``_prepare`` indexes each leading term to
+the other monomial of the first basis element that has it, so the
+divisors of a term are found by looking up its sub-monomials, not by
+scanning the basis.  ``remainders`` is the batch form of ``reduce``: it
+builds the index once, divides every polynomial of a stream by it and
+memoises each monomial's normal form for the stream, so
+``verify_groebner`` and ``verify``'s sorting relations index their basis
+once and walk each chain once.  ``divides`` and ``quotient`` work on the
+sorted variable tuples directly.
 
 Nothing here decides an order or a map: leading terms, the reduction
 strategy and the printed term order read the diagonal order from ``ring``
@@ -107,32 +108,31 @@ def quotient(b, a):
 def _prepare(basis):
     """The leading-term index of a division basis: ``(index, degrees)``.
 
-    ``index`` maps each leading term to the first basis element that has
-    it; ``degrees`` are the degrees of the leading terms.  Every basis
-    element must be nonzero with unit leading coefficient.
+    Every basis element must be a difference of two monomials, with
+    coefficients +1 and -1 in either order.  ``index`` maps each leading
+    term to the other monomial of the first basis element that has it;
+    ``degrees`` are the degrees of the leading terms.
     """
     index = {}
     for b in basis:
-        if not b:
-            raise ValueError("basis elements must be nonzero")
-        lt = leading_term(b)
-        if abs(b.terms[lt]) != 1:
-            raise ValueError("basis leading coefficients must be units")
-        index.setdefault(lt, b)
+        if sorted(b.terms.values()) != [-1, 1]:
+            raise ValueError("basis elements must be a difference of two "
+                             "monomials, with coefficients +1 and -1")
+        lt, other = sorted(b.terms, key=_monomial_key)
+        index.setdefault(lt, other)
     return index, {len(lt) for lt in index}
 
 
 def reduce(p: SparsePoly, basis):
-    """Remainder of p on division by the basis.
+    """Remainder of p on division by the basis of monomial differences.
 
     Strategy: repeatedly take the largest still-reducible term and divide
     by the basis element with the largest leading term among those whose
     leading term divides it, and on a tie of leading terms by the first
-    basis element; all basis elements must have unit leading coefficient.
-    The remainder has no term divisible by any basis leading term, so
-    remainder zero certifies ideal membership whenever the basis is a
-    Groebner basis.  The divisors are looked up in the leading-term index
-    of ``_prepare``, built anew on each call, as is the step memo.
+    basis element.  The remainder has no term divisible by any basis
+    leading term, so remainder zero certifies ideal membership whenever
+    the basis is a Groebner basis.  It is computed as ``remainders`` on a
+    stream of one, with the basis indexed anew.
     """
     return next(remainders([p], basis))
 
@@ -141,51 +141,41 @@ def remainders(polys, basis):
     """Yield the remainder of each of ``polys`` on division by the basis,
     in order: ``reduce`` on a stream, with the basis indexed once.
 
-    The stream keeps one memo of division steps for the life of the call,
-    so each monomial is divided once however often it recurs; the memo
-    belongs to this basis and is dropped with the stream.
+    Dividing c*t by a difference of two monomials leaves one monomial with
+    the same coefficient c, so the strategy sends each monomial down one
+    chain of steps (``_step``) to its normal form, whatever its coefficient
+    or the polynomial it came from.  Division is linear, so the remainder
+    of a polynomial is the sum of c times the normal form of each term t,
+    zero sums dropped: the sum the largest-first strategy also reaches.
+    The stream keeps one dict from each monomial met to its normal form,
+    filled by walking each new chain to a known or irreducible monomial;
+    it belongs to this basis and is dropped with the stream.
     """
-    prepared = _prepare(basis)
-    steps = {}
+    index, degrees = _prepare(basis)
+    forms = {}
     for p in polys:
-        yield _reduce(p, prepared, steps)
-
-
-def _reduce(p: SparsePoly, prepared, steps):
-    """``reduce`` against a basis already indexed by ``_prepare``.
-
-    ``steps`` is the stream's memo: it maps each monomial met so far to
-    its division step (see ``_step``), which is read before any
-    sub-monomial is looked up.  A step is per unit coefficient, so the
-    same entry serves every coefficient and sign the monomial comes with.
-    """
-    work = dict(p.terms)
-    remainder = {}
-    while work:
-        t = min(work, key=_monomial_key)
-        coeff = work.pop(t)
-        try:
-            step = steps[t]
-        except KeyError:
-            step = steps[t] = _step(t, *prepared)
-        if step is None:
-            remainder[t] = coeff
-            continue
-        for mono, c in step:
-            val = work.get(mono, 0) - coeff * c
-            if val:
-                work[mono] = val
-            elif mono in work:
-                del work[mono]
-    return SparsePoly(remainder)
+        remainder = {}
+        for t, c in p.terms.items():
+            path = []
+            while t not in forms:
+                path.append(t)
+                step = _step(t, index, degrees)
+                if step is None:
+                    forms[t] = t
+                else:
+                    t = step
+            form = forms[t]
+            for v in path:
+                forms[v] = form
+            remainder[form] = remainder.get(form, 0) + c
+        yield SparsePoly(remainder)
 
 
 def _step(t, index, degrees):
-    """The division step of the monomial t: None when no indexed leading
-    term divides it, and otherwise the chosen divisor's terms other than
-    its leading term lt, times t / lt, as ``(monomial, coefficient)``
-    pairs for a unit coefficient of t.  Dividing c*t subtracts c times
-    each of them."""
+    """The monomial that one division step makes of t: None when no
+    indexed leading term divides t, and otherwise the chosen divisor's
+    other monomial times t / lt.  It is smaller than t in the diagonal
+    order, so every chain of steps ends."""
     lt = None
     for d in degrees:
         # t is sorted, so each sub-monomial of it is canonical
@@ -194,11 +184,7 @@ def _step(t, index, degrees):
                 lt = sub
     if lt is None:
         return None
-    b = index[lt]
-    lc = b.terms[lt]  # +-1, so multiplying by it divides exactly
-    shift = quotient(t, lt)
-    return tuple((monomial(mono + shift), c * lc)
-                 for mono, c in b.terms.items() if mono != lt)
+    return monomial(index[lt] + quotient(t, lt))
 
 
 def s_polynomial(f: SparsePoly, g: SparsePoly):

@@ -27,7 +27,7 @@ from .multiset import _descent_transfer, descent_polynomial, multinomial
 #: fixed cap on order_preserving_map_counts: ideals x |P| x degrees
 MAX_MULTICHAIN_STEPS = 10 ** 7
 #: fixed caps on poset_descent_polynomial: its elements, its states in one
-#: layer, and its steps (|layer| x n, summed over the layers expanded)
+#: layer, and its steps (the ready elements tried from each state expanded)
 MAX_POSET_ELEMENTS = 2_000
 MAX_POSET_STATES = 200_000
 MAX_POSET_STEPS = 10 ** 7
@@ -183,8 +183,8 @@ def poset_descent_polynomial(p):
     ideal), and placing a ready e readies only upper covers of e.  No
     coefficient exceeds n!.  The work is (order ideals) x n, against e(P)
     for listing the extensions.  SizeGuardError past MAX_POSET_ELEMENTS
-    elements, for a layer whose |layer| x n steps would take the steps
-    past MAX_POSET_STEPS, and once a layer passes MAX_POSET_STATES states
+    elements, once the ready elements tried take the steps past
+    MAX_POSET_STEPS, and once a layer passes MAX_POSET_STATES states
     (never more than P's extensions).  These caps are its only bound: it
     lists no extension, so h(1) itself is never capped.
     """

@@ -64,23 +64,25 @@ def _descent_transfer(start, successors, layers, width, max_states=inf,
     ``successors(state)`` lists the steps out as (next state, letter).  A
     layer maps (state, last letter or -1) to its walks' polynomial at
     t = 2^width, each coefficient in ``width`` bits; a descent (last >
-    letter) shifts one slot.  A layer is charged |layer| x layers steps,
-    then built up to ``max_states``; SizeGuardError names ``where``.  The
-    series and listing oracles stay off this loop, so h-poly-agreement
-    still meets a route that does not share it.
+    letter) shifts one slot.  Each step out of a state is charged as its
+    successors are listed, and a layer is built until the steps pass
+    ``max_steps`` or its states pass ``max_states``; SizeGuardError names
+    ``where``.  The series and listing oracles stay off this loop, so
+    h-poly-agreement still meets a route that does not share it.
     """
     layer, steps = {(start, -1): 1}, 0
     for _ in range(layers):
-        steps += len(layer) * layers
-        bound(steps, max_steps, where, "steps")
         nxt = {}
         get = nxt.get
         for (state, last), value in layer.items():
             shifted = value << width
-            for key in successors(state):
+            out = successors(state)
+            steps += len(out)
+            for key in out:
                 nxt[key] = get(key, 0) + (shifted if last > key[1] else value)
-            if len(nxt) > max_states:
+            if steps > max_steps or len(nxt) > max_states:
                 break  # the layer is already too big; bound() refuses it
+        bound(steps, max_steps, where, "steps")
         bound(len(nxt), max_states, where, "states")
         layer = nxt
     total, mask = sum(layer.values()), (1 << width) - 1

@@ -145,24 +145,32 @@ class Poset:
 
     def width(self):
         """Largest antichain, via Dilworth: n minus a maximum matching of
-        the strict order viewed as a bipartite graph."""
+        the strict order viewed as a bipartite graph.  The matching grows
+        by one augmenting path per element, searched depth first on an
+        explicit stack, so a long path costs no recursion."""
         up, match = self._up, [-1] * self.n  # match[b] = a chained below b
         # bit b: b was visited since the matching last grew; a failed
         # search changes nothing, so what it visited stays a dead end
-        seen = 0
-
-        def augment(a):
-            nonlocal seen
-            while free := up[a] & ~seen:
+        seen = matched = 0
+        for root in range(self.n):
+            tails, heads = [root], []  # the path so far: tails[i] < heads[i]
+            while tails:
+                free = up[tails[-1]] & ~seen
+                if not free:  # a dead end: back up one edge
+                    tails.pop()
+                    del heads[-1:]
+                    continue
                 low = free & -free
                 seen |= low
                 b = low.bit_length() - 1
-                if match[b] == -1 or augment(match[b]):
-                    match[b], seen = a, 0
-                    return True
-            return False
-
-        return self.n - sum(map(augment, range(self.n)))
+                heads.append(b)
+                if match[b] == -1:  # each tail on the path takes its head
+                    for a, b in zip(tails, heads):
+                        match[b] = a
+                    seen, matched = 0, matched + 1
+                    break
+                tails.append(match[b])
+        return self.n - matched
 
     def rank(self):
         """Length (edge count) of the longest chain; -1 for the empty poset."""

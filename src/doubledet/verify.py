@@ -414,7 +414,7 @@ def build_checks(m, n, r, level, budget):
     def relations_reduce():
         rels = relations()  # first: too many of both skips on relations
         basis = [groebner.SparsePoly.from_binomial(b) for b in minors()[0]]
-        polys = [groebner.SparsePoly.from_binomial(rel) for rel in rels]
+        polys = (groebner.SparsePoly.from_binomial(rel) for rel in rels)
         for rel, rem in zip(rels, groebner.remainders(polys, basis),
                             strict=True):
             if rem:

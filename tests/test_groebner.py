@@ -278,6 +278,33 @@ def test_each_remainder_stream_divides_by_its_own_basis():
         assert list(remainders([p, p], basis)) == [want, want]
 
 
+X, Y, Z = (monomial([v]) for v in ((1, 1, 1), (1, 2, 1), (2, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [
+    SparsePoly({X: 1, Y: -1, Z: 1}),  # a trinomial
+    SparsePoly({X: 2, Y: -1}),  # 2*x - y
+    SparsePoly({X: 1, Y: 1}),  # x + y
+    SparsePoly({X: 1}),  # a monomial
+    SparsePoly()])  # zero
+def test_remainders_divide_only_by_monomial_differences(bad):
+    basis = minor_polys(2, 2, 2)
+    with pytest.raises(ValueError, match="difference of two monomials"):
+        next(remainders([SparsePoly({X: 1})], basis + [bad]))
+
+
+@given(division_problems())
+def test_a_negated_minor_divides_as_the_minor(problem):
+    # -1 on the leading term: dividing c*t still leaves c times the other
+    # monomial times t / lt
+    p, basis = problem
+    negated = [SparsePoly({t: -c for t, c in b.terms.items()})
+               for b in basis]
+    assert leading_term(negated[0]) == leading_term(basis[0])
+    assert negated[0].terms[leading_term(negated[0])] == -1
+    assert list(remainders([p], negated)) == [reference_reduce(p, negated)]
+
+
 def scaled(p, coeff, mono):
     """p times coeff times the monomial, term by term."""
     return SparsePoly({reference_monomial(t + mono): c * coeff

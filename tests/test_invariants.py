@@ -339,10 +339,23 @@ def test_poset_descent_polynomial_elements_and_steps_guards(monkeypatch):
     with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
                        "polynomial: 4 elements exceed guard 3"):
         poset_descent_polynomial(Poset(4))
-    # the antichain's second layer holds 3 states: 3 + 3 x 3 steps
+    # the antichain tries 3 elements, then 2 from each of 3 states, then
+    # 1 from the first state of its third layer: 3 + 3 x 2 + 1 steps
     with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
-                       "polynomial: 12 steps exceed guard 9"):
+                       "polynomial: 10 steps exceed guard 9"):
         poset_descent_polynomial(Poset(3))
+
+
+def test_poset_descent_polynomial_charges_the_steps_it_takes(monkeypatch):
+    # P_333 takes 102 steps, the ready elements it tries; a charge of
+    # |layer| x 6 per layer would have been 312
+    p = make_pmnr(3, 3, 3)
+    monkeypatch.setattr(invariants, "MAX_POSET_STEPS", 102)
+    assert poset_descent_polynomial(p) == h_poly_via_series(3, 3, 3)
+    monkeypatch.setattr(invariants, "MAX_POSET_STEPS", 101)
+    with pytest.raises(SizeGuardError, match="invariants.poset_descent_"
+                       r"polynomial: \d+ steps exceed guard 101"):
+        poset_descent_polynomial(p)
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+import sys
 import time
 import tracemalloc
 from itertools import chain, combinations, product
@@ -324,6 +326,41 @@ def test_width_holds_no_list_of_the_comparable_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 100 * p.n
+
+
+def recursive_matching_width(p):
+    """The width by the recursive augmenting search the library used
+    before: one Python frame per edge of an augmenting path."""
+    up, match, seen = p._up, [-1] * p.n, 0
+
+    def augment(a):
+        nonlocal seen
+        while free := up[a] & ~seen:
+            low = free & -free
+            seen |= low
+            b = low.bit_length() - 1
+            if match[b] == -1 or augment(match[b]):
+                match[b], seen = a, 0
+                return True
+        return False
+
+    return p.n - sum(map(augment, range(p.n)))
+
+
+def test_width_follows_long_augmenting_paths():
+    # random relations a < b < a + 50: augmenting paths run to hundreds
+    # of edges, past the default recursion limit of the recursive search
+    rng = random.Random(0)
+    p = Poset(2000, [(a, b) for a in range(2000)
+                     for b in range(a + 1, min(a + 50, 2000))
+                     if rng.random() < 0.1])
+    width = p.width()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert width == recursive_matching_width(p)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_impure_example():

@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import weakref
@@ -31,7 +32,8 @@ SWAP_M_N = (
     "    str.maketrans('MN', 'NM'))\n")
 
 #: each sabotage of a closed form or its oracle: the lowest level that
-#: catches it, the code that breaks it, the checks that must report it,
+#: catches it, the code that breaks it, the checks that must report it
+#: (each a name, or a name and a pattern its whole detail must match),
 #: and the size to verify if not (2, 2, 2)
 SABOTAGE = {
     "multiplicity-extensions": ("formulas", (
@@ -85,7 +87,9 @@ SABOTAGE = {
         "    sys.exit('the transfer mutation did not apply')\n"
         "exec(mutant, vars(multiset))\n"
         "invariants._descent_transfer = multiset._descent_transfer\n"),
-        ("h-poly-agreement", "macmahon", "multiplicity-extensions")),
+        # the two routes agree with each other, not with the series
+        (("h-poly-agreement", r"(?P<routes>[^/]+) / (?P=routes) / [^/]+"),
+         "macmahon", "multiplicity-extensions")),
     "duplicated-minor": ("formulas", (
         "real = generators.minor_basis\n"
         "generators.minor_basis = lambda m, n, r: (\n"
@@ -247,21 +251,18 @@ SABOTAGE = {
         "    sys.exit('the multichain mutation did not apply')\n"
         "exec(mutant, vars(invariants))\n"),
         ("hilbert-oracle",)),
-    # a division step memoised with the coefficient of the monomial's
-    # first occurrence: a later occurrence with another coefficient or
-    # sign subtracts the wrong multiple of the divisor
-    "step-memo-first-coefficient": ("groebner", (
+    # a normal-form memo that records each monomial on a chain as its own
+    # normal form: nothing is divided, and every remainder is its input
+    "normal-form-memo-keeps-each-monomial": ("groebner", (
         "import inspect\n"
-        "groebner._first = lambda step, coeff: step and tuple(\n"
-        "    (mono, coeff * c) for mono, c in step)\n"
-        "source = inspect.getsource(groebner._reduce)\n"
-        "mutant = source.replace('= _step(t, *prepared)',\n"
-        "                        '= _first(_step(t, *prepared), coeff)')\n"
-        "mutant = mutant.replace('- coeff * c', '- c')\n"
-        "if mutant.count('_first') != 1 or 'coeff * c' in mutant:\n"
+        "source = inspect.getsource(groebner.remainders)\n"
+        "mutant = source.replace('forms[v] = form', 'forms[v] = v')\n"
+        "if mutant == source:\n"
         "    sys.exit('the memo mutation did not apply')\n"
         "exec(mutant, vars(groebner))\n"),
-        ("groebner-basis",), (2, 2, 3)),
+        ("groebner-basis",
+         ("relations-reduce-to-zero", r"\S+ - \S+ does not reduce to zero")),
+        (2, 2, 3)),
     # an S-polynomial that adds its two halves: the leading terms are never
     # formed, so 2 * lc(f) * lc(g) * lcm goes missing instead of cancelling
     # and the result leaves the ideal
@@ -337,8 +338,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("series-one-term-short", False),
     ("multichain-key-past-top", True),
     ("multichain-key-past-top", False),
-    ("step-memo-first-coefficient", True),
-    ("step-memo-first-coefficient", False),
+    ("normal-form-memo-keeps-each-monomial", True),
+    ("normal-form-memo-keeps-each-monomial", False),
     ("s-polynomial-adds", True),
     ("s-polynomial-adds", False),
     ("quadric-matrices-unsorted", True),
@@ -357,7 +358,10 @@ def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     proc = run_sabotaged(code, level, optimize, *size)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     for name in checks:  # a line of its own, the first line too
+        name, pattern = (name, ".*") if isinstance(name, str) else name
         assert f"\nFAIL {name} (" in "\n" + proc.stdout
+        detail = re.search(rf"^FAIL {name} \((.*)\)$", proc.stdout, re.M)
+        assert re.fullmatch(pattern, detail[1]), detail[0]
     assert "Traceback" not in proc.stderr
 
 
