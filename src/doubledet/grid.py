@@ -6,6 +6,12 @@ is also the ring variable x[i,j,k] (see ``ring``).  This module holds the
 only definition of the order on it: ``comparable``, ``meet`` and ``join``
 give the sorting relations in ``generators`` and the oracles in
 ``verify``.  No Hasse diagram is ever materialized.
+
+The three order primitives take two (i, j, k) triples and nothing else:
+they unpack both and compare the coordinates one by one, because the
+listing checks call them for every pair of grid points.  The generic
+componentwise definitions they must agree with are the oracles of
+``tests/test_grid.py``.
 """
 
 from __future__ import annotations
@@ -25,16 +31,18 @@ def grid_points(m, n, r):
 
 def comparable(p, q):
     """True iff p <= q or q <= p componentwise."""
-    return (all(a <= b for a, b in zip(p, q))
-            or all(a >= b for a, b in zip(p, q)))
+    (a, b, c), (d, e, f) = p, q
+    return (a <= d and b <= e and c <= f) or (a >= d and b >= e and c >= f)
 
 
 def meet(p, q):
-    return tuple(map(min, p, q))
+    (a, b, c), (d, e, f) = p, q
+    return a if a <= d else d, b if b <= e else e, c if c <= f else f
 
 
 def join(p, q):
-    return tuple(map(max, p, q))
+    (a, b, c), (d, e, f) = p, q
+    return a if a >= d else d, b if b >= e else e, c if c >= f else f
 
 
 def count_comparable_pairs(m, n, r):

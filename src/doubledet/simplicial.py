@@ -263,25 +263,25 @@ def facet_word(blocks, m, n, r):
     its paths: the one encoder.  Rejects blocks whose paths break; it does
     not check that the word's facet has exactly these vertices
     (``facet_from_vertices`` does)."""
-    words = []
+    word = ""
     for k, block in enumerate(blocks, start=1):
         if not block:
             raise ValueError(f"no vertices in matrix {k}: not a facet")
-        steps = []
+        if k > 1:
+            word += "R"
         row, col = block[0]
         for next_row, next_col in block[1:]:
             if next_col == col and next_row == row - 1:
-                steps.append("M")
+                word += "M"
             elif next_row == row and next_col == col + 1:
-                steps.append("N")
+                word += "N"
             else:
                 raise ValueError(
                     f"vertices {vertex_str((row, col))} and "
                     f"{vertex_str((next_row, next_col))} are not one step "
                     "apart: not a facet")
             row, col = next_row, next_col
-        words.append("".join(steps))
-    return "R".join(words)
+    return word
 
 
 def facet_from_vertices(vertices, m, n, r):
@@ -324,26 +324,26 @@ def extension_word(blocks, m, n, r):
     # its first point, or 1 for k = r) to (row of matrix k+1's first point,
     # or 1; column of matrix k-1's first point, or n).  Columns stay
     # absolute: the walk starts and ends offset into matrix k's columns
-    words = []
+    word = ""
     end_col, offset = n, 0
     for k, (block, (first_row, first_col)) in enumerate(zip(blocks, firsts),
                                                         start=1):
+        if k > 1:
+            word += "R"
         r1 = first_row if k > 1 else m
         c1 = (first_col if k < r else 1) + offset
-        steps = []
         for r2, c2 in block or ((first_row, first_col + offset),):
             if r1 < r2 or c1 > c2:
                 raise _no_path(k, offset, r1, c1, r2, c2)
-            steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
+            word += "M" * (r1 - r2) + "N" * (c2 - c1)
             r1, c1 = r2, c2
         r2, c2 = firsts[k][0] if k < r else 1, end_col + offset
         if r1 < r2 or c1 > c2:
             raise _no_path(k, offset, r1, c1, r2, c2)
-        steps.append("M" * (r1 - r2) + "N" * (c2 - c1))
-        words.append("".join(steps))
+        word += "M" * (r1 - r2) + "N" * (c2 - c1)
         end_col = first_col
         offset += n
-    return "R".join(words)
+    return word
 
 
 def _no_path(k, offset, r1, c1, r2, c2):

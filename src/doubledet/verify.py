@@ -67,12 +67,12 @@ def _entries_at_positions(minor, m, n):
     (c - 1) // n + 1, and row c of V splits the same way with m."""
     (row1, row2), (col1, col2) = minor.rows, minor.cols
     if minor.source == "H":
-        def at(i, c):
-            return i, (c - 1) % n + 1, (c - 1) // n + 1
-    else:
-        def at(c, j):
-            return (c - 1) % m + 1, j, (c - 1) // m + 1
-    return at(row1, col1), at(row1, col2), at(row2, col1), at(row2, col2)
+        (k1, j1), (k2, j2) = divmod(col1 - 1, n), divmod(col2 - 1, n)
+        return ((row1, j1 + 1, k1 + 1), (row1, j2 + 1, k2 + 1),
+                (row2, j1 + 1, k1 + 1), (row2, j2 + 1, k2 + 1))
+    (k1, i1), (k2, i2) = divmod(row1 - 1, m), divmod(row2 - 1, m)
+    return ((i1 + 1, col1, k1 + 1), (i1 + 1, col2, k1 + 1),
+            (i2 + 1, col1, k2 + 1), (i2 + 1, col2, k2 + 1))
 
 
 def build_checks(m, n, r, level, budget):

@@ -10,6 +10,29 @@ from doubledet.grid import (comparable, count_comparable_pairs, grid_points,
                             join, lattice_isomorphic_to_ideals, meet)
 
 
+def comparable_oracle(p, q):
+    """The generic componentwise order, on points of any length."""
+    return (all(a <= b for a, b in zip(p, q))
+            or all(a >= b for a, b in zip(p, q)))
+
+
+def meet_oracle(p, q):
+    return tuple(map(min, p, q))
+
+
+def join_oracle(p, q):
+    return tuple(map(max, p, q))
+
+
+@pytest.mark.parametrize("size", [(3, 3, 3), (2, 4, 1), (1, 1, 5)])
+def test_order_primitives_are_the_componentwise_definitions(size):
+    points = grid_points(*size)
+    for p, q in product(points, repeat=2):
+        assert comparable(p, q) is comparable_oracle(p, q), (p, q)
+        assert meet(p, q) == meet_oracle(p, q), (p, q)
+        assert join(p, q) == join_oracle(p, q), (p, q)
+
+
 def comparable_pairs_bruteforce(m, n, r):
     """Oracle: unordered pairs (including a point with itself)."""
     points = grid_points(m, n, r)

@@ -68,6 +68,21 @@ SABOTAGE = {
         "        previous = facet\n"
         "simplicial.facets = facets\n"),
         ("facet-count-purity",), (4, 4, 5)),
+    # grid.comparable asking p <= q to rise strictly in the matrix index: a
+    # pair of one matrix, listed lower point first, is no longer comparable,
+    # so the pair count drops and the pair becomes a relation whose two
+    # terms are equal
+    "comparable-strict-matrix": ("formulas", (
+        "import inspect\n"
+        "from doubledet import grid\n"
+        "source = inspect.getsource(grid.comparable)\n"
+        "mutant = source.replace('c <= f', 'c < f')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the order mutation did not apply')\n"
+        "exec(mutant, vars(grid))\n"),
+        (("comparable-pairs", r"17 != 27"),
+         ("families-vs-sorting-relations",
+          r"ValueError: binomial terms must differ"))),
     # the listed extensions are the brute-force oracle of the recursion
     "h-poly-agreement": ("formulas", (
         "from doubledet.intpoly import IntPolynomial\n"
@@ -352,6 +367,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("h-minor-printed-column", False),
     ("v-minor-printed-row", True),
     ("v-minor-printed-row", False),
+    ("comparable-strict-matrix", True),
+    ("comparable-strict-matrix", False),
 ])
 def test_sabotage_gives_fail_line_and_exit_1(sabotage, optimize):
     level, code, checks, *size = SABOTAGE[sabotage]
