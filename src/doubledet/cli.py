@@ -4,15 +4,16 @@ One subcommand per computation plus `verify`, which runs the cross-checking
 harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
-as it is decoded and holds no catalog, and `verify` writes each check's
-outcome as the check returns, in every format.  Each subcommand
-imports the library modules it runs on first use, and `csv` only for
---format csv, so importing this module loads `doubledet.errors` alone
-and `hpoly` never loads the checks of `verify`.  Exit status:
-0 success, 1 failed verification, 2 invalid input, exhausted budget or a
-listing over its fixed cap, 141 (128 + SIGPIPE, as a shell reports a
-process killed by it) when the reader closes stdout before the output
-ends.
+as the stream yields it and holds no catalog; with --format json, each
+facet's text is put together from memoised vertex and profile texts.
+`verify` writes each check's outcome as the check returns, in every
+format.  Each subcommand imports the library modules it runs on first
+use, and `csv` only for --format csv, so importing this module loads
+`doubledet.errors` alone and `hpoly` never loads the checks of `verify`.
+Exit status: 0 success, 1 failed verification, 2 invalid input,
+exhausted budget or a listing over its fixed cap, 141 (128 + SIGPIPE, as
+a shell reports a process killed by it) when the reader closes stdout
+before the output ends.
 
 Every invocation pays a fixed cost around its command: the interpreter's
 start with its site imports, the import of this module, the parser (ten
@@ -125,14 +126,24 @@ JSON_CHUNK = 64 * 1024
 JSON_BATCH = 32
 
 
+class _Encoded:
+    """An array given as the compact JSON texts of its elements."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts):
+        self.texts = texts
+
+
 def _dump_json(value):
     """Print ``value`` as compact JSON, with the bytes of ``json.dumps``.
 
-    A value that is not a dict is an array: its elements are encoded in
-    batches of ``JSON_BATCH``, one call of the C encoder per batch with
-    the batch's brackets cut off, and written in chunks of at least
-    ``JSON_CHUNK`` characters.  So a long stream (the facet catalog) is
-    never held whole, and the encoder and the pipe see few large calls.
+    An ``_Encoded`` value is an array whose element texts are written as
+    they come (see ``_write_array``).  Any other value that is not a dict
+    is an array whose elements are encoded in batches of ``JSON_BATCH``,
+    one call of the C encoder per batch with the batch's brackets cut off,
+    and each batch's text goes through ``_write_array``.  So a long stream
+    is never held whole, and the encoder and the pipe see few large calls.
 
     In a dict, whose keys are strings, a member that is an iterator is
     written as an array one element at a time, each element before the
@@ -148,6 +159,9 @@ def _dump_json(value):
     numbers and bools built for this one write, so it holds no cycle and
     the encoder skips the cycle check.
     """
+    if isinstance(value, _Encoded):
+        _write_array(value.texts)
+        return
     encode = json.JSONEncoder(separators=(",", ":"),
                               check_circular=False).encode
     if isinstance(value, dict):
@@ -168,9 +182,16 @@ def _dump_json(value):
         print(text + "}")
         return
     items = iter(value)
+    batches = iter(lambda: list(itertools.islice(items, JSON_BATCH)), [])
+    _write_array(encode(batch)[1:-1] for batch in batches)
+
+
+def _write_array(texts):
+    """Print a JSON array and a newline from the texts of its elements
+    (each text may hold several elements, comma-separated), in writes of
+    at least ``JSON_CHUNK`` characters but the last."""
     parts, size, sep = [], 0, "["
-    while batch := list(itertools.islice(items, JSON_BATCH)):
-        text = encode(batch)[1:-1]
+    for text in texts:
         parts += (sep, text)
         sep, size = ",", size + len(text) + 1
         if size >= JSON_CHUNK:
@@ -178,6 +199,19 @@ def _dump_json(value):
             parts, size = [], 0
     parts.append("]\n" if sep == "," else "[]\n")
     sys.stdout.write("".join(parts))
+
+
+class _Memo(dict):
+    """A dict that fills each missing key with ``text(key)`` on first
+    use, so it holds only the keys met."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, key):
+        self[key] = value = self.text(key)
+        return value
 
 
 def _join(values):
@@ -211,6 +245,20 @@ def _facet_json(facet):
     # the encoder writes tuples as arrays, so nothing is copied into lists
     return {"word": facet.word, "vertices": sorted(facet.vertices),
             "g": facet.g, "h": facet.h}
+
+
+def _facet_texts(catalog):
+    """Each facet's compact JSON, the text ``json.dumps`` gives its
+    ``_facet_json``, from two memos of the catalog: the vertices' texts
+    and the profiles' (g and h) texts.  A word uses only M, N and R, so
+    it needs no escaping."""
+    vertex_texts = _Memo("[%d,%d]".__mod__)
+    profile_texts = _Memo(lambda profile: ",".join(map(str, profile)))
+    for facet in catalog:
+        yield '{"word":"%s","vertices":[%s],"g":[%s],"h":[%s]}' % (
+            facet.word,
+            ",".join(map(vertex_texts.__getitem__, sorted(facet.vertices))),
+            profile_texts[facet.g], profile_texts[facet.h])
 
 
 def _facet_paths_text(facet):
@@ -348,7 +396,7 @@ def cmd_facets(args):
     # the first facet runs the budget check, so a refusal precedes the
     # CSV header; every catalog has at least one facet
     catalog = itertools.chain([next(stream)], stream)
-    _emit(args, lambda: map(_facet_json, catalog), FACET_HEADER,
+    _emit(args, lambda: _Encoded(_facet_texts(catalog)), FACET_HEADER,
           lambda: (_facet_row(i, f) for i, f in enumerate(catalog, start=1)),
           lambda: ((f"{f.word}: {_facet_paths_text(f)}" for f in catalog)
                    if args.style == "paths" else (f.word for f in catalog)))

@@ -15,6 +15,11 @@ and n by the M's resp. N's of each sub-word.  ``_step``, the one path
 builder, walks path k from the state (g_{k-1}, h_{k-1}) and checks its
 corner; ``_assemble``, the one assembler, checks the vertex count.
 ``Facet`` (one word) and ``facets`` (the catalog) build through both.
+``facets`` streams: it holds the current prefix (matrices 1..r-1) and its
+pending choices, plus a table of matrix r's paths per box (g_{r-1},
+h_{r-1}), since matrix r spends every letter left.  The table holds at
+most C(m+n, n) paths, whatever r and the catalog's size, and leaves out
+any box of more than ``MAX_TABLED_PATHS``.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
@@ -159,7 +164,8 @@ class Facet:
             g.append(bottom)
             h.append(left)
             paths.append(path)
-        _assemble(self, m, n, r, word, tuple(g), tuple(h), tuple(paths))
+        _assemble(self, m, n, r, word, tuple(g), tuple(h), tuple(paths),
+                  frozenset(chain.from_iterable(paths)))
 
     def __eq__(self, other):
         if isinstance(other, Facet):
@@ -194,68 +200,112 @@ def _step(k, sub, n, top, right):
     return bottom, left, tuple(path)
 
 
-def _assemble(facet, m, n, r, word, g, h, paths):
-    """``facet`` with its fields set, its vertices the union of its paths.
-    Raises ArithmeticError unless there are m+n+r-2."""
+def _assemble(facet, m, n, r, word, g, h, paths, vertices):
+    """``facet`` with its fields set; ``vertices`` is the union of its
+    paths.  Raises ArithmeticError unless there are m+n+r-2."""
     facet.m, facet.n, facet.r, facet.word = m, n, r, word
     facet.g, facet.h, facet.paths = g, h, paths
-    facet.vertices = vertices = frozenset(chain.from_iterable(paths))
+    facet.vertices = vertices
     if len(vertices) != m + n + r - 2:
         raise ArithmeticError(f"{word} has {len(vertices)} vertices")
     return facet
 
 
+#: the most paths of matrix r that ``facets`` keeps for one box.  The
+#: paths of a bigger box are built per prefix and never held: with r = 1
+#: the one box is the whole catalog, met once
+MAX_TABLED_PATHS = 1024
+
+
 def facets(m, n, r, budget=DEFAULT_BUDGET):
     """Yield every facet once, in lexicographic word order (M < N < R).
 
-    An odometer: matrix k's state (g_{k-1}, h_{k-1}) leaves g_{k-1}-1 M's
-    and h_{k-1}-1 N's, and its choices are the sub-words on at most that
-    many (exactly, for k = r), depth first, M before N.  A sub-word comes
-    after its extensions, which first differ from it where it has R (or
-    ends), as R sorts above M and N: so the words come out in order.  A
-    choice's path is built, and its corner checked, once per visit of its
-    prefix; each facet's vertex count is checked as it is assembled.  Only
-    the current prefix and its pending choices are held.
+    ``_prefixes`` yields the words of matrices 1..r-1 in order.  Matrix r
+    spends every letter left, so its sub-words and paths depend only on
+    its box (g_{r-1}, h_{r-1}): they are built in word order, each path's
+    corner checked by ``_step``, once per box that is met, and kept in a
+    per-box table.  The table holds at most C(m+n, n) paths, whatever r
+    and the size of the catalog; a box of more than ``MAX_TABLED_PATHS``
+    is not kept, and its paths are built once per prefix.  Each prefix's
+    facets share its g and h (g_r = h_r = 1); each facet's vertices are
+    the prefix's set and its path, and their count is checked as the
+    facet is assembled.  Besides the table, only the current prefix and
+    its pending choices are held.
     """
     check_sizes(m, n, r)
     bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
           "facets", BudgetExceededError)
     new = Facet.__new__
+    table = {}  # box -> matrix r's (sub-word, path) pairs, in word order
+    for word, g, h, paths in _prefixes(m, n, r):
+        box = top, right = g[-1], h[-1]
+        tail = table.get(box)
+        if tail is None:
+            tail = ((sub, _step(r, sub, n, top, right)[2])
+                    for sub in _subwords(top - 1, right - 1))
+            if comb(top + right - 2, top - 1) <= MAX_TABLED_PATHS:
+                tail = table[box] = list(tail)
+        g, h = g + (1,), h + (1,)
+        union = frozenset(chain.from_iterable(paths)).union
+        for sub, path in tail:
+            yield _assemble(new(Facet), m, n, r, word + sub, g, h,
+                            paths + (path,), union(path))
+
+
+def _prefixes(m, n, r):
+    """Yield (word, g, h, paths) for matrices 1..r-1 of every facet, each
+    prefix once, in word order: the word with an R after each sub-word,
+    g and h up to g_{r-1} and h_{r-1}, and the r-1 paths.
+
+    An odometer: matrix k's state (g_{k-1}, h_{k-1}) leaves g_{k-1}-1 M's
+    and h_{k-1}-1 N's, and its choices are the sub-words on at most that
+    many, depth first, M before N.  A sub-word comes after its
+    extensions, which first differ from it where it has R, as R sorts
+    above M and N: so the prefixes come out in order.  A choice's path is
+    built, and its corner checked, once per visit of its prefix.
+    """
+    if r == 1:
+        yield "", (m,), (n,), ()
+        return
     # the chosen sub-words (each with its R), g, h and paths of matrices
-    # 1..k-1; those of matrices 1..r-1 as one word and three tuples
+    # 1..k-1
     subs, g, h, paths = [], [m], [n], []
-    last = "", (m,), (n,), ()
     # sub-words to visit, last pushed first: (k, sub-word, M's and N's
-    # left); for k < r, (k, sub-word, None, None) chooses the sub-word,
-    # pushed before its extensions so that it is met after them
+    # left); (k, sub-word, None, None) chooses the sub-word, pushed before
+    # its extensions so that it is met after them
     pending = [(1, "", m - 1, n - 1)]
     while pending:
         k, sub, i, j = pending.pop()
-        if k == r:  # matrix r spends every letter left, so once one kind
-            if i and j:  # runs out the other ends the sub-word
-                pending += (k, sub + "N", i, j - 1), (k, sub + "M", i - 1, j)
-                continue
-            sub += "M" * i + "N" * j
-            word, gs, hs, ps = last
-            bottom, left, path = _step(k, sub, n, gs[-1], hs[-1])
-            yield _assemble(new(Facet), m, n, r, word + sub, gs + (bottom,),
-                            hs + (left,), ps + (path,))
-        elif i is not None:
+        if i is not None:
             pending.append((k, sub, None, None))
             if j:
                 pending.append((k, sub + "N", i, j - 1))
             if i:
                 pending.append((k, sub + "M", i - 1, j))
-        else:  # choose sub for matrix k: visit every facet below it
-            del subs[k - 1:], g[k:], h[k:], paths[k - 1:]
-            bottom, left, path = _step(k, sub, n, g[-1], h[-1])
-            subs.append(sub + "R")
-            g.append(bottom)
-            h.append(left)
-            paths.append(path)
-            if k + 1 == r:
-                last = "".join(subs), tuple(g), tuple(h), tuple(paths)
+            continue
+        # choose sub for matrix k: visit every prefix below it
+        del subs[k - 1:], g[k:], h[k:], paths[k - 1:]
+        bottom, left, path = _step(k, sub, n, g[-1], h[-1])
+        subs.append(sub + "R")
+        g.append(bottom)
+        h.append(left)
+        paths.append(path)
+        if k + 1 == r:
+            yield "".join(subs), tuple(g), tuple(h), tuple(paths)
+        else:
             pending.append((k + 1, "", bottom - 1, left - 1))
+
+
+def _subwords(i, j):
+    """Yield the words on exactly i M's and j N's in lexicographic order
+    (M < N): once one kind runs out, the other ends the word."""
+    pending = [("", i, j)]
+    while pending:
+        sub, i, j = pending.pop()
+        if i and j:
+            pending += (sub + "N", i, j - 1), (sub + "M", i - 1, j)
+        else:
+            yield sub + "M" * i + "N" * j
 
 
 def facet_word(blocks, m, n, r):

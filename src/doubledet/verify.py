@@ -40,8 +40,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
-from . import (generators, grid, groebner, invariants, poset, simplicial,
-               sorting)
+from . import generators, grid, invariants, poset, simplicial, sorting
 from .errors import (LEVELS, MAX_LISTED, BudgetExceededError, CheckFailed,
                      SizeGuardError, bound)
 from .intpoly import IntPolynomial
@@ -396,6 +395,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("groebner-basis", tier=2)
     def groebner_certificate():
+        from . import groebner
         basis = minors()[0]
         _require(groebner.verify_groebner(basis, m, n, r, budget=budget),
                  "an S-polynomial does not reduce to zero")
@@ -403,6 +403,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("initial-ideal-match", tier=2)
     def initial_ideal_match():
+        from . import groebner
         lts = groebner.initial_ideal_minimal_generators(minors()[0])
         as_pairs = {frozenset(simplicial.vertex_for_variable(v, n)
                               for v in mono) for mono in lts}
@@ -412,6 +413,7 @@ def build_checks(m, n, r, level, budget):
 
     @check("relations-reduce-to-zero", tier=2)
     def relations_reduce():
+        from . import groebner
         rels = relations()  # first: too many of both skips on relations
         basis = [groebner.SparsePoly.from_binomial(b) for b in minors()[0]]
         polys = (groebner.SparsePoly.from_binomial(rel) for rel in rels)

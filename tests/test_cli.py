@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import doubledet
-from doubledet import cli, invariants, poset, verify
+from doubledet import cli, invariants, poset, simplicial, verify
 from doubledet.errors import (DEFAULT_BUDGET, MAX_LISTED, CheckFailed,
                              SizeGuardError)
 from doubledet.intpoly import IntPolynomial
@@ -107,6 +107,21 @@ def test_facets_json(capsys):
     assert len(payload) == 6
     assert all(set(item) == {"word", "vertices", "g", "h"}
                for item in payload)
+
+
+# one point, one matrix, one row, one column, a small board, the three
+# orientations of the benchmark's catalog, and one past JSON_CHUNK
+@pytest.mark.parametrize("m, n, r", [
+    (1, 1, 1), (1, 1, 5), (4, 1, 1), (1, 4, 1), (2, 3, 1), (3, 3, 3),
+    (5, 5, 4), (5, 4, 5), (4, 5, 5), (4, 4, 5)])
+def test_facets_json_is_json_dumps_of_each_facet(m, n, r, capsys):
+    code, out, _ = run(capsys, "facets", str(m), str(n), str(r), "-f", "json")
+    assert code == 0
+    assert out == json.dumps(
+        [cli._facet_json(facet) for facet in simplicial.facets(m, n, r)],
+        separators=(",", ":")) + "\n"
+    if (m, n, r) == (4, 4, 5):
+        assert len(out) > cli.JSON_CHUNK
 
 
 def test_facets_budget_exit_2(capsys):
@@ -358,6 +373,7 @@ def test_generators_minors_csv(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("facets", "1", "1", "1200"),
+    ("facets", "1", "1", "1200", "-f", "json"),
     ("hpoly", "1", "1", "1200", "--method", "all"),
 ])
 def test_long_words_need_no_recursion(argv):
@@ -409,6 +425,20 @@ def test_commands_load_only_the_modules_they_run():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0], []]
+
+
+def test_verify_below_the_groebner_tier_loads_no_groebner():
+    # a fresh interpreter: this one has loaded every module already
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from doubledet import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '2', '2', '2', '--level', 'complex'])\n"
+        "print(json.dumps([code, 'doubledet.groebner' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False]
 
 
 def test_the_package_reexports_nothing():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import re
 import tracemalloc
 from collections import deque
@@ -164,6 +165,47 @@ def test_stream_matches_the_word_decoder(m, n, r):
     decoded = [Facet(m, n, r, "".join(word))
                for word in multiset_permutations(letters)]
     assert list(map(fields, facets(m, n, r))) == list(map(fields, decoded))
+
+
+@pytest.mark.parametrize("tabled", [0, 3])
+@pytest.mark.parametrize("m, n, r", [(3, 3, 3), (2, 3, 1), (4, 3, 2)])
+def test_untabled_boxes_stream_the_same(m, n, r, tabled, monkeypatch):
+    # no box tabled, or only boxes of at most 3 paths: the rest are built
+    # per prefix
+    expected = list(map(fields, facets(m, n, r)))
+    monkeypatch.setattr(simplicial, "MAX_TABLED_PATHS", tabled)
+    assert list(map(fields, facets(m, n, r))) == expected
+
+
+@pytest.mark.parametrize("tabled", [0, simplicial.MAX_TABLED_PATHS])
+def test_matrix_r_paths_check_their_corner(tabled, monkeypatch):
+    # a walk that overshoots by one column at each right step of matrix 3
+    # only: matrix 3's paths are built once per box, and the check bites
+    source = inspect.getsource(simplicial._step)
+    mutant = source.replace("col += 1", "col += 1 + (k == 3)")
+    assert mutant != source
+    namespace = dict(vars(simplicial))
+    exec(mutant, namespace)
+    monkeypatch.setattr(simplicial, "_step", namespace["_step"])
+    monkeypatch.setattr(simplicial, "MAX_TABLED_PATHS", tabled)
+    assert len(list(facets(2, 2, 2))) == 6  # no matrix 3 to walk
+    with pytest.raises(ArithmeticError, match="path 3 along"):
+        list(facets(2, 2, 3))
+
+
+def test_a_one_matrix_catalog_is_not_held():
+    # 12,870 facets in one box, past MAX_TABLED_PATHS: tabled, its paths
+    # would peak near 15 MiB
+    assert comb(16, 8) > simplicial.MAX_TABLED_PATHS
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        deque(facets(9, 9, 1), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 256 * 2 ** 10, f"peak {peak - start} B"
 
 
 def test_the_stream_holds_only_its_prefix():
