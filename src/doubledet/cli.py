@@ -5,15 +5,15 @@ harness of `doubledet.verify`.  Each subcommand hands its result to
 `_emit`, the only code that writes a result to stdout: text by default,
 or --format json/csv with stable key order.  `facets` writes each facet
 as the stream yields it and holds no catalog; with --format json, each
-facet's text is put together from memoised vertex and profile texts.
-`verify` writes each check's outcome as the check returns, in every
-format.  Each subcommand imports the library modules it runs on first
-use, and `csv` only for --format csv, so importing this module loads
-`doubledet.errors` alone and `hpoly` never loads the checks of `verify`.
-Exit status: 0 success, 1 failed verification, 2 invalid input,
-exhausted budget or a listing over its fixed cap, 141 (128 + SIGPIPE, as
-a shell reports a process killed by it) when the reader closes stdout
-before the output ends.
+facet's text is put together from memoised vertex and profile texts, in
+memos of bounded size.  `verify` writes each check's outcome as the
+check returns, in every format.  Each subcommand imports the library
+modules it runs on first use, and `csv` only for --format csv, so
+importing this module loads `doubledet.errors` alone and `hpoly` never
+loads the checks of `verify`.  Exit status: 0 success, 1 failed
+verification, 2 invalid input, exhausted budget or a listing over its
+fixed cap, 141 (128 + SIGPIPE, as a shell reports a process killed by
+it) when the reader closes stdout before the output ends.
 
 Every invocation pays a fixed cost around its command: the interpreter's
 start with its site imports, the import of this module, the parser (ten
@@ -201,16 +201,30 @@ def _write_array(texts):
     sys.stdout.write("".join(parts))
 
 
+#: characters of text a ``_Memo`` holds before it is emptied: every text
+#: of the 6 x 6 x 6 catalog's memos (1,242 vertex and 3,276 profile
+#: characters) fits, and a full memo of vertex texts takes about 100 KiB
+MEMO_CHARS = 4 * 1024
+
+
 class _Memo(dict):
     """A dict that fills each missing key with ``text(key)`` on first
-    use, so it holds only the keys met."""
+    use, so it holds only the keys met, and empties itself when the texts
+    it holds pass ``MEMO_CHARS`` characters: a text and its key grow
+    together, so the memo stays small however many keys a catalog
+    meets."""
 
     def __init__(self, text):
         super().__init__()
-        self.text = text
+        self.text, self.size = text, 0
 
     def __missing__(self, key):
-        self[key] = value = self.text(key)
+        value = self.text(key)
+        self.size += len(value)
+        if self.size > MEMO_CHARS:
+            self.clear()
+            self.size = len(value)
+        self[key] = value
         return value
 
 
@@ -249,9 +263,9 @@ def _facet_json(facet):
 
 def _facet_texts(catalog):
     """Each facet's compact JSON, the text ``json.dumps`` gives its
-    ``_facet_json``, from two memos of the catalog: the vertices' texts
-    and the profiles' (g and h) texts.  A word uses only M, N and R, so
-    it needs no escaping."""
+    ``_facet_json``, from two ``_Memo``s of the catalog: the vertices'
+    texts and the profiles' (g and h) texts.  A word uses only M, N and
+    R, so it needs no escaping."""
     vertex_texts = _Memo("[%d,%d]".__mod__)
     profile_texts = _Memo(lambda profile: ",".join(map(str, profile)))
     for facet in catalog:

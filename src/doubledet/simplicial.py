@@ -18,8 +18,8 @@ corner; ``_assemble``, the one assembler, checks the vertex count.
 ``facets`` streams: it holds the current prefix (matrices 1..r-1) and its
 pending choices, plus a table of matrix r's paths per box (g_{r-1},
 h_{r-1}), since matrix r spends every letter left.  The table holds at
-most C(m+n, n) paths, whatever r and the catalog's size, and leaves out
-any box of more than ``MAX_TABLED_PATHS``.
+most ``TABLED_VERTICES`` vertices over all its paths, whatever the board,
+r and the catalog's size.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
@@ -211,10 +211,12 @@ def _assemble(facet, m, n, r, word, g, h, paths, vertices):
     return facet
 
 
-#: the most paths of matrix r that ``facets`` keeps for one box.  The
-#: paths of a bigger box are built per prefix and never held: with r = 1
-#: the one box is the whole catalog, met once
-MAX_TABLED_PATHS = 1024
+#: the most vertices, summed over its paths, that ``facets``' table of
+#: matrix r's paths holds.  A held vertex costs 70-100 bytes (tracemalloc,
+#: boxes of 5 x 5 to 2 x 200), so a full table takes at most about
+#: 200 KiB; the whole table of a 5 x 5 board, 1,849 vertices in 251
+#: paths, fits.  A box that does not fit is built per prefix
+TABLED_VERTICES = 2048
 
 
 def facets(m, n, r, budget=DEFAULT_BUDGET):
@@ -223,27 +225,30 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
     ``_prefixes`` yields the words of matrices 1..r-1 in order.  Matrix r
     spends every letter left, so its sub-words and paths depend only on
     its box (g_{r-1}, h_{r-1}): they are built in word order, each path's
-    corner checked by ``_step``, once per box that is met, and kept in a
-    per-box table.  The table holds at most C(m+n, n) paths, whatever r
-    and the size of the catalog; a box of more than ``MAX_TABLED_PATHS``
-    is not kept, and its paths are built once per prefix.  Each prefix's
-    facets share its g and h (g_r = h_r = 1); each facet's vertices are
-    the prefix's set and its path, and their count is checked as the
-    facet is assembled.  Besides the table, only the current prefix and
-    its pending choices are held.
+    corner checked by ``_step``.  A box first met is kept in a per-box
+    table if its paths' vertices, C(top+right-2, top-1) paths of
+    top+right-1 each, fit in what the table has left of
+    ``TABLED_VERTICES``; any other box's paths are built once per prefix
+    and not kept.  Each prefix's facets share its g and h (g_r = h_r =
+    1); each facet's vertices are the prefix's set and its path, and
+    their count is checked as the facet is assembled.  Besides the table,
+    only the current prefix and its pending choices are held.
     """
     check_sizes(m, n, r)
     bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
           "facets", BudgetExceededError)
     new = Facet.__new__
     table = {}  # box -> matrix r's (sub-word, path) pairs, in word order
+    room = TABLED_VERTICES
     for word, g, h, paths in _prefixes(m, n, r):
         box = top, right = g[-1], h[-1]
         tail = table.get(box)
         if tail is None:
             tail = ((sub, _step(r, sub, n, top, right)[2])
                     for sub in _subwords(top - 1, right - 1))
-            if comb(top + right - 2, top - 1) <= MAX_TABLED_PATHS:
+            size = comb(top + right - 2, top - 1) * (top + right - 1)
+            if size <= room:
+                room -= size
                 tail = table[box] = list(tail)
         g, h = g + (1,), h + (1,)
         union = frozenset(chain.from_iterable(paths)).union

@@ -1,7 +1,9 @@
 import ast
 import contextlib
 import csv
+import gc
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -9,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -147,6 +150,23 @@ def test_facets_holds_no_catalog(fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_facet_texts_hold_no_profile_per_matrix():
+    # a 2 x 2 board with r matrices: its first 2r+2 facets meet 2r
+    # profiles of r+1 entries each, which an unbounded memo would hold:
+    # near 600 KiB at r = 200, and growing as r squared
+    r = 200
+    texts = cli._facet_texts(simplicial.facets(2, 2, r))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        deque(itertools.islice(texts, 2 * r + 2), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 384 * 2 ** 10, f"peak {peak - start} B"
 
 
 def _elements(count):

@@ -167,18 +167,18 @@ def test_stream_matches_the_word_decoder(m, n, r):
     assert list(map(fields, facets(m, n, r))) == list(map(fields, decoded))
 
 
-@pytest.mark.parametrize("tabled", [0, 3])
+@pytest.mark.parametrize("room", [0, 20])
 @pytest.mark.parametrize("m, n, r", [(3, 3, 3), (2, 3, 1), (4, 3, 2)])
-def test_untabled_boxes_stream_the_same(m, n, r, tabled, monkeypatch):
-    # no box tabled, or only boxes of at most 3 paths: the rest are built
-    # per prefix
+def test_untabled_boxes_stream_the_same(m, n, r, room, monkeypatch):
+    # no box tabled, or only the boxes that fit in 20 vertices: the rest
+    # are built per prefix
     expected = list(map(fields, facets(m, n, r)))
-    monkeypatch.setattr(simplicial, "MAX_TABLED_PATHS", tabled)
+    monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
     assert list(map(fields, facets(m, n, r))) == expected
 
 
-@pytest.mark.parametrize("tabled", [0, simplicial.MAX_TABLED_PATHS])
-def test_matrix_r_paths_check_their_corner(tabled, monkeypatch):
+@pytest.mark.parametrize("room", [0, simplicial.TABLED_VERTICES])
+def test_matrix_r_paths_check_their_corner(room, monkeypatch):
     # a walk that overshoots by one column at each right step of matrix 3
     # only: matrix 3's paths are built once per box, and the check bites
     source = inspect.getsource(simplicial._step)
@@ -187,21 +187,21 @@ def test_matrix_r_paths_check_their_corner(tabled, monkeypatch):
     namespace = dict(vars(simplicial))
     exec(mutant, namespace)
     monkeypatch.setattr(simplicial, "_step", namespace["_step"])
-    monkeypatch.setattr(simplicial, "MAX_TABLED_PATHS", tabled)
+    monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
     assert len(list(facets(2, 2, 2))) == 6  # no matrix 3 to walk
     with pytest.raises(ArithmeticError, match="path 3 along"):
         list(facets(2, 2, 3))
 
 
-def test_a_one_matrix_catalog_is_not_held():
-    # 12,870 facets in one box, past MAX_TABLED_PATHS: tabled, its paths
-    # would peak near 15 MiB
-    assert comb(16, 8) > simplicial.MAX_TABLED_PATHS
+# one box of 12,870 paths met once, and 79 boxes of up to 79 paths, each
+# met once: held, their paths would peak near 15 and 12 MiB
+@pytest.mark.parametrize("m, n, r", [(9, 9, 1), (2, 80, 2)])
+def test_the_table_is_bounded_whatever_the_catalog(m, n, r):
     tracemalloc.start()
     try:
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
-        deque(facets(9, 9, 1), maxlen=0)
+        deque(facets(m, n, r), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
