@@ -241,6 +241,8 @@ def parse_poset_text(text):
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad cover relation line: {ln!r}") from None
+        if a == b:  # no element covers itself
+            raise ValueError(f"bad cover relation line: {ln!r}")
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"label out of range in line: {ln!r}")
         relations.append((a - 1, b - 1))

@@ -69,9 +69,11 @@ def vertex_for_variable(v, n):
 def _layout(col, n):
     """(k - 1, j - 1) for board column col: column j of matrix k.
 
-    ``read_face`` (block ``(col - 1) // n``) and ``extension_word``
-    (in-block column ``col - offset``) inline the same split in their
-    per-vertex loops, so a change of board layout touches all three."""
+    ``read_face`` inlines the same split (block ``(col - 1) // n``) in
+    its per-vertex loop.  ``extension_word`` works in board columns and
+    inlines it only in its error text (in-block column ``col - k * n``)
+    and its fillers' ``k * n`` offsets.  A change of board layout touches
+    all three."""
     return divmod(col - 1, n)
 
 
@@ -343,7 +345,13 @@ def facet_from_vertices(vertices, m, n, r):
     """Reconstruct a facet from its vertex set; rejects sets that are not
     facets (wrong block structure, broken paths, stray vertices)."""
     verts, blocks = read_face(vertices, m, n, r)
-    facet = Facet(m, n, r, facet_word(blocks, m, n, r))
+    word = facet_word(blocks, m, n, r)  # r-1 R's, one per block boundary
+    ups, rights = word.count("M"), word.count("N")
+    if (ups, rights) != (m - 1, n - 1):
+        raise ValueError(f"vertex set is not a facet: its paths spell "
+                         f"{word!r}, with {ups} M's and {rights} N's, "
+                         f"not {m - 1} and {n - 1}")
+    facet = Facet(m, n, r, word)
     if facet.vertices != verts:
         raise ValueError("vertex set does not match its path decomposition")
     return facet
@@ -351,62 +359,48 @@ def facet_from_vertices(vertices, m, n, r):
 
 def extension_word(blocks, m, n, r):
     """The word of a facet containing the face whose ``read_face`` blocks
-    are given: the one extender.
+    are given: the one extender.  It works in board columns throughout.
 
     Empty matrices receive one filler point (the (m, n) corner before the
     first occupied matrix, the (1, 1) corner after the last, and between
     occupied matrices c < d the point taking its row from d's first vertex
-    and its column from c's first vertex).  Inside each matrix, consecutive
-    anchor points are then bridged moving up first, then right.  Applied
-    to a facet this reproduces its word.  Rejects some non-faces on the
-    way; it does not check that the word's facet contains the face
-    (``extend_to_facet`` does).
+    and its column from c's first vertex).  Path k runs from (g_{k-1}, h_k)
+    to (g_k, h_{k-1}), as in the word decoder: from matrix k's first point
+    (row m for k = 1, its matrix's column 1 for k = r) through its points,
+    or its filler, to the row of matrix k+1's first point (1 for k = r)
+    and the column, one matrix on, of matrix k-1's (n for k = 1).  Gaps
+    are bridged up, then right.  Applied to a facet this reproduces its
+    word.  Rejects some non-faces on the way; it does not check that the
+    word's facet contains the face (``extend_to_facet`` does).
     """
-    # each matrix's first point as (row, in-block column), 1-based
-    firsts = [(block[0][0], block[0][1] - offset) if block else None
-              for offset, block in zip(range(0, n * r, n), blocks)]
+    firsts = [block[0] if block else None for block in blocks]
     if None in firsts:
         # with no occupied matrix, every matrix lies before the sentinel r
         occupied = [k for k, block in enumerate(blocks) if block] or [r]
         for k in range(occupied[0]):
-            firsts[k] = (m, n)
+            firsts[k] = (m, n + k * n)
         for c, d in zip(occupied, occupied[1:]):
             for k in range(c + 1, d):
-                firsts[k] = (firsts[d][0], firsts[c][1])
+                firsts[k] = (firsts[d][0], firsts[c][1] + (k - c) * n)
         for k in range(occupied[-1] + 1, r):
-            firsts[k] = (1, 1)
-    # matrix k runs from (row of its first point, or m for k = 1; column of
-    # its first point, or 1 for k = r) to (row of matrix k+1's first point,
-    # or 1; column of matrix k-1's first point, or n).  Columns stay
-    # absolute: the walk starts and ends offset into matrix k's columns
-    word = ""
-    end_col, offset = n, 0
-    for k, (block, (first_row, first_col)) in enumerate(zip(blocks, firsts),
-                                                        start=1):
-        if k > 1:
-            word += "R"
-        r1 = first_row if k > 1 else m
-        c1 = (first_col if k < r else 1) + offset
-        for r2, c2 in block or ((first_row, first_col + offset),):
+            firsts[k] = (1, 1 + k * n)
+    subs = []
+    for k, block in enumerate(blocks):
+        sub = ""
+        r1 = firsts[k][0] if k else m
+        c1 = firsts[k][1] if k < r - 1 else 1 + k * n
+        end = (firsts[k + 1][0] if k < r - 1 else 1,
+               firsts[k - 1][1] + n if k else n)
+        for r2, c2 in [*(block or firsts[k:k + 1]), end]:
             if r1 < r2 or c1 > c2:
-                raise _no_path(k, offset, r1, c1, r2, c2)
-            word += "M" * (r1 - r2) + "N" * (c2 - c1)
+                offset = k * n
+                raise ValueError("input is not a face of the complex: no "
+                                 f"path ({r1},{c1 - offset})->"
+                                 f"({r2},{c2 - offset}) in matrix {k + 1}")
+            sub += "M" * (r1 - r2) + "N" * (c2 - c1)
             r1, c1 = r2, c2
-        r2, c2 = firsts[k][0] if k < r else 1, end_col + offset
-        if r1 < r2 or c1 > c2:
-            raise _no_path(k, offset, r1, c1, r2, c2)
-        word += "M" * (r1 - r2) + "N" * (c2 - c1)
-        end_col = first_col
-        offset += n
-    return word
-
-
-def _no_path(k, offset, r1, c1, r2, c2):
-    """The error for a step of matrix ``k`` that no lattice path takes,
-    given in absolute columns and named in in-block ones."""
-    return ValueError("input is not a face of the complex: no path "
-                      f"({r1},{c1 - offset})->({r2},{c2 - offset}) "
-                      f"in matrix {k}")
+        subs.append(sub)
+    return "R".join(subs)
 
 
 def extend_to_facet(face_vertices, m, n, r):

@@ -86,6 +86,16 @@ def test_word2facet_bad_word_exits_2(capsys):
     assert "error" in err
 
 
+def test_facet2word_names_the_word_its_paths_spell(capsys):
+    # unbroken paths of the wrong length: the refusal names the word they
+    # spell as theirs, not as a word the user typed
+    code, out, err = run(capsys, "facet2word", "2", "2", "2",
+                         "--vertices", "(1,1),(1,2),(1,3),(1,4)")
+    assert (code, out) == (2, "")
+    assert err == ("error: vertex set is not a facet: its paths spell "
+                   "'NRN', with 0 M's and 2 N's, not 1 and 1\n")
+
+
 def test_facets_words_and_csv(capsys):
     code, out, _ = run(capsys, "facets", "2", "2", "3")
     assert code == 0

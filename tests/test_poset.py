@@ -477,6 +477,6 @@ def test_text_format():
 
 def test_text_errors():
     for bad in ["", "m=3", "n=x", "n=2\n1 < 3", "n=3\n3 < 1", "n=2\n1 2",
-                "n=2\n1 < b"]:
+                "n=2\n1 < b", "n=2\n1 < 1"]:
         with pytest.raises(ValueError):
             poset_from_text(bad)

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import random
 import re
 import tracemalloc
 from collections import deque
@@ -334,6 +335,14 @@ def test_facet_from_vertices_rejects_non_facets():
     # a non-face (contains a diagonal)
     with pytest.raises(ValueError):
         facet_from_vertices([(1, 1), (2, 2), (1, 3), (1, 5)], 2, 2, 3)
+    # unbroken paths too short or too long: named as the word they spell
+    for vertices, word in [([(1, 1), (1, 3)], "'R', with 0 M's and 0 N's"),
+                           ([(1, 1), (1, 2), (1, 3), (1, 4)],
+                            "'NRN', with 0 M's and 2 N's")]:
+        with pytest.raises(ValueError) as caught:
+            facet_from_vertices(vertices, 2, 2, 2)
+        assert str(caught.value) == (
+            f"vertex set is not a facet: its paths spell {word}, not 1 and 1")
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +399,94 @@ def test_extension_word_names_a_bad_closing_anchor():
     assert _extension_error([(1, 3), (2, 5)], 2, 2, 3) == (
         "input is not a face of the complex: no path (1,1)->(2,2) in "
         "matrix 2")
+
+
+def reference_extension_word(blocks, m, n, r):
+    """The extender as it was written in in-block columns, kept as the
+    reference for ``extension_word``'s words and error texts."""
+    # each matrix's first point as (row, in-block column), 1-based
+    firsts = [(block[0][0], block[0][1] - offset) if block else None
+              for offset, block in zip(range(0, n * r, n), blocks)]
+    if None in firsts:
+        # with no occupied matrix, every matrix lies before the sentinel r
+        occupied = [k for k, block in enumerate(blocks) if block] or [r]
+        for k in range(occupied[0]):
+            firsts[k] = (m, n)
+        for c, d in zip(occupied, occupied[1:]):
+            for k in range(c + 1, d):
+                firsts[k] = (firsts[d][0], firsts[c][1])
+        for k in range(occupied[-1] + 1, r):
+            firsts[k] = (1, 1)
+    word = ""
+    end_col, offset = n, 0
+    for k, (block, (first_row, first_col)) in enumerate(zip(blocks, firsts),
+                                                        start=1):
+        if k > 1:
+            word += "R"
+        r1 = first_row if k > 1 else m
+        c1 = (first_col if k < r else 1) + offset
+        for r2, c2 in block or ((first_row, first_col + offset),):
+            if r1 < r2 or c1 > c2:
+                raise reference_no_path(k, offset, r1, c1, r2, c2)
+            word += "M" * (r1 - r2) + "N" * (c2 - c1)
+            r1, c1 = r2, c2
+        r2, c2 = firsts[k][0] if k < r else 1, end_col + offset
+        if r1 < r2 or c1 > c2:
+            raise reference_no_path(k, offset, r1, c1, r2, c2)
+        word += "M" * (r1 - r2) + "N" * (c2 - c1)
+        end_col = first_col
+        offset += n
+    return word
+
+
+def reference_no_path(k, offset, r1, c1, r2, c2):
+    return ValueError("input is not a face of the complex: no path "
+                      f"({r1},{c1 - offset})->({r2},{c2 - offset}) "
+                      f"in matrix {k}")
+
+
+def _extension_outcome(extender, vertices, m, n, r):
+    """The extender's word for the vertex set, or its error text."""
+    blocks = simplicial.read_face(vertices, m, n, r)[1]
+    try:
+        return extender(blocks, m, n, r)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def _sweep_inputs():
+    """(vertex set, m, n, r): every face of every board of at most 12
+    vertices, every facet of (4, 4, 5), and seeded random vertex sets on
+    boards up to 4 x 4 x 5, half of them subsets of a facet (faces) and
+    half drawn from the whole board (mostly non-faces)."""
+    for m, n, r in [(m, n, r) for m in range(1, 13) for n in range(1, 13)
+                    for r in range(1, 13) if m * n * r <= 12]:
+        for face in all_faces(m, n, r):
+            yield face, m, n, r
+    for facet in facets(4, 4, 5):
+        yield facet.vertices, 4, 4, 5
+    rng = random.Random(30)
+    for draw in range(4000):
+        m, n, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5)
+        if draw % 2:
+            pool = sorted(Facet(m, n, r, "".join(rng.sample(
+                "M" * (m - 1) + "N" * (n - 1) + "R" * (r - 1),
+                m + n + r - 3))).vertices)
+        else:
+            pool = simplicial.board(m, n, r)
+        yield rng.sample(pool, rng.randint(0, len(pool))), m, n, r
+
+
+def test_extension_word_matches_the_in_block_reference():
+    count = errors = 0
+    for vertices, m, n, r in _sweep_inputs():
+        got = _extension_outcome(extension_word, vertices, m, n, r)
+        assert got == _extension_outcome(reference_extension_word, vertices,
+                                         m, n, r), (sorted(vertices), m, n, r)
+        count += 1
+        errors += got.startswith("error: ")
+    # the sweep reaches both outcomes, many times each
+    assert count > 40_000 and 1_000 < errors < count - 1_000
 
 
 @pytest.mark.parametrize("m, n, r", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])

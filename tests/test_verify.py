@@ -189,13 +189,14 @@ SABOTAGE = {
                             SWAP_M_N.format(name="extension_word"),
                             ("extend-fixes-facets",)),
     # the extender's filler for an empty trailing matrix moved from the
-    # (1, 1) corner to (1, n): every facet still extends to itself, but 8
-    # of the 52 faces of (2, 2, 2) no longer extend to a facet holding them
+    # (1, 1) corner to (1, n), board columns 1 + k * n and n + k * n:
+    # every facet still extends to itself, but 8 of the 52 faces of
+    # (2, 2, 2) no longer extend to a facet holding them
     "extend-fixes-faces": ("complex", (
         "import inspect\n"
         "source = inspect.getsource(simplicial.extension_word)\n"
-        "mutant = source.replace('firsts[k] = (1, 1)', "
-        "'firsts[k] = (1, n)')\n"
+        "mutant = source.replace('firsts[k] = (1, 1 + k * n)', "
+        "'firsts[k] = (1, n + k * n)')\n"
         "if mutant == source:\n"
         "    sys.exit('the filler mutation did not apply')\n"
         "exec(mutant, vars(simplicial))\n"),
