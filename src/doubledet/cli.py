@@ -6,14 +6,15 @@ harness of `doubledet.verify`.  Each subcommand hands its result to
 or --format json/csv with stable key order.  `facets` writes each facet
 as the stream yields it and holds no catalog; with --format json, each
 facet's text is put together from memoised vertex and profile texts, in
-memos of bounded size.  `verify` writes each check's outcome as the
-check returns, in every format.  Each subcommand imports the library
-modules it runs on first use, and `csv` only for --format csv, so
-importing this module loads `doubledet.errors` alone and `hpoly` never
-loads the checks of `verify`.  Exit status: 0 success, 1 failed
-verification, 2 invalid input, exhausted budget or a listing over its
-fixed cap, 141 (128 + SIGPIPE, as a shell reports a process killed by
-it) when the reader closes stdout before the output ends.
+memos of bounded size, each vertex keyed as an integer.  `verify` writes
+each check's outcome as the check returns, in every format.  Each
+subcommand imports the library modules it runs on first use, and `csv`
+only for --format csv, so importing this module loads `doubledet.errors`
+alone and `hpoly` never loads the checks of `verify`.  Exit status: 0
+success, 1 failed verification, 2 invalid input, exhausted budget or a
+listing over its fixed cap, 141 (128 + SIGPIPE, as a shell reports a
+process killed by it) when the reader closes stdout before the output
+ends.
 
 Every invocation pays a fixed cost around its command: the interpreter's
 start with its site imports, the import of this module, the parser (ten
@@ -263,15 +264,17 @@ def _facet_json(facet):
 
 def _facet_texts(catalog):
     """Each facet's compact JSON, the text ``json.dumps`` gives its
-    ``_facet_json``, from two ``_Memo``s of the catalog: the vertices'
-    texts and the profiles' (g and h) texts.  A word uses only M, N and
-    R, so it needs no escaping."""
-    vertex_texts = _Memo("[%d,%d]".__mod__)
+    ``_facet_json``, from two ``_Memo``s of the catalog: the profiles'
+    (g and h) texts, and the vertices' texts keyed by row * w + col,
+    w = n * r + 1, which sort as (row, col) does.  A word uses only M,
+    N and R, so it needs no escaping."""
+    vertex_texts = _Memo(lambda key: "[%d,%d]" % divmod(key, w))
     profile_texts = _Memo(lambda profile: ",".join(map(str, profile)))
     for facet in catalog:
+        w = facet.n * facet.r + 1
         yield '{"word":"%s","vertices":[%s],"g":[%s],"h":[%s]}' % (
-            facet.word,
-            ",".join(map(vertex_texts.__getitem__, sorted(facet.vertices))),
+            facet.word, ",".join(map(vertex_texts.__getitem__, sorted(
+                [i * w + j for i, j in facet.vertices]))),
             profile_texts[facet.g], profile_texts[facet.h])
 
 

@@ -15,11 +15,13 @@ and n by the M's resp. N's of each sub-word.  ``_step``, the one path
 builder, walks path k from the state (g_{k-1}, h_{k-1}) and checks its
 corner; ``_assemble``, the one assembler, checks the vertex count.
 ``Facet`` (one word) and ``facets`` (the catalog) build through both.
-``facets`` streams: it holds the current prefix (matrices 1..r-1) and its
-pending choices, plus a table of matrix r's paths per box (g_{r-1},
-h_{r-1}), since matrix r spends every letter left.  The table holds at
-most ``TABLED_VERTICES`` vertices over all its paths, whatever the board,
-r and the catalog's size.
+``facets`` streams: it holds the current prefix (matrices 1..r-1) and
+one iterator of choices per matrix, plus tables of paths.  Matrix k's
+choices depend only on k and its box (g_{k-1}, h_{k-1}), so for k = 2..r
+each box's choices are built once, in a per-(k, box) table, while all
+tables together cost at most ``TABLED_VERTICES`` units (1 per vertex, 3
+per entry, 8 per table), whatever the board, r and the catalog's size;
+the choices of a box that does not fit are built per visit.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
@@ -43,7 +45,7 @@ over ``errors.MAX_LISTED`` board pairs, the others over a budget or cap.
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb
 from operator import itemgetter
 
@@ -213,106 +215,124 @@ def _assemble(facet, m, n, r, word, g, h, paths, vertices):
     return facet
 
 
-#: the most vertices, summed over its paths, that ``facets``' table of
-#: matrix r's paths holds.  A held vertex costs 70-100 bytes (tracemalloc,
-#: boxes of 5 x 5 to 2 x 200), so a full table takes at most about
-#: 200 KiB; the whole table of a 5 x 5 board, 1,849 vertices in 251
-#: paths, fits.  A box that does not fit is built per prefix
+#: the most units that ``facets``' path tables hold in all.  A table
+#: costs 8 units, each of its entries 3 more and each vertex of the
+#: entry's path 1.  A unit takes 25-65 bytes (tracemalloc, every table of
+#: 2 x 80 x 2, 4 x 4 x 5 and the 5 x 5 boards, and of the first facets of
+#: 2 x 2 x 200), so full tables take at most about 130 KiB.  A box whose
+#: table does not fit is built per visit
 TABLED_VERTICES = 2048
 
 
 def facets(m, n, r, budget=DEFAULT_BUDGET):
     """Yield every facet once, in lexicographic word order (M < N < R).
 
-    ``_prefixes`` yields the words of matrices 1..r-1 in order.  Matrix r
-    spends every letter left, so its sub-words and paths depend only on
-    its box (g_{r-1}, h_{r-1}): they are built in word order, each path's
-    corner checked by ``_step``.  A box first met is kept in a per-box
-    table if its paths' vertices, C(top+right-2, top-1) paths of
-    top+right-1 each, fit in what the table has left of
-    ``TABLED_VERTICES``; any other box's paths are built once per prefix
-    and not kept.  Each prefix's facets share its g and h (g_r = h_r =
-    1); each facet's vertices are the prefix's set and its path, and
-    their count is checked as the facet is assembled.  Besides the table,
-    only the current prefix and its pending choices are held.
+    ``_prefixes`` yields the words of matrices 1..r-1 in order.  Matrix
+    k's choices, sub-words with their g_k, h_k and paths, depend only on
+    k and its box (g_{k-1}, h_{k-1}); ``_entries`` builds them in word
+    order, each path's corner checked by ``_step``.  For k = 2..r, a box
+    first met is kept in a per-(k, box) table if the table's charge
+    (``_charge``) fits in what ``TABLED_VERTICES`` has left; any other
+    box's entries are built per visit and not kept.  Matrix 1 has one
+    box, met once, and is never tabled.  Matrix r spends every letter
+    left, so each prefix's facets share its g and h (g_r = h_r = 1); each
+    facet's vertices are the prefix's set and its path, and their count
+    is checked as the facet is assembled.  Besides the tables, only the
+    current prefix and one iterator of entries per matrix are held.
     """
     check_sizes(m, n, r)
     bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
           "facets", BudgetExceededError)
     new = Facet.__new__
-    table = {}  # box -> matrix r's (sub-word, path) pairs, in word order
+    tables = {}  # (k, top, right) -> matrix k's entries, in word order
     room = TABLED_VERTICES
-    for word, g, h, paths in _prefixes(m, n, r):
-        box = top, right = g[-1], h[-1]
-        tail = table.get(box)
-        if tail is None:
-            tail = ((sub, _step(r, sub, n, top, right)[2])
-                    for sub in _subwords(top - 1, right - 1))
-            size = comb(top + right - 2, top - 1) * (top + right - 1)
+
+    def choices(k, top, right):
+        # matrix k's entries from the box (top, right): held, or built for
+        # this visit
+        nonlocal room
+        entries = tables.get((k, top, right))
+        if entries is None:
+            last = k == r
+            entries = _entries(k, n, top, right, last)
+            size = _charge(top, right, last)
             if size <= room:
                 room -= size
-                tail = table[box] = list(tail)
+                entries = tables[k, top, right] = list(entries)
+        return entries
+
+    for word, g, h, paths in _prefixes(m, n, r, choices):
+        tail = choices(r, g[-1], h[-1])
         g, h = g + (1,), h + (1,)
         union = frozenset(chain.from_iterable(paths)).union
-        for sub, path in tail:
+        for sub, _, _, path in tail:
             yield _assemble(new(Facet), m, n, r, word + sub, g, h,
                             paths + (path,), union(path))
 
 
-def _prefixes(m, n, r):
+def _prefixes(m, n, r, choices):
     """Yield (word, g, h, paths) for matrices 1..r-1 of every facet, each
     prefix once, in word order: the word with an R after each sub-word,
     g and h up to g_{r-1} and h_{r-1}, and the r-1 paths.
 
-    An odometer: matrix k's state (g_{k-1}, h_{k-1}) leaves g_{k-1}-1 M's
-    and h_{k-1}-1 N's, and its choices are the sub-words on at most that
-    many, depth first, M before N.  A sub-word comes after its
-    extensions, which first differ from it where it has R, as R sorts
-    above M and N: so the prefixes come out in order.  A choice's path is
-    built, and its corner checked, once per visit of its prefix.
+    An odometer over one iterator of entries per matrix: matrix 1's from
+    ``_entries``, matrix k's for k = 2..r-1 from ``choices(k, g_{k-1},
+    h_{k-1})``, a held table or entries built for this visit.  Each
+    entry taken is written in place into the prefix's lists; below
+    matrix r-1 the next matrix's iterator is then pushed, and it is
+    popped once it runs out.  Each matrix's entries come in word order
+    and each sub-word ends with its R, so the prefixes come out in order.
     """
     if r == 1:
         yield "", (m,), (n,), ()
         return
-    # the chosen sub-words (each with its R), g, h and paths of matrices
-    # 1..k-1
-    subs, g, h, paths = [], [m], [n], []
-    # sub-words to visit, last pushed first: (k, sub-word, M's and N's
-    # left); (k, sub-word, None, None) chooses the sub-word, pushed before
-    # its extensions so that it is met after them
-    pending = [(1, "", m - 1, n - 1)]
-    while pending:
-        k, sub, i, j = pending.pop()
-        if i is not None:
-            pending.append((k, sub, None, None))
-            if j:
-                pending.append((k, sub + "N", i, j - 1))
-            if i:
-                pending.append((k, sub + "M", i - 1, j))
-            continue
-        # choose sub for matrix k: visit every prefix below it
-        del subs[k - 1:], g[k:], h[k:], paths[k - 1:]
-        bottom, left, path = _step(k, sub, n, g[-1], h[-1])
-        subs.append(sub + "R")
-        g.append(bottom)
-        h.append(left)
-        paths.append(path)
-        if k + 1 == r:
-            yield "".join(subs), tuple(g), tuple(h), tuple(paths)
+    subs, g, h, paths = [""] * (r - 1), [m] * r, [n] * r, [()] * (r - 1)
+    levels = [_entries(1, n, m, n, False)]
+    while levels:
+        k = len(levels)
+        for subs[k - 1], g[k], h[k], paths[k - 1] in levels[-1]:
+            if k + 1 == r:
+                yield "".join(subs), tuple(g), tuple(h), tuple(paths)
+            else:
+                levels.append(iter(choices(k + 1, g[k], h[k])))
+                break
         else:
-            pending.append((k + 1, "", bottom - 1, left - 1))
+            levels.pop()
 
 
-def _subwords(i, j):
-    """Yield the words on exactly i M's and j N's in lexicographic order
-    (M < N): once one kind runs out, the other ends the word."""
-    pending = [("", i, j)]
+def _entries(k, n, top, right, last):
+    """Yield matrix k's choices from the box (top, right) in word order
+    (M < N < R), each (sub-word, g_k, h_k, path) with the path built by
+    ``_step``.  The ``last`` matrix spends every letter left: its
+    sub-words are those on exactly top-1 M's and right-1 N's (once one
+    kind runs out, the other ends the word).  Any other matrix's are
+    those on at most that many, each with its R after it, depth first,
+    M before N, each after its extensions, which first differ from it
+    where its R is."""
+    pending = [("", top - 1, right - 1)]
     while pending:
         sub, i, j = pending.pop()
-        if i and j:
-            pending += (sub + "N", i, j - 1), (sub + "M", i - 1, j)
-        else:
-            yield sub + "M" * i + "N" * j
+        if last and not (i and j):
+            sub += "M" * i + "N" * j
+        elif i is not None:
+            if not last:
+                pending.append((sub, None, None))
+            if j:
+                pending.append((sub + "N", i, j - 1))
+            if i:
+                pending.append((sub + "M", i - 1, j))
+            continue
+        bottom, left, path = _step(k, sub, n, top, right)
+        yield sub if last else sub + "R", bottom, left, path
+
+
+def _charge(top, right, last):
+    """The units (see ``TABLED_VERTICES``) of a table of ``_entries(k, n,
+    top, right, last)``: for each a M's and b N's its sub-words spend,
+    C(a+b, a) entries of a+b+1 vertices each."""
+    spent = ([(top - 1, right - 1)] if last
+             else product(range(top), range(right)))
+    return 8 + sum(comb(a + b, a) * (a + b + 4) for a, b in spent)
 
 
 def facet_word(blocks, m, n, r):

@@ -122,11 +122,13 @@ def test_facets_json(capsys):
                for item in payload)
 
 
-# one point, one matrix, one row, one column, a small board, the three
-# orientations of the benchmark's catalog, and one past JSON_CHUNK
+# one point, one matrix, one row, one column, a small board, two-digit
+# rows and two-digit columns (the writer keys each vertex as one integer),
+# the three orientations of the benchmark's catalog, and one past
+# JSON_CHUNK
 @pytest.mark.parametrize("m, n, r", [
     (1, 1, 1), (1, 1, 5), (4, 1, 1), (1, 4, 1), (2, 3, 1), (3, 3, 3),
-    (5, 5, 4), (5, 4, 5), (4, 5, 5), (4, 4, 5)])
+    (11, 1, 2), (2, 6, 2), (5, 5, 4), (5, 4, 5), (4, 5, 5), (4, 4, 5)])
 def test_facets_json_is_json_dumps_of_each_facet(m, n, r, capsys):
     code, out, _ = run(capsys, "facets", str(m), str(n), str(r), "-f", "json")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -168,45 +168,104 @@ def test_stream_matches_the_word_decoder(m, n, r):
     assert list(map(fields, facets(m, n, r))) == list(map(fields, decoded))
 
 
-@pytest.mark.parametrize("room", [0, 20])
-@pytest.mark.parametrize("m, n, r", [(3, 3, 3), (2, 3, 1), (4, 3, 2)])
+def middle_builds(m, n, r, room, monkeypatch):
+    """How often the stream builds each middle matrix's (k, box) entries
+    with ``room`` units of tables."""
+    builds, entries = {}, simplicial._entries
+
+    def counting(k, n, top, right, last):
+        if 1 < k < r:
+            builds[k, top, right] = builds.get((k, top, right), 0) + 1
+        return entries(k, n, top, right, last)
+
+    monkeypatch.setattr(simplicial, "_entries", counting)
+    monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
+    deque(facets(m, n, r), maxlen=0)
+    monkeypatch.undo()
+    return builds
+
+
+@pytest.mark.parametrize("room", [0, 20, 100])
+@pytest.mark.parametrize("m, n, r", [(3, 3, 3), (2, 3, 1), (4, 3, 2),
+                                     (3, 3, 4), (2, 3, 5)])
 def test_untabled_boxes_stream_the_same(m, n, r, room, monkeypatch):
-    # no box tabled, or only the boxes that fit in 20 vertices: the rest
-    # are built per prefix
+    # no box tabled, or only the boxes that fit in 20 or 100 units: the
+    # rest are built per visit
     expected = list(map(fields, facets(m, n, r)))
     monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
     assert list(map(fields, facets(m, n, r))) == expected
 
 
-@pytest.mark.parametrize("room", [0, simplicial.TABLED_VERTICES])
-def test_matrix_r_paths_check_their_corner(room, monkeypatch):
-    # a walk that overshoots by one column at each right step of matrix 3
-    # only: matrix 3's paths are built once per box, and the check bites
+@pytest.mark.parametrize("m, n, r", [(3, 3, 4), (2, 3, 5)])
+def test_held_and_per_visit_middle_tables_mix(m, n, r, monkeypatch):
+    # at 100 units, of the middle (k, box) tables met more than once,
+    # some are built once (held) and some once per visit
+    visits = middle_builds(m, n, r, 0, monkeypatch)
+    builds = middle_builds(m, n, r, 100, monkeypatch)
+    again = [key for key, count in visits.items() if count > 1]
+    assert any(builds[key] == 1 for key in again)
+    assert any(builds[key] == visits[key] for key in again)
+
+
+def overshoot_at(k, monkeypatch):
+    """Make ``_step`` overshoot by one column at each right step of
+    matrix k only."""
     source = inspect.getsource(simplicial._step)
-    mutant = source.replace("col += 1", "col += 1 + (k == 3)")
+    mutant = source.replace("col += 1", f"col += 1 + (k == {k})")
     assert mutant != source
     namespace = dict(vars(simplicial))
     exec(mutant, namespace)
     monkeypatch.setattr(simplicial, "_step", namespace["_step"])
+
+
+@pytest.mark.parametrize("room", [0, simplicial.TABLED_VERTICES])
+def test_matrix_r_paths_check_their_corner(room, monkeypatch):
+    # matrix 3's paths are built once per box, and the check bites
+    overshoot_at(3, monkeypatch)
     monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
     assert len(list(facets(2, 2, 2))) == 6  # no matrix 3 to walk
     with pytest.raises(ArithmeticError, match="path 3 along"):
         list(facets(2, 2, 3))
 
 
-# one box of 12,870 paths met once, and 79 boxes of up to 79 paths, each
-# met once: held, their paths would peak near 15 and 12 MiB
-@pytest.mark.parametrize("m, n, r", [(9, 9, 1), (2, 80, 2)])
-def test_the_table_is_bounded_whatever_the_catalog(m, n, r):
+@pytest.mark.parametrize("room", [0, simplicial.TABLED_VERTICES])
+@pytest.mark.parametrize("r", [3, 4])
+def test_middle_matrix_paths_check_their_corner(r, room, monkeypatch):
+    # matrix 2 is neither matrix 1 nor matrix r: its paths come from a
+    # per-(k, box) table or are built per visit, and the check bites
+    overshoot_at(2, monkeypatch)
+    monkeypatch.setattr(simplicial, "TABLED_VERTICES", room)
+    with pytest.raises(ArithmeticError, match="path 2 along"):
+        list(facets(2, 2, r))
+
+
+def stream_peak(stream):
+    """The peak of memory traced while ``stream`` is drained, over what
+    was traced before."""
     tracemalloc.start()
     try:
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
-        deque(facets(m, n, r), maxlen=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        deque(stream, maxlen=0)
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak - start < 256 * 2 ** 10, f"peak {peak - start} B"
+
+
+# one box of 12,870 paths met once, and 79 boxes of up to 79 paths, each
+# met once: held, their paths would peak near 15 and 12 MiB
+@pytest.mark.parametrize("m, n, r", [(9, 9, 1), (2, 80, 2)])
+def test_the_table_is_bounded_whatever_the_catalog(m, n, r):
+    peak = stream_peak(facets(m, n, r))
+    assert peak < 256 * 2 ** 10, f"peak {peak} B"
+
+
+def test_many_matrices_keep_the_tables_bounded():
+    # the first 2r+2 facets of a 2 x 2 board with r = 200 meet about 3r
+    # (k, box) boxes, more than the tables hold; one iterator of entries
+    # per matrix is held besides
+    peak = stream_peak(islice(facets(2, 2, 200), 402))
+    assert peak < 256 * 2 ** 10, f"peak {peak} B"
 
 
 def test_the_stream_holds_only_its_prefix():
