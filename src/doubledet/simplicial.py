@@ -45,7 +45,7 @@ over ``errors.MAX_LISTED`` board pairs, the others over a budget or cap.
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
 
@@ -328,11 +328,18 @@ def _entries(k, n, top, right, last):
 
 def _charge(top, right, last):
     """The units (see ``TABLED_VERTICES``) of a table of ``_entries(k, n,
-    top, right, last)``: for each a M's and b N's its sub-words spend,
-    C(a+b, a) entries of a+b+1 vertices each."""
-    spent = ([(top - 1, right - 1)] if last
-             else product(range(top), range(right)))
-    return 8 + sum(comb(a + b, a) * (a + b + 4) for a, b in spent)
+    top, right, last)``, in closed form, since a box that does not fit is
+    charged again at each visit.  For each a M's and b N's its sub-words
+    spend there are C(a+b, a) entries of a+b+1 vertices each.  The last
+    matrix spends a = top-1 and b = right-1.  Any other spends each a <
+    p = top and b < q = right: C(p+q, p) - 1 entries, and by hockey-stick
+    sums q C(p+q+1, p) - C(p+q+1, p+1) + 1 vertices in all."""
+    if last:
+        a, b = top - 1, right - 1
+        return 8 + comb(a + b, a) * (a + b + 4)
+    p, q = top, right
+    return (8 + 3 * (comb(p + q, p) - 1) + q * comb(p + q + 1, p)
+            - comb(p + q + 1, p + 1) + 1)
 
 
 def facet_word(blocks, m, n, r):

@@ -185,6 +185,17 @@ def middle_builds(m, n, r, room, monkeypatch):
     return builds
 
 
+@pytest.mark.parametrize("last", [False, True])
+def test_charge_is_what_the_table_holds(last):
+    # the closed form against the entries it charges for: 8 per table,
+    # 3 per entry and 1 per vertex of the entry's path
+    for top in range(1, 8):
+        for right in range(1, 8):
+            held = list(simplicial._entries(2, 3, top, right, last))
+            assert simplicial._charge(top, right, last) == 8 + sum(
+                3 + len(path) for *_, path in held), (top, right)
+
+
 @pytest.mark.parametrize("room", [0, 20, 100])
 @pytest.mark.parametrize("m, n, r", [(3, 3, 3), (2, 3, 1), (4, 3, 2),
                                      (3, 3, 4), (2, 3, 5)])
