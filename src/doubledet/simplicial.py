@@ -14,14 +14,9 @@ The word is therefore used as the identity of a facet.  Path k runs from
 and n by the M's resp. N's of each sub-word.  ``_step``, the one path
 builder, walks path k from the state (g_{k-1}, h_{k-1}) and checks its
 corner; ``_assemble``, the one assembler, checks the vertex count.
-``Facet`` (one word) and ``facets`` (the catalog) build through both.
-``facets`` streams: it holds the current prefix (matrices 1..r-1) and
-one iterator of choices per matrix, plus tables of paths.  Matrix k's
-choices depend only on k and its box (g_{k-1}, h_{k-1}), so for k = 2..r
-each box's choices are built once, in a per-(k, box) table, while all
-tables together cost at most ``TABLED_VERTICES`` units (1 per vertex, 3
-per entry, 8 per table), whatever the board, r and the catalog's size;
-the choices of a box that does not fit are built per visit.
+``Facet`` (one word) and ``facets`` (the catalog, streamed by one walk
+over matrices 1..r with bounded per-(k, box) tables of paths) build
+through both.
 
 A board vertex is a plain ``(row, col)`` tuple.  ``vertex_str`` writes it
 as ``(r,c)`` and ``parse_vertices`` reads a list of those back.  Board
@@ -71,11 +66,13 @@ def vertex_for_variable(v, n):
 def _layout(col, n):
     """(k - 1, j - 1) for board column col: column j of matrix k.
 
-    ``read_face`` inlines the same split (block ``(col - 1) // n``) in
-    its per-vertex loop.  ``extension_word`` works in board columns and
-    inlines it only in its error text (in-block column ``col - k * n``)
-    and its fillers' ``k * n`` offsets.  A change of board layout touches
-    all three."""
+    The layout c = (k-1)n + j is written out again in
+    ``vertex_for_variable``, ``_step``'s offset ``(k - 1) * n``, the board
+    width ``n * r`` of ``board`` and ``read_face``, ``read_face``'s block
+    ``(col - 1) // n``, ``extension_word``'s error text (in-block column
+    ``col - k * n``) and fillers (``k * n`` offsets), and
+    ``cli._facet_texts``' vertex key width ``n * r + 1``.  A change of
+    board layout touches all of them."""
     return divmod(col - 1, n)
 
 
@@ -227,18 +224,21 @@ TABLED_VERTICES = 2048
 def facets(m, n, r, budget=DEFAULT_BUDGET):
     """Yield every facet once, in lexicographic word order (M < N < R).
 
-    ``_prefixes`` yields the words of matrices 1..r-1 in order.  Matrix
-    k's choices, sub-words with their g_k, h_k and paths, depend only on
-    k and its box (g_{k-1}, h_{k-1}); ``_entries`` builds them in word
-    order, each path's corner checked by ``_step``.  For k = 2..r, a box
-    first met is kept in a per-(k, box) table if the table's charge
-    (``_charge``) fits in what ``TABLED_VERTICES`` has left; any other
-    box's entries are built per visit and not kept.  Matrix 1 has one
-    box, met once, and is never tabled.  Matrix r spends every letter
-    left, so each prefix's facets share its g and h (g_r = h_r = 1); each
-    facet's vertices are the prefix's set and its path, and their count
-    is checked as the facet is assembled.  Besides the tables, only the
-    current prefix and one iterator of entries per matrix are held.
+    One odometer over matrices 1..r, with one iterator of entries per
+    matrix: matrix k's choices (sub-word, g_k, h_k, path) from its box
+    (g_{k-1}, h_{k-1}), built in word order by ``_entries``, each path's
+    corner checked by ``_step``; every sub-word but matrix r's ends with
+    its R, so the facets come in word order.  Matrix 1 has one box, met
+    once, and is never tabled.  For k = 2..r, a box first met is kept in
+    a per-(k, box) table if its charge (``_charge``) fits in what
+    ``TABLED_VERTICES`` has left; any other box's entries are built per
+    visit.  An entry of a matrix k < r is written in place into the
+    prefix's lists and matrix k+1's iterator is pushed; a spent iterator
+    is popped.  Matrix r spends every letter left, so a prefix's facets
+    share its g and h (g_r = h_r = 1): its iterator is drained at once,
+    each facet built from the prefix's word, paths and vertex set and its
+    own entry, its vertex count checked by ``_assemble``.  Only the
+    tables, the prefix and the iterators are held.
     """
     check_sizes(m, n, r)
     bound(multinomial((m - 1, n - 1, r - 1)), budget, "simplicial.facets",
@@ -246,56 +246,31 @@ def facets(m, n, r, budget=DEFAULT_BUDGET):
     new = Facet.__new__
     tables = {}  # (k, top, right) -> matrix k's entries, in word order
     room = TABLED_VERTICES
-
-    def choices(k, top, right):
-        # matrix k's entries from the box (top, right): held, or built for
-        # this visit
-        nonlocal room
-        entries = tables.get((k, top, right))
-        if entries is None:
-            last = k == r
-            entries = _entries(k, n, top, right, last)
-            size = _charge(top, right, last)
-            if size <= room:
-                room -= size
-                entries = tables[k, top, right] = list(entries)
-        return entries
-
-    for word, g, h, paths in _prefixes(m, n, r, choices):
-        tail = choices(r, g[-1], h[-1])
-        g, h = g + (1,), h + (1,)
-        union = frozenset(chain.from_iterable(paths)).union
-        for sub, _, _, path in tail:
-            yield _assemble(new(Facet), m, n, r, word + sub, g, h,
-                            paths + (path,), union(path))
-
-
-def _prefixes(m, n, r, choices):
-    """Yield (word, g, h, paths) for matrices 1..r-1 of every facet, each
-    prefix once, in word order: the word with an R after each sub-word,
-    g and h up to g_{r-1} and h_{r-1}, and the r-1 paths.
-
-    An odometer over one iterator of entries per matrix: matrix 1's from
-    ``_entries``, matrix k's for k = 2..r-1 from ``choices(k, g_{k-1},
-    h_{k-1})``, a held table or entries built for this visit.  Each
-    entry taken is written in place into the prefix's lists; below
-    matrix r-1 the next matrix's iterator is then pushed, and it is
-    popped once it runs out.  Each matrix's entries come in word order
-    and each sub-word ends with its R, so the prefixes come out in order.
-    """
-    if r == 1:
-        yield "", (m,), (n,), ()
-        return
-    subs, g, h, paths = [""] * (r - 1), [m] * r, [n] * r, [()] * (r - 1)
-    levels = [_entries(1, n, m, n, False)]
+    subs, paths = [""] * (r - 1), [()] * (r - 1)
+    g, h = [m] * r + [1], [n] * r + [1]  # g_r = h_r = 1
+    levels = [_entries(1, n, m, n, r == 1)]
     while levels:
         k = len(levels)
+        if k == r:
+            word, gs, hs = "".join(subs), tuple(g), tuple(h)
+            held = tuple(paths)
+            union = frozenset(chain.from_iterable(held)).union
+            for sub, _, _, path in levels.pop():
+                yield _assemble(new(Facet), m, n, r, word + sub, gs, hs,
+                                held + (path,), union(path))
+            continue
         for subs[k - 1], g[k], h[k], paths[k - 1] in levels[-1]:
-            if k + 1 == r:
-                yield "".join(subs), tuple(g), tuple(h), tuple(paths)
-            else:
-                levels.append(iter(choices(k + 1, g[k], h[k])))
-                break
+            top, right, last = g[k], h[k], k + 1 == r
+            key = k + 1, top, right
+            entries = tables.get(key)
+            if entries is None:
+                entries = _entries(k + 1, n, top, right, last)
+                size = _charge(top, right, last)
+                if size <= room:
+                    room -= size
+                    entries = tables[key] = list(entries)
+            levels.append(iter(entries))
+            break
         else:
             levels.pop()
 

@@ -384,8 +384,11 @@ def build_checks(m, n, r, level, budget):
 
     @check("shelling-evidence", tier=1)
     def shelling_evidence():
-        bound(multinomial((m - 1, n - 1, r - 1)), 2000,
-              "verify.shelling_evidence", "facets")
+        # the check meets every facet pair: t(t-1)/2 intersections of
+        # m+n+r-2 vertices each, all made when the order is a shelling
+        t = multinomial((m - 1, n - 1, r - 1))
+        bound(t * (t - 1) // 2 * (m + n + r - 2), 2 * 10 ** 7,
+              "verify.shelling_evidence", "facet-pair vertices")
         verdict = simplicial.check_shelling_order(
             simplicial.facets(m, n, r, budget=budget))
         # open question: recorded, never required

@@ -1,10 +1,10 @@
-import time
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doubledet import poset
+from doubledet import grid, poset
 from doubledet.errors import SizeGuardError
 from doubledet.grid import (comparable, count_comparable_pairs, grid_points,
                             join, lattice_isomorphic_to_ideals, meet)
@@ -128,8 +128,32 @@ def test_lattice_isomorphism_refuses_a_cross_chain_relation(monkeypatch):
     assert not lattice_isomorphic_to_ideals(3, 3, 2)
 
 
-def test_lattice_isomorphism_of_long_chains_is_not_quadratic():
-    for size in ((3000, 1, 1), (1, 1, 3000)):
-        start = time.perf_counter()
+def grid_lines(size):
+    """The lines ``grid.py`` runs (line events, loop passes included)
+    while the isomorphism of ``size`` is checked: a count of work that no
+    load on the machine changes."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == grid.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
         assert lattice_isomorphic_to_ideals(*size)
-        assert time.perf_counter() - start < 0.05, size
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_lattice_isomorphism_of_long_chains_is_not_quadratic():
+    # about 30 lines per grid point (90,027 here); a cover test trying
+    # every element of the poset for each ideal runs about
+    # 4*m*n*r*(m+n+r) of them (36,057,029 here)
+    for size in ((3000, 1, 1), (1, 1, 3000)):
+        assert grid_lines(size) < 60 * 3000, size

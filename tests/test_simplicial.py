@@ -168,6 +168,16 @@ def test_stream_matches_the_word_decoder(m, n, r):
     assert list(map(fields, facets(m, n, r))) == list(map(fields, decoded))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (3, 5)])
+def test_one_matrix_charges_no_table(m, n, monkeypatch):
+    # matrix 1 is matrix r: its one box is met once, and never tabled
+    def charged(*args):
+        raise AssertionError(f"charged {args}")
+
+    monkeypatch.setattr(simplicial, "_charge", charged)
+    assert sum(1 for _ in facets(m, n, 1)) == multiplicity(m, n, 1)
+
+
 def middle_builds(m, n, r, room, monkeypatch):
     """How often the stream builds each middle matrix's (k, box) entries
     with ``room`` units of tables."""

@@ -182,6 +182,20 @@ SABOTAGE = {
         "    sys.exit('the row mutation did not apply')\n"
         "exec(mutant, vars(generators))\n"),
         ("kernel-membership",)),
+    # the facet walk's tables keyed by box and by whether the matrix is the
+    # last, not by the matrix: a middle matrix reads paths built for
+    # another, in that matrix's board columns, so the first facet that
+    # does has too few vertices
+    "facet-table-key-without-matrix": ("complex", (
+        "import inspect\n"
+        "source = inspect.getsource(simplicial.facets)\n"
+        "mutant = source.replace('key = k + 1, top, right',\n"
+        "                        'key = last, top, right')\n"
+        "if mutant == source:\n"
+        "    sys.exit('the table-key mutation did not apply')\n"
+        "exec(mutant, vars(simplicial))\n"),
+        ("facet-count-purity", "word-codec-roundtrip",
+         "extend-fixes-facets"), (4, 4, 5)),
     # the facet encoder and the extender with M and N swapped in their word
     "word-codec-roundtrip": ("complex", SWAP_M_N.format(name="facet_word"),
                              ("word-codec-roundtrip",)),
@@ -330,6 +344,8 @@ def run_sabotaged(sabotage, level, optimize, size=(2, 2, 2)):
     ("kernel-accepts-all", False),
     ("phi-drops-matrix", True),
     ("phi-drops-matrix", False),
+    ("facet-table-key-without-matrix", True),
+    ("facet-table-key-without-matrix", False),
     ("word-codec-roundtrip", True),
     ("word-codec-roundtrip", False),
     ("extend-fixes-facets", True),
@@ -499,6 +515,28 @@ def test_the_listings_skip_by_what_they_walk(monkeypatch):
     assert status["minor-decomposition"] == (
         "ok", "0 generators decomposed into minors")
     assert calls == 0
+
+
+def test_shelling_evidence_skips_by_the_pairs_it_meets(monkeypatch):
+    def shelling(*size):
+        return [tuple(o) for o in verify.run_checks(
+            (name, fn) for name, fn in verify.build_checks(
+                *size, "complex", DEFAULT_BUDGET)
+            if name == "shelling-evidence")]
+
+    def walked(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    # (1, 500, 2) has only 500 facets, but 124,750 pairs of 501 vertices
+    monkeypatch.setattr(simplicial, "facets", walked)
+    monkeypatch.setattr(simplicial, "check_shelling_order", walked)
+    assert shelling(1, 500, 2) == [
+        ("shelling-evidence", "skip", "verify.shelling_evidence: 62499750 "
+         "facet-pair vertices exceed guard 20000000")]
+    monkeypatch.undo()
+    # (4, 4, 4) meets 14,103,600 and still runs, as does (3, 3, 2)
+    for size in ((4, 4, 4), (3, 3, 2)):
+        assert [status for _, status, _ in shelling(*size)] == ["ok"]
 
 
 def test_groebner_tier_lists_the_sorting_relations_once(monkeypatch):
