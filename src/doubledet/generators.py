@@ -13,6 +13,12 @@ are built from ``grid.meet`` and ``grid.join`` directly.  A minor is built
 from its two diagonal grid points by ``_h_minor`` or ``_v_minor``, the only
 code that knows the positions of H and V.
 
+Each listing takes every variable from one ``grid.point_table`` that it
+builds for the call (``minor_basis`` one for its minors of H and V), so a
+point is one object in all of the listing's binomials; two listings hold
+equal points, not the same ones.  ``decompose_into_minors`` builds at most
+two minors per call and no table: their other entries are new tuples.
+
 Each listing refuses itself before it walks more than ``errors.MAX_LISTED``
 generators (``generator_families``), grid pairs (``sorting_relations``,
 however few it keeps) or minors of H and V (``minor_basis``).
@@ -51,40 +57,53 @@ class Minor(namedtuple("Minor", "source rows cols entries")):
                 f"{self.binomial}")
 
 
-def _h_minor(n, p, q):
-    """The minor of H on the diagonal p = (i1, j1, k1), q = (i2, j2, k2)."""
+def _h_minor(n, p, q, point=tuple):
+    """The minor of H on the diagonal p = (i1, j1, k1), q = (i2, j2, k2).
+    ``point`` gives the object held for each other entry: a point table's
+    lookup, or by default the tuple just built."""
     (i1, j1, k1), (i2, j2, k2) = p, q
     return Minor("H", (i1, i2), ((k1 - 1) * n + j1, (k2 - 1) * n + j2),
-                 (p, (i1, j2, k2), (i2, j1, k1), q))
+                 (p, point((i1, j2, k2)), point((i2, j1, k1)), q))
 
 
-def _v_minor(m, p, q):
-    """The minor of V on the diagonal p = (i1, j1, k1), q = (i2, j2, k2)."""
+def _v_minor(m, p, q, point=tuple):
+    """The minor of V on the diagonal p = (i1, j1, k1), q = (i2, j2, k2),
+    with ``point`` as in ``_h_minor``."""
     (i1, j1, k1), (i2, j2, k2) = p, q
     return Minor("V", ((k1 - 1) * m + i1, (k2 - 1) * m + i2), (j1, j2),
-                 (p, (i1, j2, k1), (i2, j1, k2), q))
+                 (p, point((i1, j2, k1)), point((i2, j1, k2)), q))
+
+
+def _walk_H(t, m, n, r):
+    """The minors of H on the point table t, row pairs outer, column
+    pairs (k, j) inner."""
+    if n * r < 2:
+        return ()  # no column pair, so no need to walk the row pairs
+    return (_h_minor(n, t[i1, j1, k1], t[i2, j2, k2], t.__getitem__)
+            for i1, i2 in combinations(range(1, m + 1), 2)
+            for (k1, j1), (k2, j2) in combinations(
+                product(range(1, r + 1), range(1, n + 1)), 2))
+
+
+def _walk_V(t, m, n, r):
+    """The minors of V on the point table t, row pairs (k, i) outer,
+    column pairs inner."""
+    if n < 2:
+        return ()  # no column pair, so no need to walk the row pairs
+    return (_v_minor(m, t[i1, j1, k1], t[i2, j2, k2], t.__getitem__)
+            for (k1, i1), (k2, i2) in combinations(
+                product(range(1, r + 1), range(1, m + 1)), 2)
+            for j1, j2 in combinations(range(1, n + 1), 2))
 
 
 def minors_H(m, n, r):
     """All 2x2 minors of H, row pairs outer, column pairs (k, j) inner."""
-    check_sizes(m, n, r)
-    if n * r < 2:
-        return []  # no column pair, so no need to walk the row pairs
-    return [_h_minor(n, (i1, j1, k1), (i2, j2, k2))
-            for i1, i2 in combinations(range(1, m + 1), 2)
-            for (k1, j1), (k2, j2) in combinations(
-                product(range(1, r + 1), range(1, n + 1)), 2)]
+    return list(_walk_H(grid.point_table(m, n, r), m, n, r))
 
 
 def minors_V(m, n, r):
     """All 2x2 minors of V, row pairs (k, i) outer, column pairs inner."""
-    check_sizes(m, n, r)
-    if n < 2:
-        return []  # no column pair, so no need to walk the row pairs
-    return [_v_minor(m, (i1, j1, k1), (i2, j2, k2))
-            for (k1, i1), (k2, i2) in combinations(
-                product(range(1, r + 1), range(1, m + 1)), 2)
-            for j1, j2 in combinations(range(1, n + 1), 2)]
+    return list(_walk_V(grid.point_table(m, n, r), m, n, r))
 
 
 def hv_minor_count(m, n, r):
@@ -99,8 +118,11 @@ def minor_basis(m, n, r):
     lie on different column pairs, so it is no H-minor."""
     bound(hv_minor_count(m, n, r), MAX_LISTED, "generators.minor_basis",
           "minors")
-    return minors_H(m, n, r) + [mi for mi in minors_V(m, n, r)
-                                if mi.entries[0][2] != mi.entries[3][2]]
+    t = grid.point_table(m, n, r)
+    listed = list(_walk_H(t, m, n, r))
+    listed += (mi for mi in _walk_V(t, m, n, r)
+               if mi.entries[0][2] != mi.entries[3][2])
+    return listed
 
 
 def minor_count(m, n, r):
@@ -121,32 +143,33 @@ def generator_families(m, n, r):
     sizes = family_sizes(m, n, r)
     bound(sum(sizes.values()), MAX_LISTED, "generators.generator_families",
           "generators")
+    t = grid.point_table(m, n, r)
     same_row = (
-        Binomial.make(((i, j2, k1), (i, j1, k2)),
-                      ((i, j1, k1), (i, j2, k2)))
+        Binomial.make((t[i, j2, k1], t[i, j1, k2]),
+                      (t[i, j1, k1], t[i, j2, k2]))
         for i in range(1, m + 1)
         for j1, j2 in combinations(range(1, n + 1), 2)
         for k1, k2 in combinations(range(1, r + 1), 2))
     same_column = (
-        Binomial.make(((i2, j, k1), (i1, j, k2)),
-                      ((i1, j, k1), (i2, j, k2)))
+        Binomial.make((t[i2, j, k1], t[i1, j, k2]),
+                      (t[i1, j, k1], t[i2, j, k2]))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j in range(1, n + 1)
         for k1, k2 in combinations(range(1, r + 1), 2))
     same_block = (
-        Binomial.make(((i1, j2, k), (i2, j1, k)),
-                      ((i1, j1, k), (i2, j2, k)))
+        Binomial.make((t[i1, j2, k], t[i2, j1, k]),
+                      (t[i1, j1, k], t[i2, j2, k]))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j1, j2 in combinations(range(1, n + 1), 2)
         for k in range(1, r + 1))
     mixed = (
-        Binomial.make(unsorted, ((i1, j1, k1), (i2, j2, k2)))
+        Binomial.make(unsorted, (t[i1, j1, k1], t[i2, j2, k2]))
         for i1, i2 in combinations(range(1, m + 1), 2)
         for j1, j2 in combinations(range(1, n + 1), 2)
         for k1, k2 in combinations(range(1, r + 1), 2)
-        for unsorted in (((i1, j2, k1), (i2, j1, k2)),
-                         ((i2, j1, k1), (i1, j2, k2)),
-                         ((i2, j2, k1), (i1, j1, k2))))
+        for unsorted in ((t[i1, j2, k1], t[i2, j1, k2]),
+                         (t[i2, j1, k1], t[i1, j2, k2]),
+                         (t[i2, j2, k1], t[i1, j1, k2])))
     # an empty family is not walked: its outer loops would run for nothing
     return {key: list(family) if sizes[key] else [] for key, family in
             zip(FAMILY_KEYS, (same_row, same_column, same_block, mixed))}
@@ -167,9 +190,9 @@ def sorting_relations(m, n, r):
     check_sizes(m, n, r)
     bound(comb(m * n * r, 2), MAX_LISTED, "generators.sorting_relations",
           "grid pairs")
-    return [Binomial.make((a, b), (grid.meet(a, b), grid.join(a, b)))
-            for a, b in combinations(grid.grid_points(m, n, r), 2)
-            if not grid.comparable(a, b)]
+    t = grid.point_table(m, n, r)
+    return [Binomial.make((a, b), (t[grid.meet(a, b)], t[grid.join(a, b)]))
+            for a, b in combinations(t, 2) if not grid.comparable(a, b)]
 
 
 def _expansion(signed_minors):

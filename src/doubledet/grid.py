@@ -2,7 +2,10 @@
 
 This is a distributive lattice (a product of three chains); meet and join
 are componentwise min and max.  A point is a plain (i, j, k) tuple, and it
-is also the ring variable x[i,j,k] (see ``ring``).  This module holds the
+is also the ring variable x[i,j,k] (see ``ring``).  A listing of binomials
+takes its points from one ``point_table``, so each point is one object in
+all of its binomials: no binomial holds a tuple of its own per variable,
+and equal terms compare item by item by identity.  This module holds the
 only definition of the order on it: ``comparable``, ``meet`` and ``join``
 give the sorting relations in ``generators`` and the oracles in
 ``verify``.  No Hasse diagram is ever materialized.
@@ -27,6 +30,12 @@ def grid_points(m, n, r):
     """All grid points in lexicographic (i, j, k) order."""
     check_sizes(m, n, r)
     return list(product(range(1, m + 1), range(1, n + 1), range(1, r + 1)))
+
+
+def point_table(m, n, r):
+    """Each grid point once, keyed by itself, in lexicographic order:
+    ``table[i, j, k]`` is the table's one tuple for the point (i, j, k)."""
+    return {p: p for p in grid_points(m, n, r)}
 
 
 def comparable(p, q):

@@ -31,6 +31,22 @@ fails by raising; ``run_checks`` maps what it raises to a status:
 
 A check never uses ``assert``, so it gives the same verdict under
 ``python -O``.
+
+The shared listings.  The generator families, the minors of H and V, the
+sorting relations and the conflict pairs are each built once per run and
+cached for the checks that read them.  Each generator listing holds one
+object per grid point (see ``grid.point_table``), and the minors are kept
+as their binomials alone.  The last reader at the run's level clears the
+cache as it reads, so a listing is freed when that check returns:
+
+* the families after ``minor-decomposition``;
+* below the groebner tier, the relations after
+  ``families-vs-sorting-relations``, the minors after
+  ``kernel-membership`` and the conflict pairs after
+  ``initial-generator-count``;
+* at the groebner tier, the relations and the minors after
+  ``relations-reduce-to-zero`` and the conflict pairs after
+  ``initial-ideal-match``.
 """
 
 from __future__ import annotations
@@ -86,8 +102,9 @@ def build_checks(m, n, r, level, budget):
             return fn
         return add
 
-    # listings shared by the checks that read them; a build that raises
-    # (a listing over its cap) is not cached
+    # listings shared by the checks that read them, each dropped by its
+    # last reader (module docstring); a build that raises (a listing over
+    # its cap) is not cached
     @functools.cache
     def families():
         return generators.generator_families(m, n, r)
@@ -97,16 +114,16 @@ def build_checks(m, n, r, level, budget):
         """The minors' binomials, all that their readers use, and the
         first minor whose printed rows and columns do not hold its entries
         (None if every one does), which ``kernel-membership`` reports."""
-        listed = generators.minor_basis(m, n, r)
-        misplaced = next((mi for mi in listed
-                          if _entries_at_positions(mi, m, n) != mi.entries),
-                         None)
-        return [mi.binomial for mi in listed], misplaced
+        listed, misplaced = generators.minor_basis(m, n, r), None
+        for index, mi in enumerate(listed):
+            if misplaced is None and (_entries_at_positions(mi, m, n)
+                                      != mi.entries):
+                misplaced = mi
+            listed[index] = mi.binomial  # the minor is dropped here
+        return listed, misplaced
 
     @functools.cache
     def relations():
-        """The sorting relations, for the two checks that read them; below
-        the groebner tier the first is the last, and drops the listing."""
         return generators.sorting_relations(m, n, r)
 
     @functools.cache
@@ -155,7 +172,7 @@ def build_checks(m, n, r, level, budget):
                      f"{key}: {len(val)} != {sizes[key]}")
         union = set().union(*fams.values())
         rels = set(relations())
-        if want < 2:  # the last reader: relations-reduce-to-zero is not run
+        if want < 2:
             relations.cache_clear()
         _require(union == rels, "families differ from sorting relations")
         mu = invariants.minimal_generator_count(m, n, r)
@@ -171,6 +188,8 @@ def build_checks(m, n, r, level, budget):
             _require(all(sorting.in_kernel(b, m, n, r) for b in val),
                      f"a {key} generator is not in the kernel")
         listed, misplaced = minors()
+        if want < 2:
+            minors.cache_clear()
         expected = generators.minor_count(m, n, r)
         _require(len(listed) == expected,
                  f"{len(listed)} minors, closed form {expected}")
@@ -196,6 +215,7 @@ def build_checks(m, n, r, level, budget):
     @check("minor-decomposition")
     def decompositions():
         fams = families()
+        families.cache_clear()
         total = 0
         for val in fams.values():
             for b in val:
@@ -370,6 +390,8 @@ def build_checks(m, n, r, level, budget):
     @check("initial-generator-count", tier=1)
     def edge_count():
         edges = conflict_pairs()
+        if want < 2:
+            conflict_pairs.cache_clear()
         closed = simplicial.initial_generator_count(m, n, r)
         mu = invariants.minimal_generator_count(m, n, r)
         _require(len(edges) == closed == mu, f"{len(edges)}, {closed}, {mu}")
@@ -410,7 +432,9 @@ def build_checks(m, n, r, level, budget):
         lts = groebner.initial_ideal_minimal_generators(minors()[0])
         as_pairs = {frozenset(simplicial.vertex_for_variable(v, n)
                               for v in mono) for mono in lts}
-        _require(as_pairs == conflict_pairs(),
+        edges = conflict_pairs()
+        conflict_pairs.cache_clear()
+        _require(as_pairs == edges,
                  "leading terms differ from the conflict pairs")
         return f"{len(lts)} leading terms match the conflict pairs"
 
@@ -418,7 +442,9 @@ def build_checks(m, n, r, level, budget):
     def relations_reduce():
         from . import groebner
         rels = relations()  # first: too many of both skips on relations
+        relations.cache_clear()
         basis = [groebner.SparsePoly.from_binomial(b) for b in minors()[0]]
+        minors.cache_clear()
         polys = (groebner.SparsePoly.from_binomial(rel) for rel in rels)
         for rel, rem in zip(rels, groebner.remainders(polys, basis),
                             strict=True):

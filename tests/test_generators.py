@@ -222,6 +222,87 @@ def test_family_sum_is_mu():
                 assert sum(family_sizes(m, n, r).values()) == mu_closed(m, n, r)
 
 
+# ----------------------------------------------------------------------
+# one object per grid point: each listing takes its variables from one
+# table, and lists what the fresh-tuple references list, in their order
+
+def families_by_formula(m, n, r):
+    """Reference: the four families built from new tuples."""
+    rows, cols, mats = (range(1, s + 1) for s in (m, n, r))
+    return {
+        "same_row": [Binomial.make(((i, j2, k1), (i, j1, k2)),
+                                   ((i, j1, k1), (i, j2, k2)))
+                     for i in rows for j1, j2 in combinations(cols, 2)
+                     for k1, k2 in combinations(mats, 2)],
+        "same_column": [Binomial.make(((i2, j, k1), (i1, j, k2)),
+                                      ((i1, j, k1), (i2, j, k2)))
+                        for i1, i2 in combinations(rows, 2) for j in cols
+                        for k1, k2 in combinations(mats, 2)],
+        "same_block": [Binomial.make(((i1, j2, k), (i2, j1, k)),
+                                     ((i1, j1, k), (i2, j2, k)))
+                       for i1, i2 in combinations(rows, 2)
+                       for j1, j2 in combinations(cols, 2) for k in mats],
+        "mixed": [Binomial.make(unsorted, ((i1, j1, k1), (i2, j2, k2)))
+                  for i1, i2 in combinations(rows, 2)
+                  for j1, j2 in combinations(cols, 2)
+                  for k1, k2 in combinations(mats, 2)
+                  for unsorted in (((i1, j2, k1), (i2, j1, k2)),
+                                   ((i2, j1, k1), (i1, j2, k2)),
+                                   ((i2, j2, k1), (i1, j1, k2)))]}
+
+
+def relations_by_pairs(m, n, r):
+    """Reference: a relation per pair whose componentwise min is neither
+    point, with new tuples for the min and max."""
+    points = product(range(1, m + 1), range(1, n + 1), range(1, r + 1))
+    out = []
+    for a, b in combinations(points, 2):
+        lo, hi = tuple(map(min, a, b)), tuple(map(max, a, b))
+        if lo not in (a, b):
+            out.append(Binomial.make((a, b), (lo, hi)))
+    return out
+
+
+def points_held(binomials=(), minors=()):
+    """The distinct objects held as variables by the binomials and as
+    entries by the minors."""
+    return {id(v) for held in (*(b.plus + b.minus for b in binomials),
+                               *(mi.entries for mi in minors))
+            for v in held}
+
+
+@pytest.mark.parametrize("m, n, r", [*product(range(1, 4), repeat=3),
+                                     (4, 4, 5)])
+def test_each_listing_holds_one_object_per_grid_point(m, n, r):
+    fams = generator_families(m, n, r)
+    assert fams == families_by_formula(m, n, r)
+    assert list(fams) == list(generators.FAMILY_KEYS)
+    rels = sorting_relations(m, n, r)
+    assert rels == relations_by_pairs(m, n, r)
+    basis = minor_basis(m, n, r)
+    assert basis == minor_basis_by_binomial(m, n, r)
+    held = {
+        "families": points_held([b for val in fams.values() for b in val]),
+        "relations": points_held(rels),
+        "minor_basis": points_held([mi.binomial for mi in basis], basis),
+        "minors_H": points_held(minors=minors_H(m, n, r)),
+        "minors_V": points_held(minors=minors_V(m, n, r))}
+    for name, points in held.items():
+        assert len(points) <= m * n * r, name
+
+
+def test_decomposition_builds_no_point_table(monkeypatch):
+    listed = generator_families(3, 3, 3)
+
+    def refused(*args):
+        raise AssertionError("a point table was built")
+
+    monkeypatch.setattr(grid, "point_table", refused)
+    for val in listed.values():
+        for b in val:
+            decompose_into_minors(b, 3, 3, 3)
+
+
 def test_everything_in_kernel():
     for m, n, r in [(2, 2, 2), (3, 2, 2), (2, 3, 3)]:
         for val in generator_families(m, n, r).values():

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -578,6 +579,77 @@ def test_lower_tiers_drop_the_sorting_relations_after_reading_them(
     # relations are not, since relations-reduce-to-zero is not run
     assert len(made) == 1
     assert made[0]() is None
+
+
+#: per level, the last check to read each shared listing
+LAST_READER = {
+    "formulas": {"generator_families": "minor-decomposition",
+                 "minor_basis": "kernel-membership",
+                 "sorting_relations": "families-vs-sorting-relations"},
+    "complex": {"generator_families": "minor-decomposition",
+                "minor_basis": "kernel-membership",
+                "sorting_relations": "families-vs-sorting-relations",
+                "initial_generators": "initial-generator-count"},
+    "groebner": {"generator_families": "minor-decomposition",
+                 "minor_basis": "relations-reduce-to-zero",
+                 "sorting_relations": "relations-reduce-to-zero",
+                 "initial_generators": "initial-ideal-match"},
+}
+
+
+@pytest.mark.parametrize("level", sorted(LAST_READER))
+def test_each_listing_is_dropped_when_its_last_reader_returns(monkeypatch,
+                                                              level):
+    made = {}
+
+    def kept(module, name):
+        real = getattr(module, name)
+
+        def listing(*args):
+            result = real(*args)
+            # a subclass of a list or dict can be weakly referenced
+            result = type("Kept", (type(result),), {})(result)
+            # the first is the cached one (verify_groebner lists the
+            # minors again for itself)
+            made.setdefault(name, weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(module, name, listing)
+
+    for name in ("generator_families", "minor_basis", "sorting_relations"):
+        kept(generators, name)
+    kept(simplicial, "initial_generators")
+    last = LAST_READER[level]
+    checks = verify.build_checks(2, 2, 3, level, DEFAULT_BUDGET)
+    dropped = set()
+    for outcome in verify.run_checks(checks):
+        assert outcome.status != "FAIL", outcome
+        dropped |= {name for name, reader in last.items()
+                    if reader == outcome.name}
+        # the checks, and so their caches, are still alive
+        for name, ref in made.items():
+            assert (ref() is None) == (name in dropped), (outcome.name, name)
+    assert set(made) == dropped == set(last)
+
+
+def test_listing_checks_hold_one_tuple_per_point():
+    # the formulas-tier checks that read the generator listings peak at
+    # 3.5 MiB traced at (5, 5, 5); at 5.9 MiB when every binomial held four
+    # tuples of its own and no listing was dropped after its last reader
+    names = {"families-vs-sorting-relations", "kernel-membership",
+             "minor-decomposition"}
+    checks = [(name, fn) for name, fn in verify.build_checks(
+        5, 5, 5, "formulas", DEFAULT_BUDGET) if name in names]
+    tracemalloc.start()
+    try:
+        outcomes = list(verify.run_checks(checks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(o.name, o.status) for o in outcomes] == [
+        (name, "ok") for name, _ in checks]
+    assert len(outcomes) == 3
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_reader_error_fails_both_recoder_checks(monkeypatch):
